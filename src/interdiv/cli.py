@@ -67,17 +67,20 @@ def _read_preds(path) -> np.ndarray:
     with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline().strip()
         rows = [line.strip() for line in fh if line.strip()]
-    vals = []
     try:
-        vals.append(float(first.split(",")[0]))
+        float(first.split(",")[0])
     except ValueError:
         pass  # header line
-    for line in rows:
+    else:
+        rows.insert(0, first)
+    fields = [line.split(",")[0] for line in rows]
+    vals, bad = dataset_mod.parse_floats(fields)
+    for i in bad:  # non-finite values parse; the commands reject them later
         try:
-            vals.append(float(line.split(",")[0]))
+            float(fields[i])
         except ValueError as exc:
-            raise InputError(f"bad prediction row {line!r} in {path}") from exc
-    return np.asarray(vals)
+            raise InputError(f"bad prediction row {rows[i]!r} in {path}") from exc
+    return vals
 
 
 def cmd_train(args) -> int:
@@ -132,14 +135,16 @@ def _load_model(path):
     raise InputError(f"unrecognized model format {fmt!r} in {path}")
 
 
+def _write_preds(path, preds) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
+
+
 def cmd_predict(args) -> int:
     ds = _load_dataset(args)
     model = _load_model(args.model)
     preds = model.predict(ds.features)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("pred\n")
-        for v in preds:
-            fh.write(f"{v:.17g}\n")
+    _write_preds(args.out, preds)
     _write_manifest(args.out, "predict", {
         "data": args.data, "config": args.config, "model": args.model,
     })
@@ -274,10 +279,7 @@ def cmd_synth(args) -> int:
             args.n, args.divergence, args.seed
         )
         preds_path = os.path.join(args.out, "preds.csv")
-        with open(preds_path, "w", encoding="utf-8") as fh:
-            fh.write("pred\n")
-            for v in preds:
-                fh.write(f"{v:.17g}\n")
+        _write_preds(preds_path, preds)
     else:
         ds = dataset_mod.synth_biased(args.n, args.seed, n_protected=args.attributes)
     _write_dataset_csv(data_path, ds)

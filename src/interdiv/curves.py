@@ -175,11 +175,17 @@ def sera_from_curves(curves: SerCurveSet) -> float:
 
 
 def export_curves(curves: SerCurveSet, path) -> None:
-    """Write ``t,group,ser,count,normalized_ser`` rows at every breakpoint."""
+    """Write ``t,group,ser,count,normalized_ser`` rows at every breakpoint.
+
+    Each group's block is formatted with one join and written in one call.
+    Writing per group rather than per file keeps the formatted text of the
+    other groups out of the command's peak memory.
+    """
+    t = curves.breakpoints.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,group,ser,count,normalized_ser\n")
         for g in range(curves.n_groups):
             ser_v, cnt_v = curves.values_at(curves.breakpoints, g)
-            for t, s, c in zip(curves.breakpoints, ser_v, cnt_v):
-                norm = s / c if c > 0 else 0.0
-                fh.write(f"{t:.17g},{g},{s:.17g},{int(c)},{norm:.17g}\n")
+            norm = np.divide(ser_v, cnt_v, out=np.zeros(len(t)), where=cnt_v > 0)
+            row = f"%.17g,{g},%.17g,%d,%.17g\n"
+            fh.write("".join(row % r for r in zip(t, ser_v.tolist(), cnt_v.tolist(), norm.tolist())))

@@ -13,6 +13,8 @@ proxies the remaining columns carry.
 from __future__ import annotations
 
 import csv
+import gc
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -120,9 +122,14 @@ class GroupedDataset:
 
 def _build_catalog(protected: np.ndarray):
     """Assign group ids by decreasing size (ties broken by combo tuple)."""
-    combos, inverse, counts = np.unique(
-        protected, axis=0, return_inverse=True, return_counts=True
+    # A 0/1 row packed into bytes, first attribute in the top bit, sorts as a
+    # byte string in the lexicographic order of its combo tuple.
+    packed = np.packbits(protected, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
     )
+    combos = protected[first]
     order = sorted(
         range(len(combos)), key=lambda i: (-int(counts[i]), tuple(combos[i].tolist()))
     )
@@ -187,36 +194,134 @@ def from_arrays(
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
 
 
-def _is_missing(token: str) -> bool:
-    return token.lower() in _MISSING_TOKENS
-
-
-def _parse_float(token: str):
+def _float_or_nan(token: str) -> float:
     try:
-        v = float(token)
+        return float(token.strip())
     except ValueError:
-        return None
-    return v if np.isfinite(v) else None
+        return np.nan
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_floats(tokens) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a sequence of string tokens as float64 in one pass.
+
+    Surrounding whitespace is ignored and a token that does not parse is
+    NaN. Returns the values and the ascending indices of those that are not
+    finite (unparseable, NaN or infinite).
+    """
+    n = len(tokens)
+    try:
+        values = np.fromiter(map(float, tokens), float, n)
+    except ValueError:
+        # float() skips the same whitespace as str.strip() except the ASCII
+        # separators \x1c-\x1f, so tokens are stripped on this path only
+        values = np.fromiter(map(_float_or_nan, tokens), float, n)
+    return values, np.flatnonzero(~np.isfinite(values))
+
+
+def _factorize(tokens):
+    """The distinct tokens, each stripped (two may strip alike), and each
+    token's index into that list."""
+    first = {}  # token -> position of its first occurrence
+    pos = np.fromiter(map(first.setdefault, tokens, itertools.count()), np.intp, len(tokens))
+    code_at = np.empty(len(tokens), dtype=np.intp)
+    code_at[np.fromiter(first.values(), np.intp, len(first))] = np.arange(len(first))
+    return [t.strip() for t in first], code_at[pos]
+
+
+def _missing(stripped) -> np.ndarray:
+    return np.array([t.lower() in _MISSING_TOKENS for t in stripped], dtype=bool)
+
+
+def _one_hot(name: str, col):
+    """Categories in lexicographic order; a missing token encodes as all zeros."""
+    uniq, codes = _factorize(col)
+    cats = sorted({t for t, m in zip(uniq, _missing(uniq)) if not m})
+    cat_of = {c: k for k, c in enumerate(cats)}
+    row_cat = np.array([cat_of.get(t, -1) for t in uniq], dtype=np.intp)[codes]
+    hit = np.flatnonzero(row_cat >= 0)
+    onehot = np.zeros((len(col), len(cats)))
+    onehot[hit, row_cat[hit]] = 1.0
+    return onehot, [f"{name}={c}" for c in cats]
+
+
+def _feature_block(name: str, col, row_no: np.ndarray, path):
+    """Encode one feature column of the kept rows as ``(block, names)``.
+
+    A column is numeric when every token that is not a missing token parses
+    as a finite number; missing entries take the column median. A column
+    with any other token is one-hot encoded. A number that is not finite
+    (``inf``, ``1e999``) in an otherwise numeric column is an error.
+    """
+    values, bad = parse_floats(col)
+    if bad.size:
+        uniq, codes = _factorize([col[i] for i in bad])
+        present = ~_missing(uniq)
+        if not all(_is_number(t) for t, p in zip(uniq, present) if p):
+            return _one_hot(name, col)
+        if present.any():
+            k = int(bad[np.argmax(present[codes])])
+            raise InputError(
+                f"non-finite value {col[k].strip()!r} in numeric feature column "
+                f"{name!r} at data row {int(row_no[k])} of {path}"
+            )
+        if bad.size == len(col):
+            values = np.zeros(len(col))
+        else:
+            values = np.where(np.isnan(values), np.nanmedian(values), values)
+    return values.reshape(-1, 1), [name]
+
+
+def _read_columns(path):
+    """The stripped header and the columns of the rows as wide as the header.
+
+    Blank lines are skipped. Also returns, for each remaining row, whether
+    it had the header's width; the other rows are left out of the columns.
+    """
+    # One list per row and no reference cycles among them: with the cycle
+    # collector paused until the rows are freed, it never traverses them.
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDataError(f"no header row in {path}")
+            rows = [r for r in reader if r]
+        whole = np.fromiter(map(len, rows), np.intp, len(rows)) == len(header)
+        if not whole.all():
+            rows = list(itertools.compress(rows, whole))
+        columns = list(zip(*rows)) or [()] * len(header)
+        del rows
+    finally:
+        if gc_enabled:
+            gc.enable()
+    return [h.strip() for h in header], columns, whole
 
 
 def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     """Load an RFC-4180 CSV and index rows by intersectional group.
 
-    Rows whose target or protected value is missing/unparseable are dropped
-    (the count is kept on ``n_dropped`` and logged). Feature columns that
-    fail to parse as numbers are treated as categorical and one-hot encoded
-    in lexicographic category order; unparseable values in numeric feature
-    columns are imputed with the column median.
+    Rows of the wrong width, and rows whose target or protected value is
+    missing/unparseable, are dropped (the count is kept on ``n_dropped`` and
+    logged). Feature columns that fail to parse as numbers are treated as
+    categorical and one-hot encoded in lexicographic category order;
+    missing values in numeric feature columns are imputed with the column
+    median. Each column is parsed in one pass over its tokens.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataError(f"no header row in {path}")
-        header = [h.strip() for h in header]
-        rows = [r for r in reader if r]
-
-    col_index = {name: i for i, name in enumerate(header)}
+    header, columns, whole = _read_columns(path)
+    col_index = {}
+    for i, name in enumerate(header):
+        if col_index.setdefault(name, i) != i:
+            raise SchemaError(f"duplicate column {name!r} in the header of {path}")
     for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
         if col not in col_index:
             raise SchemaError(f"column {col!r} not found in {path}")
@@ -227,73 +332,43 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     else:
         feature_cols = [c for c in header if c not in excluded]
 
-    t_idx = col_index[schema.target_column]
-    p_idx = [col_index[c] for c in schema.protected_columns]
-    f_idx = [col_index[c] for c in feature_cols]
+    targets, _ = parse_floats(columns[col_index[schema.target_column]])
+    keep = np.isfinite(targets)
+    protected = np.empty((len(targets), len(schema.protected_columns)), dtype=np.uint8)
+    for j, (cname, priv) in enumerate(zip(schema.protected_columns, schema.privileged_values)):
+        uniq, codes = _factorize(columns[col_index[cname]])
+        keep &= ~_missing(uniq)[codes]
+        protected[:, j] = (np.array(uniq, dtype=str) == priv)[codes]
 
-    targets = []
-    prot_raw = []
-    feat_raw = []
-    n_dropped = 0
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            n_dropped += 1
-            continue
-        y = _parse_float(row[t_idx].strip())
-        pvals = [row[i].strip() for i in p_idx]
-        if y is None or any(_is_missing(v) for v in pvals):
-            n_dropped += 1
-            continue
-        targets.append(y)
-        prot_raw.append(pvals)
-        feat_raw.append([row[i].strip() for i in f_idx])
-
-    if not targets:
+    n = int(keep.sum())
+    if n == 0:
         raise EmptyDataError(f"zero usable rows in {path}")
+    n_dropped = len(whole) - n
     if n_dropped:
         log.info("dropped %d unusable rows while loading %s", n_dropped, path)
-
-    n = len(targets)
-    protected = np.zeros((n, len(p_idx)), dtype=np.uint8)
-    for j, priv in enumerate(schema.privileged_values):
-        col = np.array([prot_raw[i][j] for i in range(n)])
-        protected[:, j] = (col == priv).astype(np.uint8)
-        observed = np.unique(protected[:, j])
-        if observed.size < 2:
+    row_no = np.flatnonzero(whole)[keep] + 1
+    protected = protected[keep]
+    for j, cname in enumerate(schema.protected_columns):
+        if np.unique(protected[:, j]).size < 2:
             raise DegenerateAttributeError(
-                f"protected column {schema.protected_columns[j]!r} has a single "
+                f"protected column {cname!r} has a single "
                 "observed value after binarization; group structure collapses"
             )
 
     blocks = []
     names = []
-    for j, cname in enumerate(feature_cols):
-        col = [feat_raw[i][j] for i in range(n)]
-        parsed = [None if _is_missing(v) else _parse_float(v) for v in col]
-        numeric = all(p is not None for p, v in zip(parsed, col) if not _is_missing(v))
-        if numeric:
-            vals = np.array([p if p is not None else np.nan for p in parsed], dtype=float)
-            if np.all(np.isnan(vals)):
-                vals = np.zeros(n)
-            elif np.any(np.isnan(vals)):
-                vals = np.where(np.isnan(vals), np.nanmedian(vals), vals)
-            blocks.append(vals.reshape(-1, 1))
-            names.append(cname)
-        else:
-            # categorical: one-hot in lexicographic order; missing rows encode
-            # as all-zero (no category matched)
-            cats = sorted({v for v in col if not _is_missing(v)})
-            onehot = np.zeros((n, len(cats)), dtype=float)
-            for k, cat in enumerate(cats):
-                onehot[:, k] = [1.0 if v == cat else 0.0 for v in col]
-            blocks.append(onehot)
-            names.extend(f"{cname}={cat}" for cat in cats)
+    for cname in feature_cols:
+        col = columns[col_index[cname]]
+        if n < len(keep):
+            col = list(itertools.compress(col, keep))
+        block, block_names = _feature_block(cname, col, row_no, path)
+        blocks.append(block)
+        names.extend(block_names)
 
     X = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return from_arrays(
         X,
-        np.array(targets),
+        targets[keep],
         protected,
         feature_names=names,
         protected_names=schema.protected_columns,

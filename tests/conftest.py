@@ -2,12 +2,20 @@
 
 The oracles here deliberately avoid the library's sweep machinery: curve
 values come from per-cutoff brute force over the sample list, integrals from
-dense midpoint grids, and interpolation from a scalar Hermite formula.
+dense midpoint grids, interpolation from a scalar Hermite formula, and CSV
+loading from the row-at-a-time loader that the column-wise one replaced.
 """
+import csv
+import logging
+
 import numpy as np
 import pytest
 
 from interdiv import dataset, relevance
+from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
+from interdiv.errors import DegenerateAttributeError, EmptyDataError, SchemaError
+
+log = logging.getLogger(__name__)
 
 
 def make_instance(rng, n=40, n_attrs=2, noise=1.0, uniform_noise=False):
@@ -112,3 +120,124 @@ def appendix_instance():
     )
     phi = relevance.from_points([(0.0, 1.0), (5.0, 1.0)])
     return ds, phi
+
+
+# The row-at-a-time CSV loader as it stood before ``dataset.load_csv`` parsed
+# whole columns, kept verbatim as the reference for the differential test.
+# Nothing under src/ imports it.
+_MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
+
+
+def _is_missing(token: str) -> bool:
+    return token.lower() in _MISSING_TOKENS
+
+
+def _parse_float(token: str):
+    try:
+        v = float(token)
+    except ValueError:
+        return None
+    return v if np.isfinite(v) else None
+
+
+def rowwise_load_csv(path, schema: DatasetSchema) -> GroupedDataset:
+    """Load an RFC-4180 CSV and index rows by intersectional group.
+
+    Rows whose target or protected value is missing/unparseable are dropped
+    (the count is kept on ``n_dropped`` and logged). Feature columns that
+    fail to parse as numbers are treated as categorical and one-hot encoded
+    in lexicographic category order; unparseable values in numeric feature
+    columns are imputed with the column median.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataError(f"no header row in {path}")
+        header = [h.strip() for h in header]
+        rows = [r for r in reader if r]
+
+    col_index = {name: i for i, name in enumerate(header)}
+    for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
+        if col not in col_index:
+            raise SchemaError(f"column {col!r} not found in {path}")
+
+    excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
+    if schema.feature_columns:
+        feature_cols = list(schema.feature_columns)
+    else:
+        feature_cols = [c for c in header if c not in excluded]
+
+    t_idx = col_index[schema.target_column]
+    p_idx = [col_index[c] for c in schema.protected_columns]
+    f_idx = [col_index[c] for c in feature_cols]
+
+    targets = []
+    prot_raw = []
+    feat_raw = []
+    n_dropped = 0
+    width = len(header)
+    for row in rows:
+        if len(row) != width:
+            n_dropped += 1
+            continue
+        y = _parse_float(row[t_idx].strip())
+        pvals = [row[i].strip() for i in p_idx]
+        if y is None or any(_is_missing(v) for v in pvals):
+            n_dropped += 1
+            continue
+        targets.append(y)
+        prot_raw.append(pvals)
+        feat_raw.append([row[i].strip() for i in f_idx])
+
+    if not targets:
+        raise EmptyDataError(f"zero usable rows in {path}")
+    if n_dropped:
+        log.info("dropped %d unusable rows while loading %s", n_dropped, path)
+
+    n = len(targets)
+    protected = np.zeros((n, len(p_idx)), dtype=np.uint8)
+    for j, priv in enumerate(schema.privileged_values):
+        col = np.array([prot_raw[i][j] for i in range(n)])
+        protected[:, j] = (col == priv).astype(np.uint8)
+        observed = np.unique(protected[:, j])
+        if observed.size < 2:
+            raise DegenerateAttributeError(
+                f"protected column {schema.protected_columns[j]!r} has a single "
+                "observed value after binarization; group structure collapses"
+            )
+
+    blocks = []
+    names = []
+    for j, cname in enumerate(feature_cols):
+        col = [feat_raw[i][j] for i in range(n)]
+        parsed = [None if _is_missing(v) else _parse_float(v) for v in col]
+        numeric = all(p is not None for p, v in zip(parsed, col) if not _is_missing(v))
+        if numeric:
+            vals = np.array([p if p is not None else np.nan for p in parsed], dtype=float)
+            if np.all(np.isnan(vals)):
+                vals = np.zeros(n)
+            elif np.any(np.isnan(vals)):
+                vals = np.where(np.isnan(vals), np.nanmedian(vals), vals)
+            blocks.append(vals.reshape(-1, 1))
+            names.append(cname)
+        else:
+            # categorical: one-hot in lexicographic order; missing rows encode
+            # as all-zero (no category matched)
+            cats = sorted({v for v in col if not _is_missing(v)})
+            onehot = np.zeros((n, len(cats)), dtype=float)
+            for k, cat in enumerate(cats):
+                onehot[:, k] = [1.0 if v == cat else 0.0 for v in col]
+            blocks.append(onehot)
+            names.extend(f"{cname}={cat}" for cat in cats)
+
+    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    return from_arrays(
+        X,
+        np.array(targets),
+        protected,
+        feature_names=names,
+        protected_names=schema.protected_columns,
+        target_name=schema.target_column,
+        n_dropped=n_dropped,
+    )

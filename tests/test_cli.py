@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from interdiv import cli
+from interdiv.errors import InputError
 
 
 def run_cli(*argv):
@@ -152,6 +153,30 @@ class TestTrainPredictAudit:
         assert code == 1
         err = capsys.readouterr().err
         assert "2" in err and "300" in err
+
+
+class TestReadPreds:
+    def test_header_is_optional(self, tmp_path):
+        with_header = tmp_path / "h.csv"
+        with_header.write_text("pred\n1.5\n-0\n\n 2e3 ,x\n")
+        bare = tmp_path / "b.csv"
+        bare.write_text("1.5\n-0\n2e3\n")
+        for path in (with_header, bare):
+            vals = cli._read_preds(str(path))
+            assert vals.tolist() == [1.5, 0.0, 2000.0]
+            assert np.signbit(vals[1])
+
+    def test_non_finite_values_are_read(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("pred\n1\ninf\nnan\n")
+        vals = cli._read_preds(str(path))
+        assert vals[0] == 1.0 and np.isposinf(vals[1]) and np.isnan(vals[2])
+
+    def test_first_bad_row_named(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("pred\n1\ninf\noops,1\nworse\n")
+        with pytest.raises(InputError, match="'oops,1'"):
+            cli._read_preds(str(path))
 
 
 class TestEndToEndFairnessGain:

@@ -1,11 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rowwise_load_csv
 from interdiv import curves, dataset, metrics, relevance
 from interdiv.dataset import DatasetSchema
 from interdiv.errors import (
     DegenerateAttributeError,
     EmptyDataError,
+    InputError,
+    InterdivError,
     SchemaError,
     SplitError,
     ValidationError,
@@ -125,6 +132,148 @@ class TestLoadCsv:
         assert ds.feature_names == ("x1",)
 
 
+    def test_duplicate_header_named_in_error(self, tmp_path):
+        rows = ["1.0,M,W,3,4", "2.0,F,B,5,6"]
+        path = write_csv(tmp_path / "dup.csv", "y,sex,race,x,x", rows)
+        with pytest.raises(SchemaError, match="duplicate column 'x'"):
+            dataset.load_csv(path, SCHEMA)
+
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999", "-nan"])
+    def test_non_finite_numeric_feature_rejected(self, tmp_path, token):
+        rows = ["M,W,1.0,3", "F,B,2.0,NA", "M,B,3.0,nan", f"F,W,4.0, {token}", "M,W,5.0,inf"]
+        path = write_csv(tmp_path / "inf.csv", "sex,race,y,x1", rows)
+        with pytest.raises(InputError, match=rf"'{token}' .* 'x1' at data row 4 "):
+            dataset.load_csv(path, SCHEMA)
+
+    def test_nan_token_is_missing_not_non_finite(self, tmp_path):
+        rows = ["M,W,1.0,10", "F,B,2.0, NaN ", "M,B,3.0,30", "F,W,4.0,20"]
+        path = write_csv(tmp_path / "nan.csv", "sex,race,y,x1", rows)
+        ds = dataset.load_csv(path, SCHEMA)
+        assert ds.feature_names == ("x1",)
+        assert ds.features[1, 0] == 20.0
+
+    def test_non_finite_number_in_categorical_column_is_a_category(self, tmp_path):
+        rows = ["M,W,1.0,red", "F,B,2.0,inf", "M,B,3.0,2", "F,W,4.0,red"]
+        path = write_csv(tmp_path / "catinf.csv", "sex,race,y,color", rows)
+        ds = dataset.load_csv(path, SCHEMA)
+        assert ds.feature_names == ("color=2", "color=inf", "color=red")
+
+    def test_rows_dropped_before_columns_are_typed(self, tmp_path):
+        # the word sits in a dropped row, so the column stays numeric
+        rows = ["M,W,1.0,1", "F,B,NA,word", "M,B,3.0,3", "F,W,4.0", "", "F,W,2.0,5"]
+        path = write_csv(tmp_path / "typed.csv", "sex,race,y,x1", rows)
+        ds = dataset.load_csv(path, SCHEMA)
+        assert ds.feature_names == ("x1",)
+        assert ds.n_dropped == 2
+        assert ds.features[:, 0].tolist() == [1.0, 3.0, 5.0]
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\x1c"])
+_MISSING = st.sampled_from(["", "NA", "na", "N/A", "n/a", "NaN", "nan", "NULL", "None", "?"])
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "3", "-0", "+1e3", "1_0", "2.5", ".5", "5.", "-7.5e-3", "1e-320"]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(lambda v: "%.17g" % v),
+)
+_NON_FINITE = st.sampled_from(["inf", "-inf", "Infinity", "1e999", "-1e999", "-nan", "+NaN"])
+_WORD = st.sampled_from(["red", "Red", "blue", "a,b", "x, y", 'say "hi"', "1 2", "é"])
+_ATTR = st.sampled_from(["M", "F", "m", "W", "B", "1", "0", "inf"])
+_FEATURE_KINDS = {
+    # every non-missing value a finite number
+    "num": st.one_of(_NUMBER, _MISSING),
+    # the first row, always kept, holds a word, so the column is categorical
+    "cat": st.one_of(_NUMBER, _MISSING, _NON_FINITE, _WORD),
+}
+
+
+def _padded(token_strategy):
+    return st.tuples(_PAD, token_strategy, _PAD).map("".join)
+
+
+def _cell(draw, text):
+    if "," in text or '"' in text or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def _csv_case(draw):
+    """A CSV text, its schema, and the header it was written with.
+
+    Two inputs whose handling changed on purpose are excluded by
+    construction: headers repeat no name (repeats are now a SchemaError),
+    and numeric feature columns hold no non-finite number such as ``inf``
+    (now an InputError instead of a switch to one-hot encoding). Non-finite
+    tokens appear only in the target, the protected columns and columns
+    that the always-kept first row makes categorical.
+    """
+    kinds = draw(st.lists(st.sampled_from(sorted(_FEATURE_KINDS)), min_size=1, max_size=3))
+    features = [f"f{i}" for i in range(len(kinds))]
+    protected = ["a", "b"][: draw(st.integers(1, 2))]
+    privileged = [draw(_ATTR) for _ in protected]
+    header = draw(st.permutations(["y", *protected, *features, "junk"]))
+    feature_columns = ()
+    if draw(st.booleans()):
+        feature_columns = tuple(draw(st.permutations(features))[: draw(st.integers(1, len(features)))])
+    schema = DatasetSchema("y", tuple(protected), tuple(privileged),
+                           feature_columns=feature_columns, drop_columns=("junk",))
+
+    lines = [",".join(_cell(draw, draw(_padded(st.just(h)))) for h in header)]
+    # the first row is kept and privileged; most often the second is kept
+    # and unprivileged, so that most cases get past the degeneracy check
+    mixed = draw(st.integers(0, 4)) > 0
+    for r in range(draw(st.integers(1, 12))):
+        cells = {"junk": draw(_padded(st.one_of(_WORD, _NUMBER, _MISSING)))}
+        if r == 0:
+            cells["y"] = draw(_padded(_NUMBER))
+            cells.update((a, draw(_padded(st.just(v)))) for a, v in zip(protected, privileged))
+        elif r == 1 and mixed:
+            cells["y"] = draw(_padded(_NUMBER))
+            cells.update((a, draw(_padded(_ATTR.filter(lambda t, v=v: t != v))))
+                         for a, v in zip(protected, privileged))
+        else:
+            cells["y"] = draw(_padded(st.one_of(_NUMBER, _MISSING, _NON_FINITE, _WORD)))
+            cells.update((a, draw(_padded(st.one_of(_ATTR, _MISSING)))) for a in protected)
+        for name, kind in zip(features, kinds):
+            token = _WORD if r == 0 and kind == "cat" else _FEATURE_KINDS[kind]
+            cells[name] = draw(_padded(token))
+        row = [cells[h] for h in header]
+        if r > 1 and draw(st.integers(0, 5)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        lines.extend([""] * draw(st.integers(0, 1)))
+        lines.append(",".join(_cell(draw, c) for c in row))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(lines) + "\n", schema
+
+
+def _load(loader, path, schema):
+    try:
+        return loader(path, schema)
+    except InterdivError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstRowwiseLoader:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_csv_case())
+    def test_bit_identical(self, tmp_path_factory, case):
+        text, schema = case
+        path = tmp_path_factory.mktemp("diff") / "d.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        new = _load(dataset.load_csv, path, schema)
+        old = _load(rowwise_load_csv, path, schema)
+        if isinstance(old, tuple) or isinstance(new, tuple):
+            assert new == old
+            return
+        for field in ("features", "targets", "protected", "group_of"):
+            a, b = getattr(new, field), getattr(old, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), field
+        for field in ("group_catalog", "feature_names", "protected_names", "target_name",
+                      "n_dropped"):
+            assert getattr(new, field) == getattr(old, field), field
+
+
 class TestPartition:
     def test_groups_partition_samples(self, tmp_path):
         ds = dataset.load_csv(basic_csv(tmp_path), SCHEMA)
@@ -134,6 +283,17 @@ class TestPartition:
         # each sample's combo matches its group's combo
         for i in range(ds.n):
             assert tuple(ds.protected[i]) == ds.group_catalog[ds.group_of[i]].combo
+
+    @pytest.mark.parametrize("n_attrs", [1, 3, 9])
+    def test_catalog_matches_counted_combos(self, n_attrs):
+        # 9 attributes pack into two bytes per row
+        prot = (np.random.default_rng(n_attrs).random((300, n_attrs)) < 0.3).astype(np.uint8)
+        ds = dataset.from_arrays(np.zeros((300, 1)), np.zeros(300), prot)
+        counts = collections.Counter(map(tuple, prot.tolist()))
+        expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert [(g.combo, g.count) for g in ds.group_catalog] == expected
+        for g, row in zip(ds.group_of.tolist(), prot.tolist()):
+            assert ds.group_catalog[g].combo == tuple(row)
 
 
 class TestSplit:
