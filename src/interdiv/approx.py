@@ -224,12 +224,11 @@ def bench_approx(
     preds_fast = fast_model.predict(test.features)
     t_fast = time.perf_counter() - t0
 
-    curves_exact = curves_mod.build(test, preds_exact, phi)
-    curves_fast = curves_mod.build(test, preds_fast, phi)
-    sera_exact = curves_mod.sera(test, preds_exact, phi)
-    sera_fast = curves_mod.sera(test, preds_fast, phi)
-    id_exact = metrics.intersectional_divergence(curves_exact)
-    id_fast = metrics.intersectional_divergence(curves_fast)
+    layout = curves_mod.CurveLayout(test, phi)
+    sera_exact = layout.sera(preds_exact)
+    sera_fast = layout.sera(preds_fast)
+    id_exact = metrics.intersectional_divergence(layout.curves(preds_exact))
+    id_fast = metrics.intersectional_divergence(layout.curves(preds_fast))
     pe = exact_model.id_ensemble.eval_points or 0
     pf = fast_model.id_ensemble.eval_points or 0
     return BenchReport(

@@ -45,12 +45,6 @@ def _load_dataset(args) -> dataset_mod.GroupedDataset:
     return dataset_mod.load_csv(args.data, schema)
 
 
-def _relevance_for(args, targets) -> relevance.RelevanceFunction:
-    if getattr(args, "relevance_file", None):
-        return relevance.load_points(args.relevance_file)
-    return relevance.from_boxplot(targets)
-
-
 def _boost_params(args) -> gbt.BoostParams:
     return gbt.BoostParams(
         n_rounds=args.rounds,
@@ -85,23 +79,12 @@ def _read_preds(path) -> np.ndarray:
 
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
-    phi = _relevance_for(args, ds.targets)
-    params = _boost_params(args)
-    approx_params = approx_mod.ApproxParams() if args.fast else None
-    if args.model == "idboost":
-        model = idboost.fit(ds, phi, params, args.w, approx_params=approx_params)
-    else:
-        from .losses import make_objective
-
-        obj = make_objective(
-            args.objective,
-            ds,
-            phi=phi,
-            huber_delta=args.huber_delta,
-            hess_floor=params.hess_floor,
-            approx_params=approx_params if args.objective == "idloss" else None,
-        )
-        model = gbt.fit(ds, obj, params)
+    phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
+    model = harness.fit_model(
+        ds, phi, _boost_params(args), args.objective,
+        w=args.w if args.model == "idboost" else None,
+        huber_delta=args.huber_delta, fast=args.fast,
+    )
     model.to_json(args.out)
     _write_manifest(args.out, "train", {
         "data": args.data,
@@ -159,7 +142,7 @@ def cmd_audit(args) -> int:
         raise InputError(
             f"prediction length {len(preds)} does not match dataset length {ds.n}"
         )
-    phi = _relevance_for(args, ds.targets)
+    phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
     report = metrics.full_report(ds, preds, phi)
     payload = report.to_json()
     if args.out:
@@ -259,7 +242,7 @@ def cmd_curves(args) -> int:
         raise InputError(
             f"prediction length {len(preds)} does not match dataset length {ds.n}"
         )
-    phi = _relevance_for(args, ds.targets)
+    phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
     cs = curves_mod.build(ds, preds, phi)
     curves_mod.export_curves(cs, args.out)
     _write_manifest(args.out, "curves", {

@@ -12,10 +12,19 @@ The step functions are stored as interval values: ``ser[g, k]`` and
 ``breakpoints[k]`` and ``breakpoints[k + 1]``. Pointwise evaluation at a
 cutoff ``t`` (inclusive, samples with relevance >= t) is provided separately
 for oracle-style comparisons and curve export.
+
+Everything except the squared errors depends on the targets alone. A
+:class:`CurveLayout` holds that fixed part for one dataset and relevance
+function: relevances, breakpoints, each group's relevance sort order, the
+count step functions and their running integrals. ``layout.curves(preds)``
+adds the per-prediction part, one suffix sum of squared errors per group, so
+a training loop builds the layout once and pays O(n) per round. The
+divergence objective does so, and its ``grad_hess`` returns the loss value
+from the same curves, so a boosting round builds them once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -24,27 +33,114 @@ from .errors import InputError, InternalError
 from .relevance import RelevanceFunction, evaluate
 
 
+def check_preds(ds: GroupedDataset, preds) -> np.ndarray:
+    """Predictions as a float array, one finite value per sample of ``ds``."""
+    preds = np.asarray(preds, dtype=float)
+    if preds.shape != ds.targets.shape:
+        raise InputError(
+            f"predictions have length {preds.shape}, expected {ds.targets.shape}"
+        )
+    bad = np.nonzero(~np.isfinite(preds))[0]
+    if bad.size:
+        raise InputError(f"non-finite prediction at sample index {int(bad[0])}")
+    return preds
+
+
+@dataclass(frozen=True)
+class CurveLayout:
+    """The prediction-independent part of the curves of one dataset.
+
+    ``orders[g]`` lists group g's sample indices in stable relevance order;
+    ``sample_interval[j]`` is the index of sample j's relevance among the
+    breakpoints; ``count_integral[g, k]`` is the exact integral
+    F_g(breakpoints[k]) of dt / |D^t_g| from 0, zero on empty stretches, so
+    F_g is piecewise linear between breakpoints.
+    """
+
+    ds: GroupedDataset
+    phi: InitVar[RelevanceFunction]
+    relevance: np.ndarray = field(init=False)
+    breakpoints: np.ndarray = field(init=False)      # ascending, first 0.0, last 1.0
+    orders: tuple = field(init=False)
+    count: np.ndarray = field(init=False)            # (n_groups, n_intervals)
+    sample_interval: np.ndarray = field(init=False)
+    count_integral: np.ndarray = field(init=False)   # (n_groups, n_breakpoints)
+
+    def __post_init__(self, phi: RelevanceFunction):
+        rel = np.asarray(evaluate(phi, self.ds.targets), dtype=float)
+        bp, where = np.unique(np.concatenate([rel, [0.0, 1.0]]), return_inverse=True)
+        n_groups = self.ds.n_groups
+        count = np.zeros((n_groups, len(bp) - 1), dtype=np.int64)
+        orders = []
+        for g in range(n_groups):
+            members = np.nonzero(self.ds.group_of == g)[0]
+            order = members[np.argsort(rel[members], kind="stable")]
+            # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
+            count[g] = len(order) - np.searchsorted(rel[order], bp[1:], side="left")
+            order.setflags(write=False)
+            orders.append(order)
+        integrand = np.where(count > 0, np.diff(bp) / np.maximum(count, 1), 0.0)
+        fixed = {
+            "relevance": rel,
+            "breakpoints": bp,
+            "count": count,
+            "sample_interval": where[: len(rel)],
+            "count_integral": np.concatenate(
+                [np.zeros((n_groups, 1)), np.cumsum(integrand, axis=1)], axis=1
+            ),
+        }
+        for name, arr in fixed.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "orders", tuple(orders))
+
+    def curves(self, preds) -> "SerCurveSet":
+        """The curves of one prediction vector: a suffix sum per group, O(n)."""
+        err = (check_preds(self.ds, preds) - self.ds.targets) ** 2
+        ser = np.zeros(self.count.shape)
+        for g, order in enumerate(self.orders):
+            suffix = np.concatenate([np.cumsum(err[order][::-1])[::-1], [0.0]])
+            # the samples at or above a cutoff are the last ``count`` of the order
+            ser[g] = suffix[len(order) - self.count[g]]
+        return SerCurveSet(layout=self, ser=ser, sample_sq_error=err)
+
+    def sera(self, preds) -> float:
+        """Relevance-weighted squared error via the closed form sum(phi * err^2).
+
+        Swapping the sum and the cutoff integral collapses the curve integral
+        to a single weighted sum, which is exact and O(n).
+        """
+        preds = check_preds(self.ds, preds)
+        return float(np.sum(self.relevance * (preds - self.ds.targets) ** 2))
+
+
 @dataclass(frozen=True)
 class SerCurveSet:
     """Step curves of cumulative squared error and sample count per group."""
 
-    breakpoints: np.ndarray        # ascending, first 0.0, last 1.0
+    layout: CurveLayout
     ser: np.ndarray                # (n_groups, n_intervals)
-    count: np.ndarray              # (n_groups, n_intervals) integer-valued
-    sample_group: np.ndarray
-    sample_relevance: np.ndarray
     sample_sq_error: np.ndarray
 
     def __post_init__(self):
-        for arr in (
-            self.breakpoints,
-            self.ser,
-            self.count,
-            self.sample_group,
-            self.sample_relevance,
-            self.sample_sq_error,
-        ):
-            arr.setflags(write=False)
+        self.ser.setflags(write=False)
+        self.sample_sq_error.setflags(write=False)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return self.layout.breakpoints
+
+    @property
+    def count(self) -> np.ndarray:
+        return self.layout.count
+
+    @property
+    def sample_group(self) -> np.ndarray:
+        return self.layout.ds.group_of
+
+    @property
+    def sample_relevance(self) -> np.ndarray:
+        return self.layout.relevance
 
     @property
     def n_groups(self) -> int:
@@ -61,11 +157,9 @@ class SerCurveSet:
     def values_at(self, ts, group: int):
         """Curve values (ser, count) at cutoffs ``ts``, inclusive semantics."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        mask = self.sample_group == group
-        rel_g = self.sample_relevance[mask]
-        order = np.argsort(rel_g, kind="stable")
-        rel = rel_g[order]
-        err = self.sample_sq_error[mask][order]
+        order = self.layout.orders[group]
+        rel = self.sample_relevance[order]
+        err = self.sample_sq_error[order]
         suffix = np.concatenate([np.cumsum(err[::-1])[::-1], [0.0]])
         pos = np.searchsorted(rel, ts, side="left")
         return suffix[pos], (len(rel) - pos).astype(np.int64)
@@ -76,43 +170,22 @@ class SerCurveSet:
             out = np.where(self.count > 0, self.ser / np.maximum(self.count, 1), 0.0)
         return out
 
+    def extremes(self):
+        """Normalized curves, populated-group mask, and masked min and max.
+
+        Per interval, the min and max run over the groups that still have
+        samples; where none has, they are +inf and -inf.
+        """
+        norm = self.normalized()
+        cand = self.count > 0
+        vmin = np.min(np.where(cand, norm, np.inf), axis=0)
+        vmax = np.max(np.where(cand, norm, -np.inf), axis=0)
+        return norm, cand, vmin, vmax
+
 
 def build(ds: GroupedDataset, preds, phi: RelevanceFunction) -> SerCurveSet:
-    """Event-sweep construction of all group curves in O(n log n + |A| n)."""
-    preds = np.asarray(preds, dtype=float)
-    if preds.shape != ds.targets.shape:
-        raise InputError(
-            f"predictions have length {preds.shape}, expected {ds.targets.shape}"
-        )
-    bad = np.nonzero(~np.isfinite(preds))[0]
-    if bad.size:
-        raise InputError(f"non-finite prediction at sample index {int(bad[0])}")
-    rel = np.asarray(evaluate(phi, ds.targets), dtype=float)
-    err = (preds - ds.targets) ** 2
-    grp = ds.group_of
-    n_groups = ds.n_groups
-    bp = np.unique(np.concatenate([rel, [0.0, 1.0]]))
-    n_int = len(bp) - 1
-    ser = np.zeros((n_groups, n_int))
-    cnt = np.zeros((n_groups, n_int), dtype=np.int64)
-    for g in range(n_groups):
-        mask = grp == g
-        order = np.argsort(rel[mask], kind="stable")
-        rel_g = rel[mask][order]
-        err_g = err[mask][order]
-        suffix = np.concatenate([np.cumsum(err_g[::-1])[::-1], [0.0]])
-        # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
-        pos = np.searchsorted(rel_g, bp[1:], side="left")
-        ser[g] = suffix[pos]
-        cnt[g] = len(rel_g) - pos
-    return SerCurveSet(
-        breakpoints=bp,
-        ser=ser,
-        count=cnt,
-        sample_group=grp.copy(),
-        sample_relevance=rel,
-        sample_sq_error=err,
-    )
+    """One-shot curves of one prediction vector, in O(n log n + |A| n)."""
+    return CurveLayout(ds, phi).curves(preds)
 
 
 def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
@@ -151,21 +224,8 @@ def integrate_step(values, breakpoints) -> float:
 
 
 def sera(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
-    """Relevance-weighted squared error via the closed form sum(phi * err^2).
-
-    Swapping the sum and the cutoff integral collapses the curve integral to
-    a single weighted sum, which is exact and O(n).
-    """
-    preds = np.asarray(preds, dtype=float)
-    if preds.shape != ds.targets.shape:
-        raise InputError(
-            f"predictions have length {preds.shape}, expected {ds.targets.shape}"
-        )
-    bad = np.nonzero(~np.isfinite(preds))[0]
-    if bad.size:
-        raise InputError(f"non-finite prediction at sample index {int(bad[0])}")
-    rel = np.asarray(evaluate(phi, ds.targets), dtype=float)
-    return float(np.sum(rel * (preds - ds.targets) ** 2))
+    """Relevance-weighted squared error of one prediction vector; see CurveLayout.sera."""
+    return CurveLayout(ds, phi).sera(preds)
 
 
 def sera_from_curves(curves: SerCurveSet) -> float:

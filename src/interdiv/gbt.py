@@ -81,14 +81,32 @@ class Tree:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "Tree":
-        return Tree(
+    def from_dict(d: dict, n_features: int) -> "Tree":
+        """Load one tree, checking the structure ``predict`` relies on.
+
+        Every split node's children must lie after it, as tree growth lays
+        them out; that also rules out cycles, so ``predict`` terminates.
+        """
+        tree = Tree(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=float),
             left=np.asarray(d["left"], dtype=np.int64),
             right=np.asarray(d["right"], dtype=np.int64),
             value=np.asarray(d["value"], dtype=float),
         )
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        n_nodes = tree.feature.size
+        if n_nodes == 0 or any(a.shape != (n_nodes,) for a in arrays):
+            raise InputError("tree arrays must be non-empty and of equal length")
+        if not (np.all(np.isfinite(tree.threshold)) and np.all(np.isfinite(tree.value))):
+            raise InputError("tree thresholds and values must be finite")
+        if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+            raise InputError(f"tree feature index out of range for {n_features} features")
+        split = np.nonzero(tree.feature >= 0)[0]
+        for child in (tree.left[split], tree.right[split]):
+            if np.any(child <= split) or np.any(child >= n_nodes):
+                raise InputError("tree child index out of range or not after its parent")
+        return tree
 
 
 def _safe_score(G, H, lam):
@@ -193,6 +211,9 @@ class TreeEnsemble:
             raise InputError(
                 f"feature dimension {X.shape[1]} does not match training ({self.n_features})"
             )
+        bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
+        if bad.size:
+            raise InputError(f"non-finite feature in row {int(bad[0])}")
         out = np.full(X.shape[0], self.base_score)
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict(X)
@@ -222,12 +243,16 @@ class TreeEnsemble:
             raise InputError(f"not an ensemble file (format={d.get('format')!r})")
         if d.get("version") != FORMAT_VERSION:
             raise InputError(f"unsupported ensemble version {d.get('version')!r}")
+        n_features = int(d["n_features"])
+        base_score = float(d["base_score"])
+        if not np.isfinite(base_score):
+            raise InputError("ensemble base_score must be finite")
         return TreeEnsemble(
-            base_score=float(d["base_score"]),
-            trees=[Tree.from_dict(t) for t in d["trees"]],
+            base_score=base_score,
+            trees=[Tree.from_dict(t, n_features) for t in d["trees"]],
             params=BoostParams(**d["params"]),
             objective_name=d["objective"],
-            n_features=int(d["n_features"]),
+            n_features=n_features,
             train_trace=list(d.get("train_trace", [])),
             region_switches=d.get("region_switches"),
             eval_points=d.get("eval_points"),
@@ -243,17 +268,20 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     """Boost ``params.n_rounds`` trees against the objective's grad/hess.
 
     The base score is the target mean; the training trace stores the
-    objective value at the base prediction and after every round.
+    objective value at the base prediction and after every round. Each
+    round's ``grad_hess`` returns the value at the predictions it starts
+    from, so ``objective.value`` runs once, after the last round.
     """
     if ds.n < 2:
         raise InputError("need at least 2 samples to fit")
     X = ds.features
     base = float(np.mean(ds.targets))
     preds = np.full(ds.n, base)
-    trace = [objective.value(preds)]
+    trace = []
     trees = []
     for _ in range(params.n_rounds):
         gh = objective.grad_hess(preds)
+        trace.append(gh.value)
         g = np.asarray(gh.grad, dtype=float)
         h = np.maximum(np.asarray(gh.hess, dtype=float), params.hess_floor)
         if not np.any(h > 0):
@@ -262,8 +290,8 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
             )
         tree = _grow_tree(X, g, h, params)
         preds = preds + params.learning_rate * tree.predict(X)
-        trace.append(objective.value(preds))
         trees.append(tree)
+    trace.append(objective.value(preds))
     return TreeEnsemble(
         base_score=base,
         trees=trees,

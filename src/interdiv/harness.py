@@ -19,7 +19,9 @@ from . import config as config_mod
 from . import curves as curves_mod
 from . import dataset as dataset_mod
 from . import gbt, idboost, metrics, relevance
+from .approx import ApproxParams
 from .errors import InputError, InterdivError, ValidationError
+from .losses import make_objective
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
 
@@ -105,23 +107,33 @@ def _parse_model_name(name: str):
     raise ValidationError(f"unknown model name {name!r}")
 
 
-def fit_model(name: str, train, phi, cfg: ExperimentConfig):
-    from .approx import ApproxParams
-    from .losses import make_objective
+def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w=None,
+              huber_delta: float = 1.0, fast: bool = False):
+    """Fit one model: the dual ensemble for a fairness weight ``w``, else a
+    single ensemble on ``objective``.
 
-    kind, objective, w = _parse_model_name(name)
-    approx_params = ApproxParams() if cfg.fast else None
-    if kind == "idboost":
-        return idboost.fit(train, phi, cfg.boost, w, approx_params=approx_params)
+    ``fast`` makes the divergence objective sweep simplified curves.
+    """
+    approx_params = ApproxParams() if fast else None
+    if w is not None:
+        return idboost.fit(ds, phi, params, w, approx_params=approx_params)
     obj = make_objective(
         objective,
-        train,
+        ds,
         phi=phi,
-        huber_delta=cfg.huber_delta,
-        hess_floor=cfg.boost.hess_floor,
-        approx_params=approx_params if objective == "idloss" else None,
+        huber_delta=huber_delta,
+        hess_floor=params.hess_floor,
+        approx_params=approx_params,
     )
-    return gbt.fit(train, obj, cfg.boost)
+    return gbt.fit(ds, obj, params)
+
+
+def _split(ds, cfg: ExperimentConfig, r: int):
+    """Run ``r``'s train/test split and the relevance function for it."""
+    train, test = dataset_mod.split(
+        ds, cfg.train_ratio, cfg.base_seed + r, stratify_groups=cfg.stratify_groups
+    )
+    return train, test, relevance.from_file_or_boxplot(cfg.relevance_file, train.targets)
 
 
 def rank_with_ties(values) -> np.ndarray:
@@ -174,20 +186,15 @@ def run(cfg: ExperimentConfig):
     raw_rows = []
     values = np.full((cfg.n_runs, n_models, n_metrics), np.inf)
     for r in range(cfg.n_runs):
-        seed = cfg.base_seed + r
-        train, test = dataset_mod.split(
-            ds, cfg.train_ratio, seed, stratify_groups=cfg.stratify_groups
-        )
-        if cfg.relevance_file:
-            phi = relevance.load_points(cfg.relevance_file)
-        else:
-            phi = relevance.from_boxplot(train.targets)
+        train, test, phi = _split(ds, cfg, r)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:
-                model = fit_model(name, train, phi, cfg)
+                _, objective, w = _parse_model_name(name)
+                model = fit_model(train, phi, cfg.boost, objective, w,
+                                  cfg.huber_delta, cfg.fast)
                 preds = model.predict(test.features)
                 report = metrics.full_report(test, preds, phi)
                 for k, metric in enumerate(cfg.metric_names):
@@ -205,7 +212,7 @@ def run(cfg: ExperimentConfig):
             raw_rows.append(
                 {
                     "run": r,
-                    "seed": seed,
+                    "seed": cfg.base_seed + r,
                     "model": name,
                     "status": status,
                     **{
@@ -270,14 +277,7 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     for name in cfg.models:
         per_run = []
         for r in range(cfg.n_runs):
-            seed = cfg.base_seed + r
-            train, test = dataset_mod.split(
-                ds, cfg.train_ratio, seed, stratify_groups=cfg.stratify_groups
-            )
-            if cfg.relevance_file:
-                phi = relevance.load_points(cfg.relevance_file)
-            else:
-                phi = relevance.from_boxplot(train.targets)
+            _, test, phi = _split(ds, cfg, r)
             preds = np.atleast_1d(
                 np.loadtxt(
                     os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv"),

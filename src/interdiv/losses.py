@@ -1,10 +1,11 @@
 """Second-order objectives for the boosting engine.
 
 Every objective produces a per-sample gradient and Hessian of its loss with
-respect to the predictions. The divergence loss integrates, over relevance
-cutoffs, the normalized squared error of every populated group except the
-best one at that cutoff; its derivative concentrates into a per-sample
-weight
+respect to the predictions, together with the loss value there, so a
+boosting round evaluates the loss once. The divergence loss integrates, over
+relevance cutoffs, the normalized squared error of every populated group
+except the best one at that cutoff; its derivative concentrates into a
+per-sample weight
 
     W_j = integral over t in [0, phi(y_j)] of
           [group(j) != best_group(t)] / |D^t_{group(j)}| dt
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as curves_mod
-from .curves import SerCurveSet, argmin_pattern
+from .curves import SerCurveSet, argmin_pattern, check_preds
 from .dataset import GroupedDataset
 from .errors import InputError, UndefinedMetricError, ValidationError
 from .relevance import RelevanceFunction
@@ -32,10 +33,11 @@ DEFAULT_HESS_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class GradHess:
-    """Per-sample gradient and (nonnegative) Hessian of a loss."""
+    """Per-sample gradient and (nonnegative) Hessian of a loss, and its value."""
 
     grad: np.ndarray
     hess: np.ndarray
+    value: float
 
     def __post_init__(self):
         if self.grad.shape != self.hess.shape:
@@ -48,18 +50,6 @@ class GradHess:
         self.hess.setflags(write=False)
 
 
-def _check_preds(ds: GroupedDataset, preds) -> np.ndarray:
-    preds = np.asarray(preds, dtype=float)
-    if preds.shape != ds.targets.shape:
-        raise InputError(
-            f"predictions have length {preds.shape}, expected {ds.targets.shape}"
-        )
-    bad = np.nonzero(~np.isfinite(preds))[0]
-    if bad.size:
-        raise InputError(f"non-finite prediction at sample index {int(bad[0])}")
-    return preds
-
-
 def _require_two_groups(curves: SerCurveSet) -> None:
     if np.count_nonzero(curves.group_sizes()) < 2:
         raise UndefinedMetricError(
@@ -70,11 +60,9 @@ def _require_two_groups(curves: SerCurveSet) -> None:
 def idloss_from_curves(curves: SerCurveSet) -> float:
     """Exact sweep evaluation of the divergence loss from built curves."""
     _require_two_groups(curves)
-    norm = curves.normalized()
-    cand = curves.count > 0
+    norm, cand, vmin, _ = curves.extremes()
     any_cand = cand.any(axis=0)
     total = np.where(cand, norm, 0.0).sum(axis=0)
-    vmin = np.min(np.where(cand, norm, np.inf), axis=0)
     vmin_safe = np.where(any_cand, vmin, 0.0)
     integrand = np.where(any_cand, total - vmin_safe, 0.0)
     return float(np.sum(integrand * curves.interval_widths))
@@ -103,8 +91,7 @@ def idloss_sample_weights(curves: SerCurveSet) -> np.ndarray:
         0.0,
     )
     cum = np.concatenate([np.zeros((curves.n_groups, 1)), np.cumsum(w, axis=1)], axis=1)
-    pos = np.searchsorted(curves.breakpoints, curves.sample_relevance, side="left")
-    return cum[curves.sample_group, pos]
+    return cum[curves.sample_group, curves.layout.sample_interval]
 
 
 def idloss_gradhess(
@@ -114,13 +101,7 @@ def idloss_gradhess(
     hess_floor: float = DEFAULT_HESS_FLOOR,
 ) -> GradHess:
     """Gradient and Hessian of the divergence loss at the current piece."""
-    preds = _check_preds(ds, preds)
-    cs = curves_mod.build(ds, preds, phi)
-    _require_two_groups(cs)
-    w = idloss_sample_weights(cs)
-    grad = 2.0 * (preds - ds.targets) * w
-    hess = np.maximum(2.0 * w, hess_floor)
-    return GradHess(grad=grad, hess=hess)
+    return IdLossObjective(ds, phi, hess_floor=hess_floor).grad_hess(preds)
 
 
 def sera_value(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
@@ -129,46 +110,7 @@ def sera_value(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
 
 def sera_gradhess(ds: GroupedDataset, preds, phi: RelevanceFunction) -> GradHess:
     """Closed-form derivative of the relevance-weighted squared error."""
-    preds = _check_preds(ds, preds)
-    rel = np.asarray(phi(ds.targets), dtype=float)
-    grad = 2.0 * rel * (preds - ds.targets)
-    hess = 2.0 * rel
-    return GradHess(grad=grad, hess=hess)
-
-
-def mse_value(ds: GroupedDataset, preds) -> float:
-    r = _check_preds(ds, preds) - ds.targets
-    return 0.5 * float(np.sum(r * r))
-
-
-def mse_gradhess(ds: GroupedDataset, preds) -> GradHess:
-    preds = _check_preds(ds, preds)
-    return GradHess(grad=preds - ds.targets, hess=np.ones(ds.n))
-
-
-def huber_value(ds: GroupedDataset, preds, delta: float) -> float:
-    if delta <= 0:
-        raise ValidationError("huber delta must be positive")
-    r = _check_preds(ds, preds) - ds.targets
-    a = np.abs(r)
-    quad = a <= delta
-    return float(np.sum(np.where(quad, 0.5 * r * r, delta * (a - 0.5 * delta))))
-
-
-def huber_gradhess(
-    ds: GroupedDataset,
-    preds,
-    delta: float,
-    hess_floor: float = DEFAULT_HESS_FLOOR,
-) -> GradHess:
-    if delta <= 0:
-        raise ValidationError("huber delta must be positive")
-    preds = _check_preds(ds, preds)
-    r = preds - ds.targets
-    quad = np.abs(r) <= delta
-    grad = np.where(quad, r, delta * np.sign(r))
-    hess = np.where(quad, 1.0, hess_floor)
-    return GradHess(grad=grad, hess=hess)
+    return SeraObjective(ds, phi).grad_hess(preds)
 
 
 class MseObjective:
@@ -177,11 +119,16 @@ class MseObjective:
     def __init__(self, ds: GroupedDataset):
         self._ds = ds
 
+    @staticmethod
+    def _loss(r) -> float:
+        return 0.5 * float(np.sum(r * r))
+
     def value(self, preds) -> float:
-        return mse_value(self._ds, preds)
+        return self._loss(check_preds(self._ds, preds) - self._ds.targets)
 
     def grad_hess(self, preds) -> GradHess:
-        return mse_gradhess(self._ds, preds)
+        r = check_preds(self._ds, preds) - self._ds.targets
+        return GradHess(grad=r, hess=np.ones(self._ds.n), value=self._loss(r))
 
 
 class HuberObjective:
@@ -195,11 +142,20 @@ class HuberObjective:
         self.delta = delta
         self.hess_floor = hess_floor
 
+    def _loss(self, r) -> float:
+        a = np.abs(r)
+        quad = a <= self.delta
+        return float(np.sum(np.where(quad, 0.5 * r * r, self.delta * (a - 0.5 * self.delta))))
+
     def value(self, preds) -> float:
-        return huber_value(self._ds, preds, self.delta)
+        return self._loss(check_preds(self._ds, preds) - self._ds.targets)
 
     def grad_hess(self, preds) -> GradHess:
-        return huber_gradhess(self._ds, preds, self.delta, self.hess_floor)
+        r = check_preds(self._ds, preds) - self._ds.targets
+        quad = np.abs(r) <= self.delta
+        grad = np.where(quad, r, self.delta * np.sign(r))
+        hess = np.where(quad, 1.0, self.hess_floor)
+        return GradHess(grad=grad, hess=hess, value=self._loss(r))
 
 
 class SeraObjective:
@@ -209,51 +165,26 @@ class SeraObjective:
         self._ds = ds
         self._rel = np.asarray(phi(ds.targets), dtype=float)
 
-    def value(self, preds) -> float:
-        r = _check_preds(self._ds, preds) - self._ds.targets
+    def _loss(self, r) -> float:
         return float(np.sum(self._rel * r * r))
 
+    def value(self, preds) -> float:
+        return self._loss(check_preds(self._ds, preds) - self._ds.targets)
+
     def grad_hess(self, preds) -> GradHess:
-        preds = _check_preds(self._ds, preds)
-        r = preds - self._ds.targets
-        return GradHess(grad=2.0 * self._rel * r, hess=2.0 * self._rel)
-
-
-class _CountIntegrals:
-    """Prediction-independent pieces of the divergence loss.
-
-    Breakpoints and per-cutoff group counts depend only on the relevances,
-    so the cumulative integral F_g(t) = int_0^t dt / |D^s_g| (zero-guarded
-    on empty stretches) is computed once per training and evaluated exactly
-    later: F_g is piecewise linear between breakpoints.
-    """
-
-    def __init__(self, ds: GroupedDataset, phi: RelevanceFunction):
-        rel = np.asarray(phi(ds.targets), dtype=float)
-        bp = np.unique(np.concatenate([rel, [0.0, 1.0]]))
-        n_groups = ds.n_groups
-        n_int = len(bp) - 1
-        counts = np.zeros((n_groups, n_int), dtype=np.int64)
-        for g in range(n_groups):
-            rel_g = np.sort(rel[ds.group_of == g])
-            pos = np.searchsorted(rel_g, bp[1:], side="left")
-            counts[g] = len(rel_g) - pos
-        dt = np.diff(bp)
-        integrand = np.where(counts > 0, dt / np.maximum(counts, 1), 0.0)
-        self.breakpoints = bp
-        self.counts = counts
-        self.cum = np.concatenate(
-            [np.zeros((n_groups, 1)), np.cumsum(integrand, axis=1)], axis=1
-        )
+        r = check_preds(self._ds, preds) - self._ds.targets
+        return GradHess(grad=2.0 * self._rel * r, hess=2.0 * self._rel, value=self._loss(r))
 
 
 class IdLossObjective:
     """Divergence-loss objective with optional simplified-curve gradients.
 
-    Tracks two counters across calls: ``eval_points`` accumulates the number
-    of cutoff intervals swept per gradient evaluation (the quantity the
-    curve-simplification mode reduces) and ``region_switches`` counts how
-    often the best-group pattern changed between consecutive evaluations.
+    The curve layout is built once, so each evaluation costs one O(n) curve
+    build. Tracks two counters across gradient calls: ``eval_points``
+    accumulates the number of cutoff intervals swept per gradient evaluation
+    (the quantity the curve-simplification mode reduces) and
+    ``region_switches`` counts how often the best-group pattern changed
+    between consecutive evaluations.
     """
 
     name = "idloss"
@@ -266,18 +197,15 @@ class IdLossObjective:
         approx_params=None,
     ):
         self._ds = ds
-        self._phi = phi
+        self._layout = curves_mod.CurveLayout(ds, phi)
         self.hess_floor = hess_floor
         self.approx_params = approx_params
-        self._count_cache = (
-            _CountIntegrals(ds, phi) if approx_params is not None else None
-        )
         self.eval_points = 0
         self.region_switches = 0
         self._last_pattern = None
 
     def value(self, preds) -> float:
-        return idloss_value(self._ds, preds, self._phi)
+        return idloss_from_curves(self._layout.curves(preds))
 
     def _note_pattern(self, pattern: np.ndarray) -> None:
         prev = self._last_pattern
@@ -288,46 +216,45 @@ class IdLossObjective:
         self._last_pattern = pattern
 
     def grad_hess(self, preds) -> GradHess:
-        preds = _check_preds(self._ds, preds)
-        cs = curves_mod.build(self._ds, preds, self._phi)
-        _require_two_groups(cs)
+        cs = self._layout.curves(preds)
+        value = idloss_from_curves(cs)
         if self.approx_params is None:
             self.eval_points += len(cs.breakpoints) - 1
             self._note_pattern(argmin_pattern(cs))
             w = idloss_sample_weights(cs)
         else:
-            w, pattern, n_segments = _simplified_sample_weights(
-                cs, self.approx_params, self._count_cache
-            )
+            w, pattern, n_segments = _simplified_sample_weights(cs, self.approx_params)
             self.eval_points += n_segments
             self._note_pattern(pattern)
-        grad = 2.0 * (preds - self._ds.targets) * w
+        grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
         hess = np.maximum(2.0 * w, self.hess_floor)
-        return GradHess(grad=grad, hess=hess)
+        return GradHess(grad=grad, hess=hess, value=value)
 
 
-def _simplified_sample_weights(curves: SerCurveSet, params, cache: "_CountIntegrals"):
+def _simplified_sample_weights(curves: SerCurveSet, params):
     """W_j swept over the simplified curves' union grid only.
 
     Curve simplification picks the significant cutoffs; the sweep then runs
     on that coarse grid instead of every breakpoint. Within a segment the
     best-group identity is held constant, resolved from the true curve
     values at the segment midpoint, and the count integrals come exactly
-    from the cached piecewise-linear F_g. The only approximation left is
+    from the layout's piecewise-linear F_g. The only approximation left is
     the coarse pattern: it can change at segment boundaries, not inside.
     """
     from . import approx
 
+    bp = curves.breakpoints
+    f_cum = curves.layout.count_integral
     simp = approx.simplify(curves, params)
     grid = np.unique(np.concatenate([c.t for c in simp.curves]))
     n_seg = len(grid) - 1
     mid = 0.5 * (grid[:-1] + grid[1:])
     idx = np.clip(
-        np.searchsorted(cache.breakpoints, mid, side="right") - 1,
+        np.searchsorted(bp, mid, side="right") - 1,
         0,
-        cache.counts.shape[1] - 1,
+        curves.count.shape[1] - 1,
     )
-    cand = cache.counts[:, idx] > 0
+    cand = curves.count[:, idx] > 0
     norm = curves.normalized()
     masked = np.where(cand, norm[:, idx], np.inf)
     pattern = np.argmin(masked, axis=0)
@@ -335,9 +262,7 @@ def _simplified_sample_weights(curves: SerCurveSet, params, cache: "_CountIntegr
     gids = np.arange(curves.n_groups)[:, None]
     mask = cand & (pattern[None, :] != gids)
 
-    f_at_grid = np.stack(
-        [np.interp(grid, cache.breakpoints, cache.cum[g]) for g in range(curves.n_groups)]
-    )
+    f_at_grid = np.stack([np.interp(grid, bp, f_cum[g]) for g in range(curves.n_groups)])
     df = np.diff(f_at_grid, axis=1)
     cum = np.concatenate(
         [np.zeros((curves.n_groups, 1)), np.cumsum(np.where(mask, df, 0.0), axis=1)],
@@ -351,7 +276,7 @@ def _simplified_sample_weights(curves: SerCurveSet, params, cache: "_CountIntegr
         if not members.any():
             continue
         s = seg[members]
-        f_r = np.interp(rel[members], cache.breakpoints, cache.cum[g])
+        f_r = np.interp(rel[members], bp, f_cum[g])
         partial = np.where(mask[g, s], f_r - f_at_grid[g, s], 0.0)
         W[members] = cum[g, s] + partial
     return W, pattern.astype(np.int64), n_seg

@@ -35,11 +35,8 @@ def intersectional_divergence(curves: SerCurveSet) -> float:
         raise UndefinedMetricError(
             "intersectional divergence needs at least 2 populated groups"
         )
-    norm = curves.normalized()
-    cand = curves.count > 0
+    _, cand, vmin, vmax = curves.extremes()
     n_cand = cand.sum(axis=0)
-    vmax = np.max(np.where(cand, norm, -np.inf), axis=0)
-    vmin = np.min(np.where(cand, norm, np.inf), axis=0)
     gap = np.where(n_cand >= 2, vmax - vmin, 0.0)
     return float(np.sum(gap * curves.interval_widths))
 
@@ -207,12 +204,9 @@ class FairnessReport:
 
 
 def full_report(ds: GroupedDataset, preds, phi: RelevanceFunction) -> FairnessReport:
-    """Assemble every measure; component failures become flagged fields."""
-    preds = np.asarray(preds, dtype=float)
-    if preds.shape != ds.targets.shape:
-        raise InputError(
-            f"predictions have length {preds.shape}, expected {ds.targets.shape}"
-        )
+    """Assemble every measure of finite predictions; component failures
+    become flagged fields."""
+    preds = curves_mod.check_preds(ds, preds)
     notes = []
     report_mse = mse(ds, preds)
     report_mae = mae(ds, preds)
@@ -220,8 +214,9 @@ def full_report(ds: GroupedDataset, preds, phi: RelevanceFunction) -> FairnessRe
     sera_val = None
     id_val = None
     try:
-        cs = curves_mod.build(ds, preds, phi)
-        sera_val = curves_mod.sera(ds, preds, phi)
+        layout = curves_mod.CurveLayout(ds, phi)
+        cs = layout.curves(preds)
+        sera_val = layout.sera(preds)
         try:
             id_val = intersectional_divergence(cs)
         except InterdivError as exc:

@@ -167,6 +167,11 @@ def evaluate(phi: RelevanceFunction, values):
     return float(out[0]) if scalar else out
 
 
+def from_file_or_boxplot(path, targets) -> RelevanceFunction:
+    """The control points in ``path`` when one is given, else the boxplot rule."""
+    return load_points(path) if path else from_boxplot(targets)
+
+
 def load_points(path) -> RelevanceFunction:
     """Read control points from a two-column ``y,relevance`` CSV."""
     pts = []

@@ -154,6 +154,18 @@ class TestTrainPredictAudit:
         err = capsys.readouterr().err
         assert "2" in err and "300" in err
 
+    def test_non_finite_prediction_fails(self, biased_dir, tmp_path, capsys):
+        preds = ["pred"] + ["1.0"] * 300
+        preds[1 + 17] = "nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(preds) + "\n")
+        code = run_cli(
+            "audit", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"), "--preds", str(bad),
+        )
+        assert code == 1
+        assert "non-finite prediction at sample index 17" in capsys.readouterr().err
+
 
 class TestReadPreds:
     def test_header_is_optional(self, tmp_path):

@@ -3,10 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdiv import curves, dataset, relevance
-from interdiv.errors import InputError, InternalError
+from interdiv import curves, dataset, losses, relevance
+from interdiv.approx import ApproxParams
+from interdiv.errors import InputError, InternalError, UndefinedMetricError
 
-from conftest import brute_ser, make_instance
+from conftest import (
+    ParentIdLossObjective,
+    brute_ser,
+    make_instance,
+    parent_build,
+    parent_idloss_from_curves,
+)
 
 
 class TestBuild:
@@ -71,6 +78,74 @@ class TestBuild:
         assert np.array_equal(cs.breakpoints, cs_pooled.breakpoints)
         assert np.allclose(cs.ser.sum(axis=0), cs_pooled.ser[0], rtol=1e-12, atol=1e-12)
         assert np.array_equal(cs.count.sum(axis=0), cs_pooled.count[0])
+
+
+@st.composite
+def layout_cases(draw):
+    """A dataset with tied targets and possibly empty groups, a relevance
+    function with possibly flat stretches, and a sequence of predictions."""
+    n_attrs = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=n))
+    y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))) / 4.0
+    bits = st.lists(st.integers(0, 1), min_size=n_attrs, max_size=n_attrs)
+    prot = np.array(draw(st.lists(bits, min_size=n, max_size=n)))
+    full = dataset.from_arrays(np.zeros((n, 1)), y, prot)
+    # a row subset keeps the full catalog, so groups can be empty
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ds = full.subset(np.nonzero(keep)[0]) if any(keep) else full
+    k = draw(st.integers(2, 4))
+    knots = sorted(draw(st.lists(st.integers(-24, 24), min_size=k, max_size=k, unique=True)))
+    rel = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=k, max_size=k))
+    phi = relevance.from_points([(t / 4.0, r) for t, r in zip(knots, rel)])
+    noise = st.lists(st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0),
+                     min_size=ds.n, max_size=ds.n)
+    preds = [ds.targets + np.array(draw(noise)) for _ in range(draw(st.integers(1, 4)))]
+    return ds, phi, preds
+
+
+class TestAgainstPerCallBuild:
+    """The layout and the objectives on it against the per-call build they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=layout_cases())
+    def test_bit_identical(self, case):
+        ds, phi, preds_seq = case
+        pairs = [
+            (losses.IdLossObjective(ds, phi), ParentIdLossObjective(ds, phi)),
+            (losses.IdLossObjective(ds, phi, approx_params=ApproxParams()),
+             ParentIdLossObjective(ds, phi, approx_params=ApproxParams())),
+        ]
+        populated = np.count_nonzero(ds.group_counts()) >= 2
+        for preds in preds_seq:
+            cs = curves.build(ds, preds, phi)
+            ref = parent_build(ds, preds, phi)
+            assert np.array_equal(cs.breakpoints, ref.breakpoints)
+            assert np.array_equal(cs.ser, ref.ser)
+            assert np.array_equal(cs.count, ref.count)
+            for g in range(ds.n_groups):
+                for got, want in zip(cs.values_at(ref.breakpoints, g),
+                                     ref.values_at(ref.breakpoints, g)):
+                    assert np.array_equal(got, want)
+            assert curves.sera(ds, preds, phi) == float(
+                np.sum(ref.sample_relevance * ref.sample_sq_error))
+            for obj, oracle in pairs:
+                if not populated:
+                    with pytest.raises(UndefinedMetricError):
+                        obj.grad_hess(preds)
+                    with pytest.raises(UndefinedMetricError):
+                        oracle.grad_hess(preds)
+                    continue
+                gh = obj.grad_hess(preds)
+                grad, hess = oracle.grad_hess(preds)
+                assert np.array_equal(gh.grad, grad)
+                assert np.array_equal(gh.hess, hess)
+                assert gh.value == losses.idloss_value(ds, preds, phi)
+                assert gh.value == parent_idloss_from_curves(ref)
+        for obj, oracle in pairs:
+            assert obj.eval_points == oracle.eval_points
+            assert obj.region_switches == oracle.region_switches
 
 
 class TestIntegrateStep:

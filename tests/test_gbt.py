@@ -44,6 +44,19 @@ class TestFit:
         ens = gbt.fit(ds, losses.MseObjective(ds), params)
         assert np.all(np.diff(ens.train_trace) <= 1e-9)
 
+    def test_trace_holds_value_before_and_after_every_round(self, rng):
+        ds, phi, _ = make_instance(rng, n=60)
+        params = gbt.BoostParams(n_rounds=4, max_depth=2)
+        for obj in (losses.MseObjective(ds), losses.SeraObjective(ds, phi),
+                    losses.IdLossObjective(ds, phi)):
+            ens = gbt.fit(ds, obj, params)
+            preds = np.full(ds.n, ens.base_score)
+            expected = [obj.value(preds)]
+            for tree in ens.trees:
+                preds = preds + params.learning_rate * tree.predict(ds.features)
+                expected.append(obj.value(preds))
+            assert ens.train_trace == expected
+
     def test_determinism(self, rng):
         ds, _, _ = make_instance(rng, n=60)
         params = gbt.BoostParams(n_rounds=10, max_depth=3, seed=5)
@@ -128,6 +141,15 @@ class TestPredict:
         assert np.array_equal(ens.predict(ds.features), loaded.predict(ds.features))
         assert loaded.objective_name == "sera"
 
+    def test_non_finite_feature_names_row(self, rng):
+        ds, _, _ = make_instance(rng, n=30)
+        ens = gbt.fit(ds, losses.MseObjective(ds), gbt.BoostParams(n_rounds=2))
+        X = ds.features.copy()
+        X[4, 1] = np.nan
+        X[9, 0] = np.inf
+        with pytest.raises(InputError, match="row 4"):
+            ens.predict(X)
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -147,3 +169,45 @@ class TestParams:
             gbt.BoostParams(max_depth=0)
         with pytest.raises(ValidationError):
             gbt.BoostParams(l2_lambda=-1.0)
+
+
+def one_split_doc(**tree_changes):
+    """A one-split ensemble document on one feature, with tree fields replaced."""
+    tree = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+            "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
+    tree.update(tree_changes)
+    return {"format": gbt.FORMAT_NAME, "version": gbt.FORMAT_VERSION,
+            "objective": "mse", "base_score": 0.0, "n_features": 1,
+            "params": {"learning_rate": 1.0}, "trees": [tree]}
+
+
+class TestLoadValidation:
+    def test_valid_tree_loads_and_predicts(self):
+        ens = gbt.TreeEnsemble.from_dict(one_split_doc())
+        assert ens.predict(np.array([[0.0], [1.0]])).tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("changes", [
+        {"value": [0.0, 1.0]},                    # unequal lengths
+        {"feature": [], "threshold": [], "left": [], "right": [], "value": []},
+        {"left": [0, -1, -1]},                    # child is its own parent
+        {"right": [3, -1, -1]},                   # child out of range
+        {"left": [-1, -1, -1]},                   # split without a child
+        {"feature": [1, -1, -1]},                 # only one feature exists
+        {"feature": [-2, -1, -1]},
+        {"threshold": [float("nan"), 0.0, 0.0]},
+        {"value": [0.0, float("inf"), 2.0]},
+    ])
+    def test_malformed_tree_rejected(self, changes):
+        with pytest.raises(InputError):
+            gbt.TreeEnsemble.from_dict(one_split_doc(**changes))
+
+    def test_child_before_parent_rejected(self):
+        doc = one_split_doc(feature=[-1, 0, -1], left=[-1, 0, -1], right=[-1, 2, -1])
+        with pytest.raises(InputError):
+            gbt.TreeEnsemble.from_dict(doc)
+
+    def test_non_finite_base_score_rejected(self):
+        doc = one_split_doc()
+        doc["base_score"] = float("nan")
+        with pytest.raises(InputError):
+            gbt.TreeEnsemble.from_dict(doc)

@@ -231,7 +231,7 @@ class TestSera:
         ds, _, preds = make_instance(rng, n=30)
         phi1 = relevance.from_points([(-100.0, 1.0), (100.0, 1.0)])
         gh_sera = losses.sera_gradhess(ds, preds, phi1)
-        gh_mse = losses.mse_gradhess(ds, preds)
+        gh_mse = losses.MseObjective(ds).grad_hess(preds)
         assert np.allclose(gh_sera.grad, 2.0 * gh_mse.grad, atol=1e-14)
         assert np.allclose(gh_sera.hess, 2.0 * gh_mse.hess, atol=1e-14)
 
@@ -246,51 +246,53 @@ class TestSera:
 class TestMseHuber:
     def test_zero_residual_zero_grad(self, rng):
         ds, _, _ = make_instance(rng, n=20)
-        gh = losses.mse_gradhess(ds, ds.targets.copy())
+        gh = losses.MseObjective(ds).grad_hess(ds.targets.copy())
         assert np.all(gh.grad == 0.0)
-        gh = losses.huber_gradhess(ds, ds.targets.copy(), delta=1.0)
+        gh = losses.HuberObjective(ds, delta=1.0).grad_hess(ds.targets.copy())
         assert np.all(gh.grad == 0.0)
 
     def test_huber_clips_gradient_in_linear_zone(self, rng):
         ds, _, _ = make_instance(rng, n=10)
         preds = ds.targets + 50.0
-        gh = losses.huber_gradhess(ds, preds, delta=0.5)
+        gh = losses.HuberObjective(ds, delta=0.5).grad_hess(preds)
         assert np.allclose(np.abs(gh.grad), 0.5)
         assert np.all(gh.hess == losses.DEFAULT_HESS_FLOOR)
 
     def test_finite_difference(self, rng):
         ds, _, preds = make_instance(rng, n=40)
-        gh = losses.mse_gradhess(ds, preds)
+        mse = losses.MseObjective(ds)
+        gh = mse.grad_hess(preds)
         for j in rng.choice(ds.n, 8, replace=False):
-            fd = fd_grad(lambda p: losses.mse_value(ds, p), preds, j, 1e-6)
+            fd = fd_grad(mse.value, preds, j, 1e-6)
             assert fd == pytest.approx(gh.grad[j], abs=1e-6, rel=1e-6)
         delta = 0.8
-        gh = losses.huber_gradhess(ds, preds, delta=delta)
+        huber = losses.HuberObjective(ds, delta=delta)
+        gh = huber.grad_hess(preds)
         resid = np.abs(preds - ds.targets)
         for j in rng.choice(ds.n, 8, replace=False):
             if abs(resid[j] - delta) < 1e-4:
                 continue  # kink of the loss; one-sided derivatives differ
-            fd = fd_grad(lambda p: losses.huber_value(ds, p, delta), preds, j, 1e-6)
+            fd = fd_grad(huber.value, preds, j, 1e-6)
             assert fd == pytest.approx(gh.grad[j], abs=1e-6, rel=1e-6)
 
     def test_nonpositive_delta_rejected(self, rng):
-        ds, _, preds = make_instance(rng, n=10)
+        ds, _, _ = make_instance(rng, n=10)
         with pytest.raises(ValidationError):
-            losses.huber_gradhess(ds, preds, delta=0.0)
+            losses.HuberObjective(ds, delta=0.0)
 
 
 class TestGradHessContainer:
     def test_rejects_negative_hessian(self):
         with pytest.raises(InputError):
-            losses.GradHess(grad=np.zeros(3), hess=np.array([1.0, -0.1, 0.0]))
+            losses.GradHess(grad=np.zeros(3), hess=np.array([1.0, -0.1, 0.0]), value=0.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
-            losses.GradHess(grad=np.array([np.inf]), hess=np.ones(1))
+            losses.GradHess(grad=np.array([np.inf]), hess=np.ones(1), value=0.0)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):
-            losses.GradHess(grad=np.zeros(3), hess=np.zeros(2))
+            losses.GradHess(grad=np.zeros(3), hess=np.zeros(2), value=0.0)
 
 
 class TestObjectiveFactory:
@@ -302,6 +304,7 @@ class TestObjectiveFactory:
             gh = obj.grad_hess(preds)
             assert gh.grad.shape == (ds.n,)
             assert np.isfinite(obj.value(preds))
+            assert gh.value == obj.value(preds)
 
     def test_unknown_name_rejected(self, rng):
         ds, _, _ = make_instance(rng, n=10)
