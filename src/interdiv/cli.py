@@ -110,6 +110,8 @@ def cmd_train(args) -> int:
 def _load_model(path):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(f"model file {path} must hold a JSON object")
     fmt = doc.get("format")
     if fmt == gbt.FORMAT_NAME:
         return gbt.TreeEnsemble.from_dict(doc)

@@ -5,10 +5,17 @@ Hessians: splits maximize the exact second-order gain
 
     G_L^2 / (H_L + lambda) + G_R^2 / (H_R + lambda) - G^2 / (H + lambda)
 
-over all (feature, threshold) pairs via sorted enumeration, and leaves carry
-the regularized Newton weight -G / (H + lambda). Objectives are recomputed
-on the full training predictions every round; there is no subsampling, so
-objectives that depend on global group structure see the whole picture.
+over all (feature, threshold) pairs, and leaves carry the regularized Newton
+weight -G / (H + lambda). Objectives are recomputed on the full training
+predictions every round; there is no subsampling, so objectives that depend
+on global group structure see the whole picture.
+
+Splits are enumerated from presorted rows, the exact greedy layout of
+XGBoost: ``fit`` stably argsorts each feature column once, and each split
+partitions every one of the node's sorted row lists into its children's,
+which keeps them sorted. Each node also keeps its rows in row order, and
+G and H for gains and leaves are summed in that order: ``np.sum`` sums
+pairwise, so another order would change the last bits of the model.
 
 Everything is deterministic: gain ties break toward the lowest feature index
 and then the lowest threshold.
@@ -87,6 +94,8 @@ class Tree:
         Every split node's children must lie after it, as tree growth lays
         them out; that also rules out cycles, so ``predict`` terminates.
         """
+        if not isinstance(d, dict):
+            raise InputError(f"a tree must be a JSON object, not {type(d).__name__}")
         tree = Tree(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=float),
@@ -116,21 +125,23 @@ def _safe_score(G, H, lam):
     return s
 
 
-def _best_split(X, g, h, idx, params: BoostParams):
-    """Highest-gain (feature, threshold) for one node; None if no valid split."""
+def _best_split(X, g, h, idx, sorted_rows, params: BoostParams):
+    """Highest-gain (feature, threshold) for one node; None if no valid split.
+
+    ``idx`` holds the node's rows in row order; ``sorted_rows[f]`` holds the
+    same rows stably sorted by feature ``f``.
+    """
     Gp = float(g[idx].sum())
     Hp = float(h[idx].sum())
     parent = float(_safe_score(np.array(Gp), np.array(Hp), params.l2_lambda))
     best_gain = 0.0
     best = None
-    for f in range(X.shape[1]):
-        xv = X[idx, f]
-        order = np.argsort(xv, kind="stable")
-        xs = xv[order]
+    for f, rows in enumerate(sorted_rows):
+        xs = X[rows, f]
         if xs[0] == xs[-1]:
             continue
-        gl = np.cumsum(g[idx][order])[:-1]
-        hl = np.cumsum(h[idx][order])[:-1]
+        gl = np.cumsum(g[rows])[:-1]
+        hl = np.cumsum(h[rows])[:-1]
         gr = Gp - gl
         hr = Hp - hl
         ok = (xs[1:] > xs[:-1]) & (hl >= params.min_child_hessian) & (
@@ -149,8 +160,16 @@ def _best_split(X, g, h, idx, params: BoostParams):
     return best
 
 
-def _grow_tree(X, g, h, params: BoostParams) -> Tree:
+def _grow_tree(X, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarray]:
+    """Grow one tree; also return each training row's leaf value.
+
+    ``presorted[f]`` is the stable argsort of column ``f`` of ``X``. A split
+    partitions each node's sorted row lists into its children's, which keeps
+    them sorted, so no node sorts again.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
+    update = np.empty(X.shape[0])
+    go_left_of = np.zeros(X.shape[0], dtype=bool)
 
     def new_node():
         feature.append(-1)
@@ -161,17 +180,18 @@ def _grow_tree(X, g, h, params: BoostParams) -> Tree:
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(X.shape[0]), 0)]
+    stack = [(root, np.arange(X.shape[0]), presorted, 0)]
     while stack:
-        nid, idx, depth = stack.pop()
+        nid, idx, sorted_rows, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = _best_split(X, g, h, idx, params)
+            split = _best_split(X, g, h, idx, sorted_rows, params)
         if split is None:
             G = float(g[idx].sum())
             H = float(h[idx].sum())
             denom = H + params.l2_lambda
             value[nid] = -G / denom if denom > 0 else 0.0
+            update[idx] = value[nid]
             continue
         f, thr = split
         go_left = X[idx, f] <= thr
@@ -181,15 +201,22 @@ def _grow_tree(X, g, h, params: BoostParams) -> Tree:
         rid = new_node()
         left[nid] = lid
         right[nid] = rid
-        stack.append((rid, idx[~go_left], depth + 1))
-        stack.append((lid, idx[go_left], depth + 1))
+        left_rows, right_rows = [], []
+        if depth + 1 < params.max_depth:  # children at max_depth are leaves
+            go_left_of[idx] = go_left
+            for rows in sorted_rows:
+                m = go_left_of[rows]
+                left_rows.append(rows[m])
+                right_rows.append(rows[~m])
+        stack.append((rid, idx[~go_left], right_rows, depth + 1))
+        stack.append((lid, idx[go_left], left_rows, depth + 1))
     return Tree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=np.int64),
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
-    )
+    ), update
 
 
 @dataclass
@@ -239,24 +266,32 @@ class TreeEnsemble:
 
     @staticmethod
     def from_dict(d: dict) -> "TreeEnsemble":
+        """Load an ensemble; a malformed document raises ``InputError``."""
+        if not isinstance(d, dict):
+            raise InputError(f"an ensemble must be a JSON object, not {type(d).__name__}")
         if d.get("format") != FORMAT_NAME:
             raise InputError(f"not an ensemble file (format={d.get('format')!r})")
         if d.get("version") != FORMAT_VERSION:
             raise InputError(f"unsupported ensemble version {d.get('version')!r}")
-        n_features = int(d["n_features"])
-        base_score = float(d["base_score"])
-        if not np.isfinite(base_score):
-            raise InputError("ensemble base_score must be finite")
-        return TreeEnsemble(
-            base_score=base_score,
-            trees=[Tree.from_dict(t, n_features) for t in d["trees"]],
-            params=BoostParams(**d["params"]),
-            objective_name=d["objective"],
-            n_features=n_features,
-            train_trace=list(d.get("train_trace", [])),
-            region_switches=d.get("region_switches"),
-            eval_points=d.get("eval_points"),
-        )
+        try:
+            n_features = int(d["n_features"])
+            base_score = float(d["base_score"])
+            if not np.isfinite(base_score):
+                raise InputError("ensemble base_score must be finite")
+            return TreeEnsemble(
+                base_score=base_score,
+                trees=[Tree.from_dict(t, n_features) for t in d["trees"]],
+                params=BoostParams(**d["params"]),
+                objective_name=d["objective"],
+                n_features=n_features,
+                train_trace=list(d.get("train_trace", [])),
+                region_switches=d.get("region_switches"),
+                eval_points=d.get("eval_points"),
+            )
+        except KeyError as exc:
+            raise InputError(f"ensemble file lacks the key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed ensemble file: {exc}") from None
 
     @staticmethod
     def from_json(path) -> "TreeEnsemble":
@@ -277,6 +312,7 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     X = ds.features
     base = float(np.mean(ds.targets))
     preds = np.full(ds.n, base)
+    presorted = np.argsort(X.T, axis=1, kind="stable")
     trace = []
     trees = []
     for _ in range(params.n_rounds):
@@ -288,8 +324,8 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
             raise DegenerateObjectiveError(
                 "all Hessians are zero after flooring; objective carries no curvature"
             )
-        tree = _grow_tree(X, g, h, params)
-        preds = preds + params.learning_rate * tree.predict(X)
+        tree, update = _grow_tree(X, g, h, presorted, params)
+        preds = preds + params.learning_rate * update
         trees.append(tree)
     trace.append(objective.value(preds))
     return TreeEnsemble(

@@ -54,15 +54,23 @@ class IdBoostModel:
 
     @staticmethod
     def from_dict(d: dict) -> "IdBoostModel":
+        """Load a model; a malformed document raises ``InputError``."""
+        if not isinstance(d, dict):
+            raise InputError(f"an idboost model must be a JSON object, not {type(d).__name__}")
         if d.get("format") != FORMAT_NAME:
             raise InputError(f"not an idboost file (format={d.get('format')!r})")
         if d.get("version") != FORMAT_VERSION:
             raise InputError(f"unsupported idboost version {d.get('version')!r}")
-        return IdBoostModel(
-            id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
-            sera_ensemble=gbt.TreeEnsemble.from_dict(d["sera_ensemble"]),
-            w=float(d["w"]),
-        )
+        try:
+            return IdBoostModel(
+                id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
+                sera_ensemble=gbt.TreeEnsemble.from_dict(d["sera_ensemble"]),
+                w=float(d["w"]),
+            )
+        except KeyError as exc:
+            raise InputError(f"idboost file lacks the key {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed idboost file: {exc}") from None
 
     @staticmethod
     def from_json(path) -> "IdBoostModel":

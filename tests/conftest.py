@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's sweep machinery: curve
 values come from per-cutoff brute force over the sample list, integrals from
 dense midpoint grids, interpolation from a scalar Hermite formula, and CSV
-loading from the row-at-a-time loader that the column-wise one replaced, and
+loading from the row-at-a-time loader that the column-wise one replaced,
 curves and divergence-loss gradients from the per-call curve build that the
-curve layout replaced.
+curve layout replaced, and trees from the per-node sorting growth that the
+presorted one replaced.
 """
 import csv
 import logging
@@ -24,6 +25,7 @@ from interdiv.errors import (
     SchemaError,
     UndefinedMetricError,
 )
+from interdiv.gbt import BoostParams, Tree
 from interdiv.losses import DEFAULT_HESS_FLOOR
 from interdiv.relevance import RelevanceFunction, evaluate
 
@@ -541,3 +543,90 @@ def _simplified_sample_weights(curves: ParentSerCurveSet, params, cache: "_Count
         partial = np.where(mask[g, s], f_r - f_at_grid[g, s], 0.0)
         W[members] = cum[g, s] + partial
     return W, pattern.astype(np.int64), n_seg
+
+
+# Tree growth as it stood before ``gbt.fit`` presorted each feature once and
+# partitioned the sorted rows down the tree: every node argsorts every
+# feature. Kept verbatim (renamed) as the reference for the differential
+# test. Nothing under src/ imports it.
+def parent_safe_score(G, H, lam):
+    denom = H + lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 0, (G * G) / np.where(denom > 0, denom, 1.0), 0.0)
+    return s
+
+
+def parent_best_split(X, g, h, idx, params: BoostParams):
+    """Highest-gain (feature, threshold) for one node; None if no valid split."""
+    Gp = float(g[idx].sum())
+    Hp = float(h[idx].sum())
+    parent = float(parent_safe_score(np.array(Gp), np.array(Hp), params.l2_lambda))
+    best_gain = 0.0
+    best = None
+    for f in range(X.shape[1]):
+        xv = X[idx, f]
+        order = np.argsort(xv, kind="stable")
+        xs = xv[order]
+        if xs[0] == xs[-1]:
+            continue
+        gl = np.cumsum(g[idx][order])[:-1]
+        hl = np.cumsum(h[idx][order])[:-1]
+        gr = Gp - gl
+        hr = Hp - hl
+        ok = (xs[1:] > xs[:-1]) & (hl >= params.min_child_hessian) & (
+            hr >= params.min_child_hessian
+        )
+        if not ok.any():
+            continue
+        gain = parent_safe_score(gl, hl, params.l2_lambda) + parent_safe_score(
+            gr, hr, params.l2_lambda
+        ) - parent
+        gain = np.where(ok, gain, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = float(gain[i])
+            best = (f, 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+def parent_grow_tree(X, g, h, params: BoostParams) -> Tree:
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    root = new_node()
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        nid, idx, depth = stack.pop()
+        split = None
+        if depth < params.max_depth and len(idx) >= 2:
+            split = parent_best_split(X, g, h, idx, params)
+        if split is None:
+            G = float(g[idx].sum())
+            H = float(h[idx].sum())
+            denom = H + params.l2_lambda
+            value[nid] = -G / denom if denom > 0 else 0.0
+            continue
+        f, thr = split
+        go_left = X[idx, f] <= thr
+        feature[nid] = f
+        threshold[nid] = thr
+        lid = new_node()
+        rid = new_node()
+        left[nid] = lid
+        right[nid] = rid
+        stack.append((rid, idx[~go_left], depth + 1))
+        stack.append((lid, idx[go_left], depth + 1))
+    return Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+    )

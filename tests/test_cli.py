@@ -167,6 +167,52 @@ class TestTrainPredictAudit:
         assert "non-finite prediction at sample index 17" in capsys.readouterr().err
 
 
+class TestMalformedModelFile:
+    """``predict`` on a broken model file exits 1 with ``error:``, not a traceback."""
+
+    @pytest.fixture
+    def doc(self, biased_dir, tmp_path):
+        model = tmp_path / "idb.json"
+        assert run_cli(
+            "train", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"),
+            "--model", "idboost", "--w", "0.5", "--rounds", "1", "--depth", "1",
+            "--out", str(model),
+        ) == 0
+        return json.loads(model.read_text())
+
+    def predict_error(self, doc, biased_dir, tmp_path, capsys):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"),
+            "--model", str(model), "--out", str(tmp_path / "preds.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_ensemble_without_trees(self, doc, biased_dir, tmp_path, capsys):
+        del doc["id_ensemble"]["trees"]
+        assert "'trees'" in self.predict_error(doc, biased_dir, tmp_path, capsys)
+
+    def test_tree_that_is_an_int(self, doc, biased_dir, tmp_path, capsys):
+        doc["sera_ensemble"]["trees"][0] = 7
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert "tree must be a JSON object" in err
+
+    def test_top_level_list(self, doc, biased_dir, tmp_path, capsys):
+        err = self.predict_error([doc], biased_dir, tmp_path, capsys)
+        assert "must hold a JSON object" in err
+
+    def test_unknown_params_key(self, doc, biased_dir, tmp_path, capsys):
+        doc["id_ensemble"]["params"]["bogus"] = 1
+        assert "bogus" in self.predict_error(doc, biased_dir, tmp_path, capsys)
+
+
 class TestReadPreds:
     def test_header_is_optional(self, tmp_path):
         with_header = tmp_path / "h.csv"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interdiv import dataset, gbt, losses, relevance
 from interdiv.errors import DegenerateObjectiveError, InputError, ValidationError
 
-from conftest import make_instance
+from conftest import make_instance, parent_grow_tree
 
 
 def two_cluster_dataset():
@@ -106,6 +108,75 @@ class TestFit:
         ds = dataset.from_arrays(np.zeros((1, 1)), [1.0], [[1]])
         with pytest.raises(InputError):
             gbt.fit(ds, losses.MseObjective(ds), gbt.BoostParams(n_rounds=1))
+
+
+class FixedGradHess:
+    """Hands ``fit`` the same grad/hess each round; keeps the final predictions."""
+
+    name = "fixed"
+
+    def __init__(self, g, h):
+        self.g, self.h = g, h
+        self.final_preds = None
+
+    def grad_hess(self, preds):
+        return losses.GradHess(self.g, self.h, 0.0)
+
+    def value(self, preds):
+        self.final_preds = preds.copy()
+        return 0.0
+
+
+@st.composite
+def growth_cases(draw):
+    """Features with ties, constant and duplicated columns, gradients of mixed
+    magnitude, and the split constraints that make nodes stop early."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 4.0]))
+    if draw(st.booleans()):
+        X = np.round(X)
+    constant = draw(st.integers(-1, d - 1))
+    if constant >= 0:
+        X[:, constant] = 0.5
+    copy = draw(st.sampled_from(["none", "exact", "mirrored"])) if d >= 2 else "none"
+    if copy == "exact":
+        # equal gains on two features: the tie must still go to feature 0
+        X[:, d - 1] = X[:, 0]
+    elif copy == "mirrored":
+        # the same partitions reached from the other end: which of the two
+        # features wins turns on the last bits of the cumulative sums, and so
+        # on the order of tied rows inside them
+        X[:, d - 1] = -X[:, 0]
+    g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    h = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) > 0.1)
+    params = gbt.BoostParams(
+        n_rounds=1,
+        learning_rate=draw(st.sampled_from([0.1, 1.0])),
+        max_depth=draw(st.integers(1, 6)),
+        min_child_hessian=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        l2_lambda=draw(st.sampled_from([0.0, 1e-6, 1.0])),
+    )
+    return X, g, h, params
+
+
+class TestAgainstPerNodeSort:
+    """Presorted growth inside ``fit`` against the per-node sorting it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=growth_cases())
+    def test_bit_identical(self, case):
+        X, g, h, params = case
+        ds = dataset.from_arrays(X, np.zeros(len(g)), np.zeros((len(g), 1)))
+        obj = FixedGradHess(g, h)
+        ens = gbt.fit(ds, obj, params)
+        ref = parent_grow_tree(X, g, np.maximum(h, params.hess_floor), params)
+        tree = ens.trees[0]
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+        base = np.full(len(g), ens.base_score)
+        assert np.array_equal(obj.final_preds, base + params.learning_rate * ref.predict(X))
 
 
 class TestPredict:
