@@ -8,6 +8,15 @@ sign, plus both endpoints. The piecewise-linear curve through those points
 union of retained points across groups is the reduced cutoff grid the
 divergence objective sweeps during training instead of every breakpoint.
 Reported metrics are never computed from simplified curves.
+
+Like the curves themselves, simplification splits into a part fixed per
+curve layout and parameters and a part that changes with the predictions.
+:class:`SimplifyGrid` holds the fixed part: the grid, the kernel, the
+breakpoint interval of each grid point and the count integrals the
+objective's sweep reads at grid points and sample relevances. Its
+:meth:`~SimplifyGrid.marks` marks the retained points of all groups at once
+in a boolean (groups, grid) array. The divergence objective builds one grid
+per fit; :func:`simplify` is the one-shot form for a single curve set.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as curves_mod
-from .curves import SerCurveSet
+from .curves import CurveLayout, SerCurveSet
 from .errors import ParameterError
 from .relevance import RelevanceFunction
 
@@ -66,64 +75,107 @@ class SimplifiedCurveSet:
         return tuple(c.n_points for c in self.curves)
 
 
+def _grid_intervals(breakpoints: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Index of the breakpoint interval each cutoff in ``ts`` falls in."""
+    return np.clip(
+        np.searchsorted(breakpoints, ts, side="right") - 1, 0, len(breakpoints) - 2
+    )
+
+
 def _resample_step(curves: SerCurveSet, grid: np.ndarray) -> np.ndarray:
     """Normalized curve values (all groups) on the interval each grid point falls in."""
-    norm = curves.normalized()
-    idx = np.clip(
-        np.searchsorted(curves.breakpoints, grid, side="right") - 1,
-        0,
-        norm.shape[1] - 1,
-    )
-    return norm[:, idx]
+    return curves.normalized()[:, _grid_intervals(curves.breakpoints, grid)]
 
 
-def _gaussian_smooth(values: np.ndarray, sigma_cells: float) -> np.ndarray:
-    """Convolve with a +/-4 sigma truncated kernel, renormalized at edges."""
-    radius = max(1, int(round(4.0 * sigma_cells)))
-    x = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
-    num = np.convolve(values, kernel, mode="same")
-    den = np.convolve(np.ones_like(values), kernel, mode="same")
-    return num / den
+def _sign_changes(d: np.ndarray, noise_floor) -> np.ndarray:
+    """Mask of the points ``i`` where the sign of ``d`` differs at ``i + 1``.
 
-
-def _sign_changes(d: np.ndarray, noise_floor: float) -> np.ndarray:
+    Works along the last axis; ``noise_floor`` broadcasts against ``d``.
+    """
     # derivative magnitudes at roundoff scale are flattened to exactly zero,
     # so flat stretches cannot flicker sign; this floors numerical noise
     # only, it is not a significance threshold
     d = np.where(np.abs(d) <= noise_floor, 0.0, d)
     s = np.sign(d)
-    return np.nonzero(s[:-1] != s[1:])[0]
+    return s[..., :-1] != s[..., 1:]
+
+
+class SimplifyGrid:
+    """The part of curve simplification fixed per curve layout and parameters.
+
+    Holds the uniform grid, the Gaussian kernel and its edge normalizer, the
+    breakpoint interval of every grid point, and, for the simplified sweep of
+    the divergence objective, the count integral F_g at every grid point,
+    each sample's grid cell and F_g at each sample's own relevance (a
+    breakpoint, so the value is the layout's ``count_integral`` there).
+    Per prediction, :meth:`marks` then costs one convolution per group and
+    array operations over all groups at once.
+    """
+
+    def __init__(self, layout: CurveLayout, params: ApproxParams):
+        n_grid = int(round(1.0 / params.grid_step)) + 1
+        if n_grid < 3:
+            raise ParameterError(
+                f"grid_step={params.grid_step} is coarser than the curve support"
+            )
+        sigma_cells = params.sigma / params.grid_step
+        radius = max(1, int(round(4.0 * sigma_cells)))
+        if 2 * radius + 1 > n_grid:
+            raise ParameterError(
+                f"sigma={params.sigma} needs a kernel of {2 * radius + 1} points, "
+                f"wider than the {n_grid}-point grid of grid_step={params.grid_step}"
+            )
+        x = np.arange(-radius, radius + 1, dtype=float)
+        self.grid = np.linspace(0.0, 1.0, n_grid)
+        self.kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
+        self.edge = np.convolve(np.ones(n_grid), self.kernel, mode="same")
+        self.min_points = params.min_points
+        self.floor_points = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
+        bp = layout.breakpoints
+        self.interval = _grid_intervals(bp, self.grid)
+        self.count_at_grid = np.stack([np.interp(self.grid, bp, f) for f in layout.count_integral])
+        self.sample_cell = np.clip(
+            np.searchsorted(self.grid, layout.relevance, side="right") - 1, 0, n_grid - 2
+        )
+        self.count_at_sample = layout.count_integral[layout.ds.group_of, layout.sample_interval]
+
+    def marks(self, norm: np.ndarray):
+        """Resampled curves and the (groups, grid) mask of their retained points.
+
+        ``norm`` is the normalized curve set, one row per group. A point is
+        retained where the first or second derivative of the blurred curve
+        changes sign, at both ends, and, for a curve left with fewer than
+        ``min_points``, at ``min_points`` evenly spaced grid points.
+        """
+        vals = norm[:, self.interval]
+        smooth = np.stack([np.convolve(v, self.kernel, mode="same") for v in vals]) / self.edge
+        h = self.grid[1] - self.grid[0]
+        eps = np.finfo(float).eps
+        scale = np.maximum(1.0, np.max(np.abs(smooth), axis=1, keepdims=True))
+        d1 = np.gradient(smooth, self.grid, axis=1)
+        d2 = np.gradient(d1, self.grid, axis=1)
+        keep = np.zeros(vals.shape, dtype=bool)
+        keep[:, [0, -1]] = True
+        keep[:, :-1] |= _sign_changes(d1, 64.0 * eps * scale / h)
+        keep[:, :-1] |= _sign_changes(d2, 64.0 * eps * scale / h**2)
+        short = keep.sum(axis=1) < self.min_points
+        keep[np.ix_(short, self.floor_points)] = True
+        return vals, keep
+
+    def simplify(self, curves: SerCurveSet) -> SimplifiedCurveSet:
+        """Reduce each group's normalized curve to its retained points."""
+        vals, keep = self.marks(curves.normalized())
+        return SimplifiedCurveSet(
+            curves=tuple(
+                SimplifiedCurve(t=self.grid[k], value=v[k]) for v, k in zip(vals, keep)
+            ),
+            grid_size=len(self.grid),
+        )
 
 
 def simplify(curves: SerCurveSet, params: ApproxParams) -> SimplifiedCurveSet:
     """Reduce each group's normalized curve to its significant points."""
-    n_grid = int(round(1.0 / params.grid_step)) + 1
-    if n_grid < 3:
-        raise ParameterError(
-            f"grid_step={params.grid_step} is coarser than the curve support"
-        )
-    grid = np.linspace(0.0, 1.0, n_grid)
-    h = grid[1] - grid[0]
-    sigma_cells = params.sigma / params.grid_step
-    resampled = _resample_step(curves, grid)
-    eps = np.finfo(float).eps
-    out = []
-    for g in range(curves.n_groups):
-        vals = resampled[g]
-        smooth = _gaussian_smooth(vals, sigma_cells)
-        scale = max(1.0, float(np.max(np.abs(smooth))))
-        d1 = np.gradient(smooth, grid)
-        d2 = np.gradient(d1, grid)
-        keep = {0, n_grid - 1}
-        keep.update(int(i) for i in _sign_changes(d1, 64.0 * eps * scale / h))
-        keep.update(int(i) for i in _sign_changes(d2, 64.0 * eps * scale / h**2))
-        if len(keep) < params.min_points:
-            extra = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
-            keep.update(int(i) for i in extra)
-        idx = np.array(sorted(keep), dtype=int)
-        out.append(SimplifiedCurve(t=grid[idx], value=vals[idx]))
-    return SimplifiedCurveSet(curves=tuple(out), grid_size=n_grid)
+    return SimplifyGrid(curves.layout, params).simplify(curves)
 
 
 def id_from_simplified(simplified: SimplifiedCurveSet, curves: SerCurveSet) -> float:
@@ -137,12 +189,7 @@ def id_from_simplified(simplified: SimplifiedCurveSet, curves: SerCurveSet) -> f
     grid = np.unique(np.concatenate([c.t for c in simplified.curves]))
     mid = 0.5 * (grid[:-1] + grid[1:])
     seg_len = np.diff(grid)
-    idx = np.clip(
-        np.searchsorted(curves.breakpoints, mid, side="right") - 1,
-        0,
-        curves.count.shape[1] - 1,
-    )
-    cand = curves.count[:, idx] > 0
+    cand = curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0
     n_cand = cand.sum(axis=0)
     lo = np.stack([c(grid[:-1]) for c in simplified.curves])
     hi = np.stack([c(grid[1:]) for c in simplified.curves])

@@ -165,9 +165,18 @@ class SerCurveSet:
         return suffix[pos], (len(rel) - pos).astype(np.int64)
 
     def normalized(self):
-        """Per-interval normalized curves ser/count, 0 where a group is empty."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(self.count > 0, self.ser / np.maximum(self.count, 1), 0.0)
+        """Per-interval normalized curves ser/count, 0 where a group is empty.
+
+        Computed on the first call and kept, read-only, so the loss value,
+        the best-group pattern and the sample weights of one boosting round
+        divide once.
+        """
+        out = self.__dict__.get("_normalized")
+        if out is None:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = np.where(self.count > 0, self.ser / np.maximum(self.count, 1), 0.0)
+            out.setflags(write=False)
+            object.__setattr__(self, "_normalized", out)
         return out
 
     def extremes(self):

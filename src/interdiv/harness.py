@@ -3,8 +3,10 @@
 An experiment fits every configured model on ``runs`` independent
 train/test splits (seeded ``base_seed + run``), scores each test prediction
 with the full fairness report, and aggregates per-metric ranks across runs.
-A model that raises during a run is recorded as failed and ranked last for
-every metric of that run rather than aborting the experiment. Per-run
+A model that raises an ``InterdivError`` during a run is recorded as failed
+and ranked last for every metric of that run rather than aborting the
+experiment. Any other exception is a fault of the program, not of the
+model: it propagates, and no ``ranks.csv`` is written. Per-run
 predictions and models are persisted under ``<out>/run_<r>/`` so curve
 export and benchmarking can reuse them without refitting.
 """
@@ -286,6 +288,7 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
             )
             per_run.append(curves_mod.build(test, preds, phi))
         grid = np.unique(np.concatenate([c.breakpoints for c in per_run]))
+        ts = grid.tolist()
         path = os.path.join(curve_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,group,normalized_ser\n")
@@ -295,7 +298,7 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
                     ser_v, cnt_v = cs.values_at(grid, g)
                     acc += np.where(cnt_v > 0, ser_v / np.maximum(cnt_v, 1), 0.0)
                 acc /= len(per_run)
-                for t, v in zip(grid, acc):
-                    fh.write(f"{t:.17g},{g},{v:.17g}\n")
+                # one formatted block and one write per group, as in export_curves
+                fh.write("".join(f"{t:.17g},{g},{v:.17g}\n" for t, v in zip(ts, acc.tolist())))
         out[name] = path
     return out

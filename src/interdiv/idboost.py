@@ -62,7 +62,7 @@ class IdBoostModel:
         if d.get("version") != FORMAT_VERSION:
             raise InputError(f"unsupported idboost version {d.get('version')!r}")
         try:
-            return IdBoostModel(
+            model = IdBoostModel(
                 id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
                 sera_ensemble=gbt.TreeEnsemble.from_dict(d["sera_ensemble"]),
                 w=float(d["w"]),
@@ -71,6 +71,10 @@ class IdBoostModel:
             raise InputError(f"idboost file lacks the key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed idboost file: {exc}") from None
+        # NaN fails this comparison too
+        if not 0.0 <= model.w <= 1.0:
+            raise InputError(f"idboost weight w must be in [0, 1], got {model.w!r}")
+        return model
 
     @staticmethod
     def from_json(path) -> "IdBoostModel":

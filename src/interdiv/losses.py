@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as curves_mod
+from .approx import SimplifyGrid, _grid_intervals
 from .curves import SerCurveSet, argmin_pattern, check_preds
 from .dataset import GroupedDataset
 from .errors import InputError, UndefinedMetricError, ValidationError
@@ -180,7 +181,8 @@ class IdLossObjective:
     """Divergence-loss objective with optional simplified-curve gradients.
 
     The curve layout is built once, so each evaluation costs one O(n) curve
-    build. Tracks two counters across gradient calls: ``eval_points``
+    build. With ``approx_params`` the simplification grid is built once too,
+    so bad parameters fail here rather than at the first round. Tracks two counters across gradient calls: ``eval_points``
     accumulates the number of cutoff intervals swept per gradient evaluation
     (the quantity the curve-simplification mode reduces) and
     ``region_switches`` counts how often the best-group pattern changed
@@ -199,7 +201,9 @@ class IdLossObjective:
         self._ds = ds
         self._layout = curves_mod.CurveLayout(ds, phi)
         self.hess_floor = hess_floor
-        self.approx_params = approx_params
+        self._sgrid = (
+            SimplifyGrid(self._layout, approx_params) if approx_params is not None else None
+        )
         self.eval_points = 0
         self.region_switches = 0
         self._last_pattern = None
@@ -218,12 +222,12 @@ class IdLossObjective:
     def grad_hess(self, preds) -> GradHess:
         cs = self._layout.curves(preds)
         value = idloss_from_curves(cs)
-        if self.approx_params is None:
+        if self._sgrid is None:
             self.eval_points += len(cs.breakpoints) - 1
             self._note_pattern(argmin_pattern(cs))
             w = idloss_sample_weights(cs)
         else:
-            w, pattern, n_segments = _simplified_sample_weights(cs, self.approx_params)
+            w, pattern, n_segments = _simplified_sample_weights(cs, self._sgrid)
             self.eval_points += n_segments
             self._note_pattern(pattern)
         grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
@@ -231,55 +235,41 @@ class IdLossObjective:
         return GradHess(grad=grad, hess=hess, value=value)
 
 
-def _simplified_sample_weights(curves: SerCurveSet, params):
+def _simplified_sample_weights(curves: SerCurveSet, sgrid: SimplifyGrid):
     """W_j swept over the simplified curves' union grid only.
 
     Curve simplification picks the significant cutoffs; the sweep then runs
     on that coarse grid instead of every breakpoint. Within a segment the
     best-group identity is held constant, resolved from the true curve
     values at the segment midpoint, and the count integrals come exactly
-    from the layout's piecewise-linear F_g. The only approximation left is
+    from the layout's piecewise-linear F_g, read at the grid points and at
+    the samples' relevances from ``sgrid``. The only approximation left is
     the coarse pattern: it can change at segment boundaries, not inside.
     """
-    from . import approx
-
-    bp = curves.breakpoints
-    f_cum = curves.layout.count_integral
-    simp = approx.simplify(curves, params)
-    grid = np.unique(np.concatenate([c.t for c in simp.curves]))
-    n_seg = len(grid) - 1
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    idx = np.clip(
-        np.searchsorted(bp, mid, side="right") - 1,
-        0,
-        curves.count.shape[1] - 1,
-    )
-    cand = curves.count[:, idx] > 0
     norm = curves.normalized()
+    _, keep = sgrid.marks(norm)
+    union = keep.any(axis=0)
+    grid = sgrid.grid[union]
+    idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
+    cand = curves.count[:, idx] > 0
     masked = np.where(cand, norm[:, idx], np.inf)
     pattern = np.argmin(masked, axis=0)
     pattern[~cand.any(axis=0)] = -1
     gids = np.arange(curves.n_groups)[:, None]
     mask = cand & (pattern[None, :] != gids)
 
-    f_at_grid = np.stack([np.interp(grid, bp, f_cum[g]) for g in range(curves.n_groups)])
+    f_at_grid = sgrid.count_at_grid[:, union]
     df = np.diff(f_at_grid, axis=1)
     cum = np.concatenate(
         [np.zeros((curves.n_groups, 1)), np.cumsum(np.where(mask, df, 0.0), axis=1)],
         axis=1,
     )
-    rel = curves.sample_relevance
-    seg = np.clip(np.searchsorted(grid, rel, side="right") - 1, 0, n_seg - 1)
-    W = np.empty(len(rel))
-    for g in range(curves.n_groups):
-        members = curves.sample_group == g
-        if not members.any():
-            continue
-        s = seg[members]
-        f_r = np.interp(rel[members], bp, f_cum[g])
-        partial = np.where(mask[g, s], f_r - f_at_grid[g, s], 0.0)
-        W[members] = cum[g, s] + partial
-    return W, pattern.astype(np.int64), n_seg
+    # the union keeps grid point 0, so a sample's segment is the number of
+    # union points at or below its cell, less one
+    g = curves.sample_group
+    s = np.cumsum(union)[sgrid.sample_cell] - 1
+    W = cum[g, s] + np.where(mask[g, s], sgrid.count_at_sample - f_at_grid[g, s], 0.0)
+    return W, pattern.astype(np.int64), len(grid) - 1
 
 
 OBJECTIVE_NAMES = ("mse", "huber", "sera", "idloss")

@@ -5,8 +5,9 @@ values come from per-cutoff brute force over the sample list, integrals from
 dense midpoint grids, interpolation from a scalar Hermite formula, and CSV
 loading from the row-at-a-time loader that the column-wise one replaced,
 curves and divergence-loss gradients from the per-call curve build that the
-curve layout replaced, and trees from the per-node sorting growth that the
-presorted one replaced.
+curve layout replaced, curve simplification from the per-group loop that the
+per-layout grid replaced, and trees from the per-node sorting growth that
+the presorted one replaced.
 """
 import csv
 import logging
@@ -14,14 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from interdiv import dataset, relevance
+from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
 from interdiv.curves import argmin_pattern
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
 from interdiv.errors import (
     DegenerateAttributeError,
     EmptyDataError,
     InputError,
+    ParameterError,
     SchemaError,
     UndefinedMetricError,
 )
@@ -118,6 +122,31 @@ def grid_idloss(ds, preds, phi, step=1e-4):
     vmin = np.min(np.where(cand, norm, np.inf), axis=0)
     integrand = np.where(any_cand, total - np.where(any_cand, vmin, 0.0), 0.0)
     return float(integrand.sum() * step)
+
+
+@st.composite
+def layout_cases(draw):
+    """A dataset with tied targets and possibly empty groups, a relevance
+    function with possibly flat stretches, and a sequence of predictions."""
+    n_attrs = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=n))
+    y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))) / 4.0
+    bits = st.lists(st.integers(0, 1), min_size=n_attrs, max_size=n_attrs)
+    prot = np.array(draw(st.lists(bits, min_size=n, max_size=n)))
+    full = dataset.from_arrays(np.zeros((n, 1)), y, prot)
+    # a row subset keeps the full catalog, so groups can be empty
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    ds = full.subset(np.nonzero(keep)[0]) if any(keep) else full
+    k = draw(st.integers(2, 4))
+    knots = sorted(draw(st.lists(st.integers(-24, 24), min_size=k, max_size=k, unique=True)))
+    rel = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=k, max_size=k))
+    phi = relevance.from_points([(t / 4.0, r) for t, r in zip(knots, rel)])
+    noise = st.lists(st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0),
+                     min_size=ds.n, max_size=ds.n)
+    preds = [ds.targets + np.array(draw(noise)) for _ in range(draw(st.integers(1, 4)))]
+    return ds, phi, preds
 
 
 @pytest.fixture
@@ -504,9 +533,7 @@ def _simplified_sample_weights(curves: ParentSerCurveSet, params, cache: "_Count
     from the cached piecewise-linear F_g. The only approximation left is
     the coarse pattern: it can change at segment boundaries, not inside.
     """
-    from interdiv import approx
-
-    simp = approx.simplify(curves, params)
+    simp = parent_simplify(curves, params)
     grid = np.unique(np.concatenate([c.t for c in simp.curves]))
     n_seg = len(grid) - 1
     mid = 0.5 * (grid[:-1] + grid[1:])
@@ -543,6 +570,70 @@ def _simplified_sample_weights(curves: ParentSerCurveSet, params, cache: "_Count
         partial = np.where(mask[g, s], f_r - f_at_grid[g, s], 0.0)
         W[members] = cum[g, s] + partial
     return W, pattern.astype(np.int64), n_seg
+
+
+# Curve simplification as it stood before ``approx.SimplifyGrid`` split the
+# part fixed per layout from the per-prediction part, kept verbatim (renamed)
+# as the reference for the differential test and for the simplified sweep of
+# ``ParentIdLossObjective``. Nothing under src/ imports it.
+def parent_resample_step(curves, grid: np.ndarray) -> np.ndarray:
+    """Normalized curve values (all groups) on the interval each grid point falls in."""
+    norm = curves.normalized()
+    idx = np.clip(
+        np.searchsorted(curves.breakpoints, grid, side="right") - 1,
+        0,
+        norm.shape[1] - 1,
+    )
+    return norm[:, idx]
+
+
+def parent_gaussian_smooth(values: np.ndarray, sigma_cells: float) -> np.ndarray:
+    """Convolve with a +/-4 sigma truncated kernel, renormalized at edges."""
+    radius = max(1, int(round(4.0 * sigma_cells)))
+    x = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
+    num = np.convolve(values, kernel, mode="same")
+    den = np.convolve(np.ones_like(values), kernel, mode="same")
+    return num / den
+
+
+def parent_sign_changes(d: np.ndarray, noise_floor: float) -> np.ndarray:
+    # derivative magnitudes at roundoff scale are flattened to exactly zero,
+    # so flat stretches cannot flicker sign; this floors numerical noise
+    # only, it is not a significance threshold
+    d = np.where(np.abs(d) <= noise_floor, 0.0, d)
+    s = np.sign(d)
+    return np.nonzero(s[:-1] != s[1:])[0]
+
+
+def parent_simplify(curves, params: ApproxParams) -> SimplifiedCurveSet:
+    """Reduce each group's normalized curve to its significant points."""
+    n_grid = int(round(1.0 / params.grid_step)) + 1
+    if n_grid < 3:
+        raise ParameterError(
+            f"grid_step={params.grid_step} is coarser than the curve support"
+        )
+    grid = np.linspace(0.0, 1.0, n_grid)
+    h = grid[1] - grid[0]
+    sigma_cells = params.sigma / params.grid_step
+    resampled = parent_resample_step(curves, grid)
+    eps = np.finfo(float).eps
+    out = []
+    for g in range(curves.n_groups):
+        vals = resampled[g]
+        smooth = parent_gaussian_smooth(vals, sigma_cells)
+        scale = max(1.0, float(np.max(np.abs(smooth))))
+        d1 = np.gradient(smooth, grid)
+        d2 = np.gradient(d1, grid)
+        keep = {0, n_grid - 1}
+        keep.update(int(i) for i in parent_sign_changes(d1, 64.0 * eps * scale / h))
+        keep.update(int(i) for i in parent_sign_changes(d2, 64.0 * eps * scale / h**2))
+        if len(keep) < params.min_points:
+            extra = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
+            keep.update(int(i) for i in extra)
+        idx = np.array(sorted(keep), dtype=int)
+        out.append(SimplifiedCurve(t=grid[idx], value=vals[idx]))
+    return SimplifiedCurveSet(curves=tuple(out), grid_size=n_grid)
 
 
 # Tree growth as it stood before ``gbt.fit`` presorted each feature once and

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interdiv import approx, curves, dataset, metrics, relevance
-from interdiv.errors import ParameterError
+from interdiv import approx, curves, dataset, losses, metrics, relevance
+from interdiv.errors import ParameterError, UndefinedMetricError
 
-from conftest import make_instance
+from conftest import (
+    ParentIdLossObjective,
+    layout_cases,
+    make_instance,
+    parent_build,
+    parent_simplify,
+)
 
 
 def flat_relevance_instance(rng, n=40):
@@ -45,6 +53,15 @@ class TestParams:
         cs = curves.build(ds, preds, phi)
         with pytest.raises(ParameterError):
             approx.simplify(cs, approx.ApproxParams(grid_step=0.9))
+
+    @pytest.mark.parametrize("params", [
+        approx.ApproxParams(grid_step=0.9),
+        approx.ApproxParams(sigma=0.25, grid_step=1e-2),
+    ], ids=["grid_coarser_than_support", "kernel_wider_than_grid"])
+    def test_bad_params_fail_at_objective_construction(self, rng, params):
+        ds, phi, _ = make_instance(rng, n=40)
+        with pytest.raises(ParameterError):
+            losses.IdLossObjective(ds, phi, approx_params=params)
 
 
 class TestSimplify:
@@ -103,6 +120,17 @@ class TestSimplify:
         simp = approx.simplify(cs, approx.ApproxParams(min_points=6))
         for kept in simp.n_retained:
             assert kept >= 6
+
+    def test_curve_at_the_floor_is_not_padded(self):
+        # the concave curve keeps 3 points on its own; a floor of 3 adds none
+        ds, phi, preds, _ = concave_instance()
+        cs = curves.build(ds, preds, phi)
+        kept = [
+            approx.simplify(cs, approx.ApproxParams(sigma=2e-2, min_points=m)).curves[0].t
+            for m in (2, 3)
+        ]
+        assert len(kept[0]) == 3
+        assert np.array_equal(kept[0], kept[1])
 
 
 class TestIdFromSimplified:
@@ -164,3 +192,58 @@ class TestBench:
         phi = relevance.from_boxplot(ds.targets)
         rep = approx.bench_approx(ds, phi, approx.ApproxParams(), rounds=5, seed=2)
         assert rep.eval_points_fast < rep.eval_points_exact
+
+
+@st.composite
+def simplify_cases(draw):
+    """A ``layout_cases`` case, sometimes with flat relevance, and parameters."""
+    ds, phi, preds = draw(layout_cases())
+    if draw(st.integers(0, 3)) == 0:
+        level = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        phi = relevance.from_points([(-100.0, level), (100.0, level)])
+    params = approx.ApproxParams(
+        sigma=draw(st.sampled_from([1e-3, 1e-2, 0.25])),
+        grid_step=draw(st.sampled_from([1e-3, 1e-2, 0.25])),
+        min_points=draw(st.integers(2, 7)),
+    )
+    return ds, phi, preds, params
+
+
+class TestAgainstParentSimplify:
+    """The per-layout grid against the per-group loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=simplify_cases())
+    def test_bit_identical(self, case):
+        ds, phi, preds_seq, params = case
+        radius = max(1, int(round(4.0 * params.sigma / params.grid_step)))
+        if 2 * radius + 1 > int(round(1.0 / params.grid_step)) + 1:
+            # the old loop broke on the shape of the smoothed curve at the
+            # first round; the grid refuses such a kernel when it is built
+            with pytest.raises(ValueError):
+                parent_simplify(parent_build(ds, preds_seq[0], phi), params)
+            with pytest.raises(ParameterError):
+                losses.IdLossObjective(ds, phi, approx_params=params)
+            return
+        obj = losses.IdLossObjective(ds, phi, approx_params=params)
+        oracle = ParentIdLossObjective(ds, phi, approx_params=params)
+        populated = np.count_nonzero(ds.group_counts()) >= 2
+        for preds in preds_seq:
+            got = approx.simplify(curves.build(ds, preds, phi), params)
+            want = parent_simplify(parent_build(ds, preds, phi), params)
+            assert got.grid_size == want.grid_size
+            assert len(got.curves) == len(want.curves) == ds.n_groups
+            for g, w in zip(got.curves, want.curves):
+                assert np.array_equal(g.t, w.t)
+                assert np.array_equal(g.value, w.value)
+            if not populated:
+                with pytest.raises(UndefinedMetricError):
+                    obj.grad_hess(preds)
+                continue
+            gh = obj.grad_hess(preds)
+            grad, hess = oracle.grad_hess(preds)
+            assert np.array_equal(gh.grad, grad)
+            assert np.array_equal(gh.hess, hess)
+            assert gh.value == oracle.value(preds)
+        assert obj.eval_points == oracle.eval_points
+        assert obj.region_switches == oracle.region_switches

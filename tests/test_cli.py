@@ -212,6 +212,16 @@ class TestMalformedModelFile:
         doc["id_ensemble"]["params"]["bogus"] = 1
         assert "bogus" in self.predict_error(doc, biased_dir, tmp_path, capsys)
 
+    def test_non_finite_w(self, doc, biased_dir, tmp_path, capsys):
+        doc["w"] = float("nan")
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert "w must be in [0, 1], got nan" in err
+
+    def test_w_out_of_range(self, doc, biased_dir, tmp_path, capsys):
+        doc["w"] = 1.5
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert "w must be in [0, 1], got 1.5" in err
+
 
 class TestReadPreds:
     def test_header_is_optional(self, tmp_path):

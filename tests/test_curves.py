@@ -10,6 +10,7 @@ from interdiv.errors import InputError, InternalError, UndefinedMetricError
 from conftest import (
     ParentIdLossObjective,
     brute_ser,
+    layout_cases,
     make_instance,
     parent_build,
     parent_idloss_from_curves,
@@ -78,31 +79,6 @@ class TestBuild:
         assert np.array_equal(cs.breakpoints, cs_pooled.breakpoints)
         assert np.allclose(cs.ser.sum(axis=0), cs_pooled.ser[0], rtol=1e-12, atol=1e-12)
         assert np.array_equal(cs.count.sum(axis=0), cs_pooled.count[0])
-
-
-@st.composite
-def layout_cases(draw):
-    """A dataset with tied targets and possibly empty groups, a relevance
-    function with possibly flat stretches, and a sequence of predictions."""
-    n_attrs = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 40))
-    levels = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=n))
-    y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))) / 4.0
-    bits = st.lists(st.integers(0, 1), min_size=n_attrs, max_size=n_attrs)
-    prot = np.array(draw(st.lists(bits, min_size=n, max_size=n)))
-    full = dataset.from_arrays(np.zeros((n, 1)), y, prot)
-    # a row subset keeps the full catalog, so groups can be empty
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    ds = full.subset(np.nonzero(keep)[0]) if any(keep) else full
-    k = draw(st.integers(2, 4))
-    knots = sorted(draw(st.lists(st.integers(-24, 24), min_size=k, max_size=k, unique=True)))
-    rel = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
-                        min_size=k, max_size=k))
-    phi = relevance.from_points([(t / 4.0, r) for t, r in zip(knots, rel)])
-    noise = st.lists(st.sampled_from([0.0, 0.5, -1.0]) | st.floats(-3.0, 3.0),
-                     min_size=ds.n, max_size=ds.n)
-    preds = [ds.targets + np.array(draw(noise)) for _ in range(draw(st.integers(1, 4)))]
-    return ds, phi, preds
 
 
 class TestAgainstPerCallBuild:

@@ -131,6 +131,18 @@ class TestRun:
         hub = table.models.index("huber")
         assert np.allclose(table.mean[hub], 2.0)  # last of two, every run
 
+    def test_non_interdiv_error_propagates(self, tmp_path, monkeypatch):
+        cfg = harness.config_from_file(write_experiment(tmp_path, models="mse"))
+
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("fault in the program")
+
+        monkeypatch.setattr(harness, "fit_model", broken_fit)
+        with pytest.raises(RuntimeError, match="fault in the program"):
+            harness.run(cfg)
+        assert not os.path.exists(os.path.join(cfg.out_dir, "ranks.csv"))
+        assert not os.path.exists(os.path.join(cfg.out_dir, "raw_metrics.csv"))
+
     def test_unknown_model_name_rejected(self, tmp_path):
         cfg_path = write_experiment(tmp_path, models="mse, quantile")
         with pytest.raises(ValidationError):
