@@ -38,8 +38,8 @@ class ApproxParams:
     min_points: int = 2        # floor on retained points per curve
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ParameterError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:  # NaN fails this comparison too
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma!r}")
         if not 0.0 < self.grid_step < 1.0:
             raise ParameterError("grid_step must be in (0, 1)")
         if self.min_points < 2:

@@ -51,8 +51,10 @@ class BoostParams:
             raise ValidationError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
-        if self.min_child_hessian < 0 or self.l2_lambda < 0 or self.hess_floor < 0:
-            raise ValidationError("min_child_hessian, l2_lambda, hess_floor must be >= 0")
+        for name in ("min_child_hessian", "l2_lambda", "hess_floor"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:  # NaN fails this comparison too
+                raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 @dataclass

@@ -3,6 +3,9 @@
 An experiment fits every configured model on ``runs`` independent
 train/test splits (seeded ``base_seed + run``), scores each test prediction
 with the full fairness report, and aggregates per-metric ranks across runs.
+Within a run each objective's ensemble is fitted once and shared by every
+model that uses it: an ``idboost_<w>`` model mixes the ensembles of the
+standalone ``idloss`` and ``sera`` models.
 A model that raises an ``InterdivError`` during a run is recorded as failed
 and ranked last for every metric of that run rather than aborting the
 experiment. Any other exception is a fault of the program, not of the
@@ -26,6 +29,8 @@ from .errors import InputError, InterdivError, ValidationError
 from .losses import make_objective
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
+# the numeric measures of a metrics.FairnessReport
+METRIC_NAMES = ("mse", "mae", "sera", "id", "delta_bgl", "sp")
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,11 @@ class ExperimentConfig:
             raise ValidationError("at least one model is required")
         for name in self.models:
             _parse_model_name(name)  # typos abort here, not mid-experiment
+        for name in self.metric_names:
+            if name not in METRIC_NAMES:
+                raise ValidationError(
+                    f"unknown metric name {name!r}; expected one of {METRIC_NAMES}"
+                )
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -130,6 +140,27 @@ def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w=None,
     return gbt.fit(ds, obj, params)
 
 
+def _ensemble(fitted: dict, objective: str, train, phi, cfg: ExperimentConfig):
+    """The run's ensemble for ``objective``, fitted on first use.
+
+    ``fitted`` maps each objective fitted so far in the run to its ensemble,
+    or to the ``InterdivError`` its fit raised, which is raised again for
+    every model that needs it.
+    """
+    if objective not in fitted:
+        try:
+            fitted[objective] = fit_model(
+                train, phi, cfg.boost, objective,
+                huber_delta=cfg.huber_delta, fast=cfg.fast,
+            )
+        except InterdivError as exc:
+            fitted[objective] = exc
+    found = fitted[objective]
+    if isinstance(found, InterdivError):
+        raise found
+    return found
+
+
 def _split(ds, cfg: ExperimentConfig, r: int):
     """Run ``r``'s train/test split and the relevance function for it."""
     train, test = dataset_mod.split(
@@ -191,12 +222,20 @@ def run(cfg: ExperimentConfig):
         train, test, phi = _split(ds, cfg, r)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
+        fitted = {}
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:
-                _, objective, w = _parse_model_name(name)
-                model = fit_model(train, phi, cfg.boost, objective, w,
-                                  cfg.huber_delta, cfg.fast)
+                kind, objective, w = _parse_model_name(name)
+                if kind == "idboost":
+                    idboost.check_fit(train, w)
+                    model = idboost.IdBoostModel(
+                        id_ensemble=_ensemble(fitted, "idloss", train, phi, cfg),
+                        sera_ensemble=_ensemble(fitted, "sera", train, phi, cfg),
+                        w=float(w),
+                    )
+                else:
+                    model = _ensemble(fitted, objective, train, phi, cfg)
                 preds = model.predict(test.features)
                 report = metrics.full_report(test, preds, phi)
                 for k, metric in enumerate(cfg.metric_names):
@@ -275,20 +314,24 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
         )
     curve_dir = os.path.join(cfg.out_dir, "curves")
     os.makedirs(curve_dir, exist_ok=True)
+    # a run's test rows and relevance, and so its layout, do not depend on
+    # the model: neither do the union grid nor each group's row template
+    # (t and group formatted, the value left as %.17g)
+    layouts = []
+    for r in range(cfg.n_runs):
+        _, test, phi = _split(ds, cfg, r)
+        layouts.append(curves_mod.CurveLayout(test, phi))
+    grid = np.unique(np.concatenate([layout.breakpoints for layout in layouts]))
+    ts = [f"{t:.17g}" for t in grid.tolist()]
+    rows = ["".join(f"{t},{g},%.17g\n" for t in ts) for g in range(ds.n_groups)]
     out = {}
     for name in cfg.models:
-        per_run = []
-        for r in range(cfg.n_runs):
-            _, test, phi = _split(ds, cfg, r)
-            preds = np.atleast_1d(
-                np.loadtxt(
-                    os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv"),
-                    skiprows=1,
-                )
-            )
-            per_run.append(curves_mod.build(test, preds, phi))
-        grid = np.unique(np.concatenate([c.breakpoints for c in per_run]))
-        ts = grid.tolist()
+        per_run = [
+            layout.curves(np.atleast_1d(np.loadtxt(
+                os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv"), skiprows=1,
+            )))
+            for r, layout in enumerate(layouts)
+        ]
         path = os.path.join(curve_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,group,normalized_ser\n")
@@ -299,6 +342,6 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
                     acc += np.where(cnt_v > 0, ser_v / np.maximum(cnt_v, 1), 0.0)
                 acc /= len(per_run)
                 # one formatted block and one write per group, as in export_curves
-                fh.write("".join(f"{t:.17g},{g},{v:.17g}\n" for t, v in zip(ts, acc.tolist())))
+                fh.write(rows[g] % tuple(acc.tolist()))
         out[name] = path
     return out

@@ -82,6 +82,20 @@ class IdBoostModel:
             return IdBoostModel.from_dict(json.load(fh))
 
 
+def check_fit(ds: GroupedDataset, w: float) -> None:
+    """The checks a fit makes before training either ensemble.
+
+    Anything that assembles a model from separately fitted component
+    ensembles makes them first too, so it fails as ``fit`` would.
+    """
+    if not 0.0 <= w <= 1.0:
+        raise ValidationError(f"fairness weight w must be in [0, 1], got {w!r}")
+    if np.count_nonzero(ds.group_counts()) < 2:
+        raise UndefinedMetricError(
+            "the divergence loss needs at least 2 populated groups"
+        )
+
+
 def fit(
     ds: GroupedDataset,
     phi: RelevanceFunction,
@@ -91,12 +105,7 @@ def fit(
     approx_params=None,
 ) -> IdBoostModel:
     """Train both component ensembles with shared params and seed."""
-    if not 0.0 <= w <= 1.0:
-        raise ValidationError(f"fairness weight w must be in [0, 1], got {w!r}")
-    if np.count_nonzero(ds.group_counts()) < 2:
-        raise UndefinedMetricError(
-            "the divergence loss needs at least 2 populated groups"
-        )
+    check_fit(ds, w)
     floor = params.hess_floor if hess_floor is None else hess_floor
     id_obj = IdLossObjective(ds, phi, hess_floor=floor, approx_params=approx_params)
     sera_obj = SeraObjective(ds, phi)

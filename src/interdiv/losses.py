@@ -82,7 +82,11 @@ def idloss_sample_weights(curves: SerCurveSet) -> np.ndarray:
     best one, and each sample accumulates the contributions of the intervals
     its relevance reaches. Cost O(n + |A| * intervals).
     """
-    pattern = argmin_pattern(curves)
+    return _sample_weights(curves, argmin_pattern(curves))
+
+
+def _sample_weights(curves: SerCurveSet, pattern: np.ndarray) -> np.ndarray:
+    """``idloss_sample_weights`` for the curves' known best-group pattern."""
     dt = curves.interval_widths
     cand = curves.count > 0
     gids = np.arange(curves.n_groups)[:, None]
@@ -137,8 +141,8 @@ class HuberObjective:
 
     def __init__(self, ds: GroupedDataset, delta: float = 1.0,
                  hess_floor: float = DEFAULT_HESS_FLOOR):
-        if delta <= 0:
-            raise ValidationError("huber delta must be positive")
+        if not 0.0 < delta < np.inf:  # NaN fails this comparison too
+            raise ValidationError(f"huber delta must be positive and finite, got {delta!r}")
         self._ds = ds
         self.delta = delta
         self.hess_floor = hess_floor
@@ -224,8 +228,9 @@ class IdLossObjective:
         value = idloss_from_curves(cs)
         if self._sgrid is None:
             self.eval_points += len(cs.breakpoints) - 1
-            self._note_pattern(argmin_pattern(cs))
-            w = idloss_sample_weights(cs)
+            pattern = argmin_pattern(cs)
+            self._note_pattern(pattern)
+            w = _sample_weights(cs, pattern)
         else:
             w, pattern, n_segments = _simplified_sample_weights(cs, self._sgrid)
             self.eval_points += n_segments

@@ -6,18 +6,21 @@ dense midpoint grids, interpolation from a scalar Hermite formula, and CSV
 loading from the row-at-a-time loader that the column-wise one replaced,
 curves and divergence-loss gradients from the per-call curve build that the
 curve layout replaced, curve simplification from the per-group loop that the
-per-layout grid replaced, and trees from the per-node sorting growth that
-the presorted one replaced.
+per-layout grid replaced, trees from the per-node sorting growth that the
+presorted one replaced, and experiment outputs from the per-model fits and
+curve builds that the shared ensembles and layouts replaced.
 """
 import csv
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from interdiv import dataset, relevance
+from interdiv import curves as curves_mod
+from interdiv import dataset, harness, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
 from interdiv.curves import argmin_pattern
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
@@ -25,6 +28,7 @@ from interdiv.errors import (
     DegenerateAttributeError,
     EmptyDataError,
     InputError,
+    InterdivError,
     ParameterError,
     SchemaError,
     UndefinedMetricError,
@@ -721,3 +725,114 @@ def parent_grow_tree(X, g, h, params: BoostParams) -> Tree:
         right=np.asarray(right, dtype=np.int64),
         value=np.asarray(value, dtype=float),
     )
+
+
+# The experiment runner and the averaged-curve export as they stood before
+# ``harness.run`` fitted each distinct ensemble once per run and
+# ``harness.export_id_curves`` built each run's test layout once: every model
+# is fitted on its own (a dual ensemble through ``idboost.fit``) and every
+# model x run splits the data and builds its curves again. Kept verbatim
+# (renamed, with the harness helpers they call qualified) as the reference
+# for the differential test. Nothing under src/ imports them.
+def parent_run(cfg):
+    """Execute the experiment; returns (RankTable, raw metric rows)."""
+    ds = dataset.load_csv(cfg.data, cfg.schema)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    n_models = len(cfg.models)
+    n_metrics = len(cfg.metric_names)
+    raw_rows = []
+    values = np.full((cfg.n_runs, n_models, n_metrics), np.inf)
+    for r in range(cfg.n_runs):
+        train, test, phi = harness._split(ds, cfg, r)
+        run_dir = os.path.join(cfg.out_dir, f"run_{r}")
+        os.makedirs(run_dir, exist_ok=True)
+        for m, name in enumerate(cfg.models):
+            status = "ok"
+            try:
+                _, objective, w = harness._parse_model_name(name)
+                model = harness.fit_model(train, phi, cfg.boost, objective, w,
+                                          cfg.huber_delta, cfg.fast)
+                preds = model.predict(test.features)
+                report = metrics.full_report(test, preds, phi)
+                for k, metric in enumerate(cfg.metric_names):
+                    values[r, m, k] = harness._report_metric(report, metric)
+                np.savetxt(
+                    os.path.join(run_dir, f"preds_{name}.csv"),
+                    preds,
+                    fmt="%.17g",
+                    header="pred",
+                    comments="",
+                )
+                model.to_json(os.path.join(run_dir, f"model_{name}.json"))
+            except InterdivError as exc:
+                status = f"failed: {exc}"
+            raw_rows.append(
+                {
+                    "run": r,
+                    "seed": cfg.base_seed + r,
+                    "model": name,
+                    "status": status,
+                    **{
+                        metric: values[r, m, k]
+                        for k, metric in enumerate(cfg.metric_names)
+                    },
+                }
+            )
+    ranks = np.empty_like(values)
+    for r in range(cfg.n_runs):
+        for k in range(n_metrics):
+            ranks[r, :, k] = harness.rank_with_ties(values[r, :, k])
+    table = harness.RankTable(
+        models=cfg.models,
+        metric_names=cfg.metric_names,
+        mean=ranks.mean(axis=0),
+        std=ranks.std(axis=0, ddof=1) if cfg.n_runs > 1 else np.zeros((n_models, n_metrics)),
+        ranks=ranks,
+    )
+    harness._write_raw_csv(os.path.join(cfg.out_dir, "raw_metrics.csv"), cfg, raw_rows)
+    table.to_csv(os.path.join(cfg.out_dir, "ranks.csv"))
+    return table, raw_rows
+
+
+def parent_export_id_curves(cfg) -> dict:
+    """Average each model's normalized group curves across completed runs."""
+    ds = dataset.load_csv(cfg.data, cfg.schema)
+    missing = []
+    for r in range(cfg.n_runs):
+        for name in cfg.models:
+            p = os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv")
+            if not os.path.exists(p):
+                missing.append(f"run_{r}/{name}")
+    if missing:
+        raise InputError(
+            "missing saved predictions for: " + ", ".join(missing)
+        )
+    curve_dir = os.path.join(cfg.out_dir, "curves")
+    os.makedirs(curve_dir, exist_ok=True)
+    out = {}
+    for name in cfg.models:
+        per_run = []
+        for r in range(cfg.n_runs):
+            _, test, phi = harness._split(ds, cfg, r)
+            preds = np.atleast_1d(
+                np.loadtxt(
+                    os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv"),
+                    skiprows=1,
+                )
+            )
+            per_run.append(curves_mod.build(test, preds, phi))
+        grid = np.unique(np.concatenate([c.breakpoints for c in per_run]))
+        ts = grid.tolist()
+        path = os.path.join(curve_dir, f"{name}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t,group,normalized_ser\n")
+            for g in range(ds.n_groups):
+                acc = np.zeros(len(grid))
+                for cs in per_run:
+                    ser_v, cnt_v = cs.values_at(grid, g)
+                    acc += np.where(cnt_v > 0, ser_v / np.maximum(cnt_v, 1), 0.0)
+                acc /= len(per_run)
+                # one formatted block and one write per group, as in export_curves
+                fh.write("".join(f"{t:.17g},{g},{v:.17g}\n" for t, v in zip(ts, acc.tolist())))
+        out[name] = path
+    return out

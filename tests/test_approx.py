@@ -44,6 +44,10 @@ class TestParams:
         with pytest.raises(ParameterError):
             approx.ApproxParams(sigma=0.0)
         with pytest.raises(ParameterError):
+            approx.ApproxParams(sigma=float("nan"))
+        with pytest.raises(ParameterError):
+            approx.ApproxParams(sigma=float("inf"))
+        with pytest.raises(ParameterError):
             approx.ApproxParams(grid_step=1.5)
         with pytest.raises(ParameterError):
             approx.ApproxParams(min_points=1)

@@ -143,6 +143,17 @@ class TestTrainPredictAudit:
         # the fast sweep touches far fewer cutoffs than breakpoints x rounds
         assert doc["eval_points"] < 2 * 300
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--min-child-hessian", "--hess-floor"])
+    def test_non_finite_boost_flag_fails(self, biased_dir, tmp_path, capsys, flag):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"),
+            "--objective", "mse", "--rounds", "2", flag, "nan", "--out", str(model),
+        ) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_prediction_length_mismatch_fails(self, biased_dir, tmp_path, capsys):
         bad = tmp_path / "short.csv"
         bad.write_text("pred\n1.0\n2.0\n")

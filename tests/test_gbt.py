@@ -240,6 +240,10 @@ class TestParams:
             gbt.BoostParams(max_depth=0)
         with pytest.raises(ValidationError):
             gbt.BoostParams(l2_lambda=-1.0)
+        for name in ("min_child_hessian", "l2_lambda", "hess_floor"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValidationError, match=name):
+                    gbt.BoostParams(**{name: value})
 
 
 def one_split_doc(**tree_changes):

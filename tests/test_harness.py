@@ -1,10 +1,13 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from interdiv import dataset, harness
-from interdiv.errors import InputError, ValidationError
+from interdiv.errors import InputError, UndefinedMetricError, ValidationError
+
+from conftest import parent_export_id_curves, parent_run
 
 
 def write_experiment(tmp_path, n=160, runs=2, models="mse, idboost_0.5", extra=""):
@@ -156,6 +159,128 @@ class TestRun:
         table, rows = harness.run(cfg)
         assert all(r["status"] == "ok" for r in rows)
         assert np.allclose(table.mean, 1.0)
+
+
+def read_tree(root) -> dict:
+    """Every file under ``root``, by relative path, as bytes."""
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+class TestSharedEnsembles:
+    def test_each_objective_fitted_once_per_run(self, tmp_path, monkeypatch):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=2, models="mse, idloss, sera, idboost_0.3, idboost_0.7"
+        ))
+        fit = harness.fit_model
+        objectives = []
+
+        def counted(*args, **kwargs):
+            objectives.append(args[3])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_model", counted)
+        _, rows = harness.run(cfg)
+        assert all(r["status"] == "ok" for r in rows)
+        assert sorted(objectives) == ["idloss", "idloss", "mse", "mse", "sera", "sera"]
+
+    @pytest.mark.parametrize("fast", ["false", "true"])
+    def test_outputs_equal_fitting_each_model_alone(self, tmp_path, fast):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=3,
+            models="idboost_0.3, mse, huber, idloss, sera, idboost_1.0, idboost_0",
+            extra=f"fast = {fast}",
+        ))
+        harness.run(cfg)
+        harness.export_id_curves(cfg)
+        oracle = dataclasses.replace(cfg, out_dir=str(tmp_path / "oracle"))
+        parent_run(oracle)
+        parent_export_id_curves(oracle)
+        got, want = read_tree(cfg.out_dir), read_tree(oracle.out_dir)
+        assert len(got) == 3 * 2 * 7 + 2 + 7
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert got[name] == want[name], name
+
+    def test_one_populated_training_group_keeps_failure_statuses(self, tmp_path):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=1, models="mse, idloss, sera, idboost_0.5"
+        ))
+        # two rows of group a0 = 0, and a seed that puts both in the test part
+        data = tmp_path / "data.csv"
+        lines = data.read_text().splitlines()
+        cells = [line.split(",") for line in lines[1:]]
+        for i, row in enumerate(cells):
+            row[1] = "0" if i < 2 else "1"
+        data.write_text("\n".join([lines[0], *(",".join(row) for row in cells)]) + "\n")
+        ds = dataset.load_csv(cfg.data, cfg.schema)
+        seed = next(
+            s for s in range(1000)
+            if np.count_nonzero(dataset.split(ds, cfg.train_ratio, s)[0].group_counts()) == 1
+        )
+        cfg = dataclasses.replace(cfg, base_seed=seed)
+        _, rows = harness.run(cfg)
+        assert {r["model"]: r["status"] for r in rows} == {
+            "mse": "ok",
+            "idloss": "failed: divergence loss needs at least 2 populated groups",
+            "sera": "ok",
+            "idboost_0.5": "failed: the divergence loss needs at least 2 populated groups",
+        }
+        oracle = dataclasses.replace(cfg, out_dir=str(tmp_path / "oracle"))
+        parent_run(oracle)
+        assert read_tree(cfg.out_dir) == read_tree(oracle.out_dir)
+
+    @pytest.mark.parametrize("models", ["idboost_0.5, idloss, sera", "sera, idloss, idboost_0.5"])
+    def test_cached_failures_raised_idloss_first(self, tmp_path, monkeypatch, models):
+        cfg = harness.config_from_file(write_experiment(tmp_path, runs=1, models=models))
+        objectives = []
+
+        def failing_fit(ds, phi, params, objective, *args, **kwargs):
+            objectives.append(objective)
+            raise UndefinedMetricError(f"{objective} broke")
+
+        monkeypatch.setattr(harness, "fit_model", failing_fit)
+        _, rows = harness.run(cfg)
+        assert {r["model"]: r["status"] for r in rows} == {
+            "idloss": "failed: idloss broke",
+            "sera": "failed: sera broke",
+            "idboost_0.5": "failed: idloss broke",
+        }
+        assert sorted(objectives) == ["idloss", "sera"]
+
+
+class TestConfigChecks:
+    def test_unknown_metric_rejected_before_any_fit(self, tmp_path):
+        cfg_path = write_experiment(tmp_path, models="mse", extra="metrics = mse, bogus")
+        with pytest.raises(ValidationError, match="bogus"):
+            harness.config_from_file(cfg_path)
+
+    def test_every_metric_name_accepted(self, tmp_path):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=1, models="mse", extra="metrics = " + ", ".join(harness.METRIC_NAMES)
+        ))
+        _, rows = harness.run(cfg)
+        assert all(np.isfinite(rows[0][m]) for m in harness.METRIC_NAMES)
+
+    def test_non_finite_boost_param_rejected_before_any_fit(self, tmp_path):
+        cfg_path = write_experiment(tmp_path, models="mse")
+        cfg_path.write_text(cfg_path.read_text().replace("lambda = 1e-6", "lambda = nan"))
+        with pytest.raises(ValidationError, match="l2_lambda"):
+            harness.config_from_file(cfg_path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_huber_delta_fails_the_model(self, tmp_path, value):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=1, models="mse, huber", extra=f"huber_delta = {value}"
+        ))
+        _, rows = harness.run(cfg)
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == f"failed: huber delta must be positive and finite, got {value}"
 
 
 class TestModelNameParsing:

@@ -161,6 +161,20 @@ class TestIdLossGradHess:
         assert slope < 1.35, f"gradient cost grows superlinearly: slope={slope:.2f}"
 
 
+    def test_best_group_pattern_found_once_per_round(self, rng, monkeypatch):
+        ds, phi, preds = make_instance(rng, n=50)
+        obj = losses.IdLossObjective(ds, phi)
+        calls = []
+
+        def counted(cs):
+            calls.append(cs)
+            return argmin_pattern(cs)
+
+        monkeypatch.setattr(losses, "argmin_pattern", counted)
+        obj.grad_hess(preds)
+        assert len(calls) == 1
+
+
 class TestFastPath:
     @staticmethod
     def _dominated_instance(rng, n_half=60):
@@ -279,6 +293,12 @@ class TestMseHuber:
         ds, _, _ = make_instance(rng, n=10)
         with pytest.raises(ValidationError):
             losses.HuberObjective(ds, delta=0.0)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, rng, delta):
+        ds, _, _ = make_instance(rng, n=10)
+        with pytest.raises(ValidationError, match="finite"):
+            losses.HuberObjective(ds, delta=delta)
 
 
 class TestGradHessContainer:
