@@ -20,7 +20,7 @@ from . import approx as approx_mod
 from . import config as config_mod
 from . import curves as curves_mod
 from . import dataset as dataset_mod
-from . import gbt, harness, idboost, metrics, relevance
+from . import gbt, harness, idboost, losses, metrics, relevance
 from .errors import InputError, InterdivError
 
 
@@ -45,16 +45,17 @@ def _load_dataset(args) -> dataset_mod.GroupedDataset:
     return dataset_mod.load_csv(args.data, schema)
 
 
-def _boost_params(args) -> gbt.BoostParams:
-    return gbt.BoostParams(
-        n_rounds=args.rounds,
-        learning_rate=args.eta,
-        max_depth=args.depth,
-        min_child_hessian=args.min_child_hessian,
-        l2_lambda=args.l2_lambda,
-        hess_floor=args.hess_floor,
-        seed=args.seed,
-    )
+# train's boosting flags: flag -> (BoostParams field, type); the manifest
+# records each under its flag's name
+BOOST_FLAGS = {
+    "--rounds": ("n_rounds", int),
+    "--depth": ("max_depth", int),
+    "--eta": ("learning_rate", float),
+    "--lambda": ("l2_lambda", float),
+    "--min-child-hessian": ("min_child_hessian", float),
+    "--hess-floor": ("hess_floor", float),
+    "--seed": ("seed", int),
+}
 
 
 def _read_preds(path) -> np.ndarray:
@@ -80,10 +81,10 @@ def _read_preds(path) -> np.ndarray:
 def cmd_train(args) -> int:
     ds = _load_dataset(args)
     phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
+    params = gbt.BoostParams(**{name: getattr(args, name) for name, _ in BOOST_FLAGS.values()})
     model = harness.fit_model(
-        ds, phi, _boost_params(args), args.objective,
-        w=args.w if args.model == "idboost" else None,
-        huber_delta=args.huber_delta, fast=args.fast,
+        ds, phi, params, args.objective, args.w if args.model == "idboost" else None,
+        args.huber_delta, args.fast,
     )
     model.to_json(args.out)
     _write_manifest(args.out, "train", {
@@ -92,14 +93,9 @@ def cmd_train(args) -> int:
         "model": args.model,
         "objective": args.objective,
         "w": args.w,
-        "rounds": args.rounds,
-        "depth": args.depth,
-        "eta": args.eta,
-        "lambda": args.l2_lambda,
-        "min_child_hessian": args.min_child_hessian,
-        "hess_floor": args.hess_floor,
+        **{flag[2:].replace("-", "_"): getattr(args, name)
+           for flag, (name, _) in BOOST_FLAGS.items()},
         "huber_delta": args.huber_delta,
-        "seed": args.seed,
         "fast": args.fast,
         "relevance_file": args.relevance_file,
     })
@@ -353,15 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("mse", "huber", "sera", "idloss"),
                    default="mse")
     p.add_argument("--w", type=float, default=0.5, help="idboost fairness weight")
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--lambda", dest="l2_lambda", type=float, default=1.0)
-    p.add_argument("--min-child-hessian", dest="min_child_hessian", type=float,
-                   default=0.0)
-    p.add_argument("--hess-floor", dest="hess_floor", type=float, default=1e-6)
-    p.add_argument("--huber-delta", dest="huber_delta", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    boost = gbt.BoostParams()
+    for flag, (name, kind) in BOOST_FLAGS.items():
+        p.add_argument(flag, dest=name, type=kind, default=getattr(boost, name))
+    p.add_argument("--huber-delta", dest="huber_delta", type=float,
+                   default=losses.DEFAULT_HUBER_DELTA)
     p.add_argument("--fast", action="store_true",
                    help="use simplified curves inside the divergence objective")
     p.add_argument("--out", required=True)
@@ -412,8 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", type=int, default=1, choices=(1, 2))
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--w", type=float, default=0.5)
-    p.add_argument("--sigma", type=float, default=1e-2)
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=1e-3)
+    approx = approx_mod.ApproxParams()
+    p.add_argument("--sigma", type=float, default=approx.sigma)
+    p.add_argument("--grid-step", dest="grid_step", type=float, default=approx.grid_step)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench_approx)

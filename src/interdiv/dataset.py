@@ -420,8 +420,8 @@ def synth_imbalanced_scenario(n_per_group: int, divergence: float, seed: int):
     """
     if n_per_group < 10:
         raise ValidationError("n_per_group must be at least 10")
-    if divergence < 0:
-        raise ValidationError("divergence must be nonnegative")
+    if not 0.0 <= divergence < np.inf:  # NaN fails this comparison too
+        raise ValidationError(f"divergence must be nonnegative and finite, got {divergence!r}")
     rng = np.random.default_rng(seed)
     n = int(n_per_group)
     y = np.linspace(0.0, 10.0, n)

@@ -9,6 +9,10 @@ class SchemaError(InterdivError):
     """A required column is missing or the schema is inconsistent."""
 
 
+class ConfigError(InterdivError):
+    """A config file has a bad line or value, or an unknown, repeated or missing key."""
+
+
 class EmptyDataError(InterdivError):
     """No usable rows remain after parsing."""
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .dataset import GroupedDataset
 from .errors import DegenerateObjectiveError, InputError, ValidationError
+from .losses import DEFAULT_HESS_FLOOR
 
 FORMAT_NAME = "interdiv-ensemble"
 FORMAT_VERSION = 1
@@ -41,7 +42,7 @@ class BoostParams:
     max_depth: int = 6
     min_child_hessian: float = 0.0
     l2_lambda: float = 1.0
-    hess_floor: float = 1e-6
+    hess_floor: float = DEFAULT_HESS_FLOOR
     seed: int = 0
 
     def __post_init__(self):

@@ -26,7 +26,7 @@ from . import dataset as dataset_mod
 from . import gbt, idboost, metrics, relevance
 from .approx import ApproxParams
 from .errors import InputError, InterdivError, ValidationError
-from .losses import make_objective
+from .losses import DEFAULT_HUBER_DELTA, make_objective
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
 # the numeric measures of a metrics.FairnessReport
@@ -44,7 +44,7 @@ class ExperimentConfig:
     base_seed: int = 0
     metric_names: tuple[str, ...] = DEFAULT_METRICS
     boost: gbt.BoostParams = field(default_factory=gbt.BoostParams)
-    huber_delta: float = 1.0
+    huber_delta: float = DEFAULT_HUBER_DELTA
     relevance_file: str | None = None
     fast: bool = False
     stratify_groups: bool = False
@@ -66,40 +66,18 @@ class ExperimentConfig:
 
 
 def config_from_file(path) -> ExperimentConfig:
-    kv = config_mod.parse_kv_file(path)
-    schema = config_mod.schema_from_mapping(kv)
-    if "data" not in kv:
-        raise ValidationError("experiment config is missing the 'data' key")
-    if "models" not in kv:
-        raise ValidationError("experiment config is missing the 'models' key")
+    """Read an experiment config; relative paths resolve against its directory."""
+    found = config_mod.read(path, config_mod.EXPERIMENT_KEYS, config_mod.EXPERIMENT_REQUIRED)
+    top = found.setdefault("", {})
+    top.setdefault("out_dir", "out")
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
-    boost = gbt.BoostParams(
-        n_rounds=int(kv.get("rounds", 100)),
-        learning_rate=float(kv.get("eta", 0.1)),
-        max_depth=int(kv.get("depth", 6)),
-        min_child_hessian=float(kv.get("min_child_hessian", 0.0)),
-        l2_lambda=float(kv.get("lambda", 1.0)),
-        hess_floor=float(kv.get("hess_floor", 1e-6)),
-        seed=int(kv.get("seed", 0)),
-    )
+    for name in ("data", "out_dir", "relevance_file"):
+        if name in top:  # join keeps an absolute path as it is
+            top[name] = os.path.join(base_dir, top[name])
     return ExperimentConfig(
-        data=resolve(kv["data"]),
-        schema=schema,
-        models=tuple(config_mod.split_list(kv["models"])),
-        out_dir=resolve(kv["out"]) if "out" in kv else os.path.join(base_dir, "out"),
-        n_runs=int(kv.get("runs", 20)),
-        train_ratio=float(kv.get("train_ratio", 0.8)),
-        base_seed=int(kv.get("seed", 0)),
-        metric_names=tuple(config_mod.split_list(kv.get("metrics", ", ".join(DEFAULT_METRICS)))),
-        boost=boost,
-        huber_delta=float(kv.get("huber_delta", 1.0)),
-        relevance_file=resolve(kv["relevance_file"]) if "relevance_file" in kv else None,
-        fast=kv.get("fast", "false").lower() in ("1", "true", "yes"),
-        stratify_groups=kv.get("stratify_groups", "false").lower() in ("1", "true", "yes"),
+        **top,
+        schema=dataset_mod.DatasetSchema(**found["schema"]),
+        boost=gbt.BoostParams(**found.get("boost", {})),
     )
 
 
@@ -119,8 +97,8 @@ def _parse_model_name(name: str):
     raise ValidationError(f"unknown model name {name!r}")
 
 
-def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w=None,
-              huber_delta: float = 1.0, fast: bool = False):
+def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
+              huber_delta: float, fast: bool):
     """Fit one model: the dual ensemble for a fairness weight ``w``, else a
     single ensemble on ``objective``.
 
@@ -150,8 +128,7 @@ def _ensemble(fitted: dict, objective: str, train, phi, cfg: ExperimentConfig):
     if objective not in fitted:
         try:
             fitted[objective] = fit_model(
-                train, phi, cfg.boost, objective,
-                huber_delta=cfg.huber_delta, fast=cfg.fast,
+                train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast
             )
         except InterdivError as exc:
             fitted[objective] = exc

@@ -101,13 +101,11 @@ def fit(
     phi: RelevanceFunction,
     params: gbt.BoostParams,
     w: float,
-    hess_floor: float | None = None,
     approx_params=None,
 ) -> IdBoostModel:
     """Train both component ensembles with shared params and seed."""
     check_fit(ds, w)
-    floor = params.hess_floor if hess_floor is None else hess_floor
-    id_obj = IdLossObjective(ds, phi, hess_floor=floor, approx_params=approx_params)
+    id_obj = IdLossObjective(ds, phi, hess_floor=params.hess_floor, approx_params=approx_params)
     sera_obj = SeraObjective(ds, phi)
     id_ens = gbt.fit(ds, id_obj, params)
     sera_ens = gbt.fit(ds, sera_obj, params)

@@ -30,6 +30,7 @@ from .errors import InputError, UndefinedMetricError, ValidationError
 from .relevance import RelevanceFunction
 
 DEFAULT_HESS_FLOOR = 1e-6
+DEFAULT_HUBER_DELTA = 1.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ class MseObjective:
 class HuberObjective:
     name = "huber"
 
-    def __init__(self, ds: GroupedDataset, delta: float = 1.0,
+    def __init__(self, ds: GroupedDataset, delta: float = DEFAULT_HUBER_DELTA,
                  hess_floor: float = DEFAULT_HESS_FLOOR):
         if not 0.0 < delta < np.inf:  # NaN fails this comparison too
             raise ValidationError(f"huber delta must be positive and finite, got {delta!r}")
@@ -284,7 +285,7 @@ def make_objective(
     name: str,
     ds: GroupedDataset,
     phi: RelevanceFunction | None = None,
-    huber_delta: float = 1.0,
+    huber_delta: float = DEFAULT_HUBER_DELTA,
     hess_floor: float = DEFAULT_HESS_FLOOR,
     approx_params=None,
 ):
