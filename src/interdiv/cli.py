@@ -12,8 +12,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from operator import attrgetter
 
 from . import __version__
 from . import approx as approx_mod
@@ -45,37 +44,25 @@ def _load_dataset(args) -> dataset_mod.GroupedDataset:
     return dataset_mod.load_csv(args.data, schema)
 
 
-# train's boosting flags: flag -> (BoostParams field, type); the manifest
-# records each under its flag's name
+def _load_scored(args):
+    """The dataset, the predictions read from ``--preds`` and the relevance function."""
+    ds = _load_dataset(args)
+    preds = dataset_mod.read_preds(args.preds)
+    if len(preds) != ds.n:
+        raise InputError(
+            f"prediction length {len(preds)} does not match dataset length {ds.n}"
+        )
+    return ds, preds, relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
+
+
+# train's boosting flags, one per ``boost.*`` experiment config key:
+# flag -> (BoostParams field, converter); the manifest records each under
+# its config key
 BOOST_FLAGS = {
-    "--rounds": ("n_rounds", int),
-    "--depth": ("max_depth", int),
-    "--eta": ("learning_rate", float),
-    "--lambda": ("l2_lambda", float),
-    "--min-child-hessian": ("min_child_hessian", float),
-    "--hess-floor": ("hess_floor", float),
-    "--seed": ("seed", int),
+    f"--{key.replace('_', '-')}": (target[len("boost."):], convert)
+    for key, (convert, *targets) in config_mod.EXPERIMENT_KEYS.items()
+    for target in targets if target.startswith("boost.")
 }
-
-
-def _read_preds(path) -> np.ndarray:
-    with open(path, encoding="utf-8-sig") as fh:
-        first = fh.readline().strip()
-        rows = [line.strip() for line in fh if line.strip()]
-    try:
-        float(first.split(",")[0])
-    except ValueError:
-        pass  # header line
-    else:
-        rows.insert(0, first)
-    fields = [line.split(",")[0] for line in rows]
-    vals, bad = dataset_mod.parse_floats(fields)
-    for i in bad:  # non-finite values parse; the commands reject them later
-        try:
-            float(fields[i])
-        except ValueError as exc:
-            raise InputError(f"bad prediction row {rows[i]!r} in {path}") from exc
-    return vals
 
 
 def cmd_train(args) -> int:
@@ -116,16 +103,11 @@ def _load_model(path):
     raise InputError(f"unrecognized model format {fmt!r} in {path}")
 
 
-def _write_preds(path, preds) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
-
-
 def cmd_predict(args) -> int:
     ds = _load_dataset(args)
     model = _load_model(args.model)
     preds = model.predict(ds.features)
-    _write_preds(args.out, preds)
+    dataset_mod.write_preds(args.out, preds)
     _write_manifest(args.out, "predict", {
         "data": args.data, "config": args.config, "model": args.model,
     })
@@ -134,13 +116,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    ds = _load_dataset(args)
-    preds = _read_preds(args.preds)
-    if len(preds) != ds.n:
-        raise InputError(
-            f"prediction length {len(preds)} does not match dataset length {ds.n}"
-        )
-    phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
+    ds, preds, phi = _load_scored(args)
     report = metrics.full_report(ds, preds, phi)
     payload = report.to_json()
     if args.out:
@@ -193,27 +169,13 @@ def _print_human_report(report: metrics.FairnessReport) -> None:
 def cmd_experiment(args) -> int:
     cfg = harness.config_from_file(args.config)
     table, _ = harness.run(cfg)
-    _write_manifest(cfg.out_dir, "experiment", {
-        "config": os.path.abspath(args.config),
-        "data": cfg.data,
-        "models": list(cfg.models),
-        "runs": cfg.n_runs,
-        "train_ratio": cfg.train_ratio,
-        "seed": cfg.base_seed,
-        "metrics": list(cfg.metric_names),
-        "boost": {
-            "rounds": cfg.boost.n_rounds,
-            "eta": cfg.boost.learning_rate,
-            "depth": cfg.boost.max_depth,
-            "min_child_hessian": cfg.boost.min_child_hessian,
-            "lambda": cfg.boost.l2_lambda,
-            "hess_floor": cfg.boost.hess_floor,
-        },
-        "huber_delta": cfg.huber_delta,
-        "fast": cfg.fast,
-        "stratify_groups": cfg.stratify_groups,
-        "relevance_file": cfg.relevance_file,
-    })
+    # the run plan under its config keys, the boost.* ones nested under boost
+    params = {"config": os.path.abspath(args.config), "boost": {}}
+    for key, (_, target, *_) in config_mod.EXPERIMENT_KEYS.items():
+        if key not in config_mod.SCHEMA_KEYS and key != "out":
+            place = params["boost"] if target.startswith("boost.") else params
+            place[key] = attrgetter(target)(cfg)
+    _write_manifest(cfg.out_dir, "experiment", params)
     for i, model in enumerate(table.models):
         cells = " ".join(
             f"{m}={table.mean[i, j]:.2f}±{table.std[i, j]:.2f}"
@@ -234,13 +196,7 @@ def cmd_curves(args) -> int:
         for name, path in paths.items():
             print(f"curves[{name}] -> {path}")
         return 0
-    ds = _load_dataset(args)
-    preds = _read_preds(args.preds)
-    if len(preds) != ds.n:
-        raise InputError(
-            f"prediction length {len(preds)} does not match dataset length {ds.n}"
-        )
-    phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
+    ds, preds, phi = _load_scored(args)
     cs = curves_mod.build(ds, preds, phi)
     curves_mod.export_curves(cs, args.out)
     _write_manifest(args.out, "curves", {
@@ -260,7 +216,7 @@ def cmd_synth(args) -> int:
             args.n, args.divergence, args.seed
         )
         preds_path = os.path.join(args.out, "preds.csv")
-        _write_preds(preds_path, preds)
+        dataset_mod.write_preds(preds_path, preds)
     else:
         ds = dataset_mod.synth_biased(args.n, args.seed, n_protected=args.attributes)
     _write_dataset_csv(data_path, ds)
@@ -346,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model")
     add_data_args(p)
     p.add_argument("--model", choices=("ensemble", "idboost"), default="ensemble")
-    p.add_argument("--objective", choices=("mse", "huber", "sera", "idloss"),
-                   default="mse")
+    p.add_argument("--objective", choices=losses.OBJECTIVE_NAMES, default="mse")
     p.add_argument("--w", type=float, default=0.5, help="idboost fairness weight")
     boost = gbt.BoostParams()
     for flag, (name, kind) in BOOST_FLAGS.items():

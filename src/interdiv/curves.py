@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .dataset import GroupedDataset
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, UndefinedMetricError
 from .relevance import RelevanceFunction, evaluate
 
 
@@ -44,6 +44,18 @@ def check_preds(ds: GroupedDataset, preds) -> np.ndarray:
     if bad.size:
         raise InputError(f"non-finite prediction at sample index {int(bad[0])}")
     return preds
+
+
+def require_two_groups(ds: GroupedDataset, subject: str) -> None:
+    """Raise ``UndefinedMetricError`` unless two groups of ``ds`` have samples."""
+    if np.count_nonzero(ds.group_counts()) < 2:
+        raise UndefinedMetricError(f"{subject} needs at least 2 populated groups")
+
+
+def normalize(ser, count) -> np.ndarray:
+    """Normalized curve values ser / count, 0 where a group is empty."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(count > 0, ser / np.maximum(count, 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -150,10 +162,6 @@ class SerCurveSet:
     def interval_widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
-    def group_sizes(self) -> np.ndarray:
-        """Total samples per group (|D_alpha|, the t = 0 count)."""
-        return np.bincount(self.sample_group, minlength=self.n_groups)
-
     def values_at(self, ts, group: int):
         """Curve values (ser, count) at cutoffs ``ts``, inclusive semantics."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -173,8 +181,7 @@ class SerCurveSet:
         """
         out = self.__dict__.get("_normalized")
         if out is None:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.where(self.count > 0, self.ser / np.maximum(self.count, 1), 0.0)
+            out = normalize(self.ser, self.count)
             out.setflags(write=False)
             object.__setattr__(self, "_normalized", out)
         return out
@@ -255,6 +262,6 @@ def export_curves(curves: SerCurveSet, path) -> None:
         fh.write("t,group,ser,count,normalized_ser\n")
         for g in range(curves.n_groups):
             ser_v, cnt_v = curves.values_at(curves.breakpoints, g)
-            norm = np.divide(ser_v, cnt_v, out=np.zeros(len(t)), where=cnt_v > 0)
+            norm = normalize(ser_v, cnt_v)
             row = f"%.17g,{g},%.17g,%d,%.17g\n"
             fh.write("".join(row % r for r in zip(t, ser_v.tolist(), cnt_v.tolist(), norm.tolist())))

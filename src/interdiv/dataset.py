@@ -377,6 +377,43 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     )
 
 
+def read_preds(path) -> np.ndarray:
+    """The first column of a predictions CSV; a header line is optional.
+
+    Blank lines are skipped. Non-finite values are read as they are, for
+    the caller to reject; a row that is not a number is an ``InputError``.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        first = fh.readline().strip()
+        rows = [line.strip() for line in fh if line.strip()]
+    try:
+        float(first.split(",")[0])
+    except ValueError:
+        pass  # header line
+    else:
+        rows.insert(0, first)
+    fields = [line.split(",")[0] for line in rows]
+    vals, bad = parse_floats(fields)
+    for i in bad:  # non-finite values parse; the commands reject them later
+        try:
+            float(fields[i])
+        except ValueError as exc:
+            raise InputError(f"bad prediction row {rows[i]!r} in {path}") from exc
+    return vals
+
+
+def write_preds(path, preds) -> None:
+    """Write a ``pred`` header and one ``%.17g`` value per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_groups: bool = False):
     """Reproducible uniform random split into (train, test).
 
@@ -385,7 +422,7 @@ def split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_groups: bo
     """
     if not 0.0 < train_ratio < 1.0:
         raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if stratify_groups:
         train_ids = []
         test_ids = []
@@ -422,7 +459,7 @@ def synth_imbalanced_scenario(n_per_group: int, divergence: float, seed: int):
         raise ValidationError("n_per_group must be at least 10")
     if not 0.0 <= divergence < np.inf:  # NaN fails this comparison too
         raise ValidationError(f"divergence must be nonnegative and finite, got {divergence!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = int(n_per_group)
     y = np.linspace(0.0, 10.0, n)
     phi = relevance.from_boxplot(y)
@@ -475,7 +512,7 @@ def synth_biased(
         raise ValidationError("n must be at least 50")
     if n_protected not in (1, 2):
         raise ValidationError("n_protected must be 1 or 2")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     a1 = (rng.random(n) < 0.6).astype(np.uint8)
     cols = [a1]
     if n_protected == 2:

@@ -52,6 +52,8 @@ class BoostParams:
             raise ValidationError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ValidationError("max_depth must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("min_child_hessian", "l2_lambda", "hess_floor"):
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:  # NaN fails this comparison too
@@ -326,6 +328,13 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
         if not np.any(h > 0):
             raise DegenerateObjectiveError(
                 "all Hessians are zero after flooring; objective carries no curvature"
+            )
+        with np.errstate(over="ignore"):
+            h_total = h.sum()
+        if not np.isfinite(h_total):  # else the split search takes inf - inf
+            raise DegenerateObjectiveError(
+                f"the Hessians floored at hess_floor={params.hess_floor!r} "
+                "do not sum to a finite number"
             )
         tree, update = _grow_tree(X, g, h, presorted, params)
         preds = preds + params.learning_rate * update

@@ -26,7 +26,7 @@ from . import dataset as dataset_mod
 from . import gbt, idboost, metrics, relevance
 from .approx import ApproxParams
 from .errors import InputError, InterdivError, ValidationError
-from .losses import DEFAULT_HUBER_DELTA, make_objective
+from .losses import DEFAULT_HUBER_DELTA, OBJECTIVE_NAMES, make_objective
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
 # the numeric measures of a metrics.FairnessReport
@@ -86,7 +86,7 @@ def _parse_model_name(name: str):
     low = name.lower()
     if low.startswith("xgb_"):
         low = low[4:]
-    if low in ("mse", "huber", "sera", "idloss"):
+    if low in OBJECTIVE_NAMES:
         return ("ensemble", low, None)
     if low.startswith("idboost"):
         tail = low[len("idboost"):].lstrip("_")
@@ -217,13 +217,7 @@ def run(cfg: ExperimentConfig):
                 report = metrics.full_report(test, preds, phi)
                 for k, metric in enumerate(cfg.metric_names):
                     values[r, m, k] = _report_metric(report, metric)
-                np.savetxt(
-                    os.path.join(run_dir, f"preds_{name}.csv"),
-                    preds,
-                    fmt="%.17g",
-                    header="pred",
-                    comments="",
-                )
+                dataset_mod.write_preds(os.path.join(run_dir, f"preds_{name}.csv"), preds)
                 model.to_json(os.path.join(run_dir, f"model_{name}.json"))
             except InterdivError as exc:
                 status = f"failed: {exc}"
@@ -304,9 +298,9 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     out = {}
     for name in cfg.models:
         per_run = [
-            layout.curves(np.atleast_1d(np.loadtxt(
-                os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv"), skiprows=1,
-            )))
+            layout.curves(dataset_mod.read_preds(
+                os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv")
+            ))
             for r, layout in enumerate(layouts)
         ]
         path = os.path.join(curve_dir, f"{name}.csv")
@@ -315,8 +309,7 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
             for g in range(ds.n_groups):
                 acc = np.zeros(len(grid))
                 for cs in per_run:
-                    ser_v, cnt_v = cs.values_at(grid, g)
-                    acc += np.where(cnt_v > 0, ser_v / np.maximum(cnt_v, 1), 0.0)
+                    acc += curves_mod.normalize(*cs.values_at(grid, g))
                 acc /= len(per_run)
                 # one formatted block and one write per group, as in export_curves
                 fh.write(rows[g] % tuple(acc.tolist()))

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import gbt
 from .dataset import GroupedDataset
-from .errors import InputError, UndefinedMetricError, ValidationError
+from .curves import require_two_groups
+from .errors import InputError, ValidationError
 from .losses import IdLossObjective, SeraObjective
 from .relevance import RelevanceFunction
 
@@ -90,10 +91,7 @@ def check_fit(ds: GroupedDataset, w: float) -> None:
     """
     if not 0.0 <= w <= 1.0:
         raise ValidationError(f"fairness weight w must be in [0, 1], got {w!r}")
-    if np.count_nonzero(ds.group_counts()) < 2:
-        raise UndefinedMetricError(
-            "the divergence loss needs at least 2 populated groups"
-        )
+    require_two_groups(ds, "the divergence loss")
 
 
 def fit(

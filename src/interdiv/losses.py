@@ -26,7 +26,7 @@ from . import curves as curves_mod
 from .approx import SimplifyGrid, _grid_intervals
 from .curves import SerCurveSet, argmin_pattern, check_preds
 from .dataset import GroupedDataset
-from .errors import InputError, UndefinedMetricError, ValidationError
+from .errors import InputError, ValidationError
 from .relevance import RelevanceFunction
 
 DEFAULT_HESS_FLOOR = 1e-6
@@ -52,16 +52,9 @@ class GradHess:
         self.hess.setflags(write=False)
 
 
-def _require_two_groups(curves: SerCurveSet) -> None:
-    if np.count_nonzero(curves.group_sizes()) < 2:
-        raise UndefinedMetricError(
-            "divergence loss needs at least 2 populated groups"
-        )
-
-
 def idloss_from_curves(curves: SerCurveSet) -> float:
     """Exact sweep evaluation of the divergence loss from built curves."""
-    _require_two_groups(curves)
+    curves_mod.require_two_groups(curves.layout.ds, "divergence loss")
     norm, cand, vmin, _ = curves.extremes()
     any_cand = cand.any(axis=0)
     total = np.where(cand, norm, 0.0).sum(axis=0)
@@ -149,9 +142,13 @@ class HuberObjective:
         self.hess_floor = hess_floor
 
     def _loss(self, r) -> float:
+        # each branch only where it holds: the other can overflow
         a = np.abs(r)
         quad = a <= self.delta
-        return float(np.sum(np.where(quad, 0.5 * r * r, self.delta * (a - 0.5 * self.delta))))
+        out = np.empty_like(r)
+        out[quad] = 0.5 * r[quad] * r[quad]
+        out[~quad] = self.delta * (a[~quad] - 0.5 * self.delta)
+        return float(np.sum(out))
 
     def value(self, preds) -> float:
         return self._loss(check_preds(self._ds, preds) - self._ds.targets)

@@ -11,7 +11,7 @@ attribute's groups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,7 @@ def intersectional_divergence(curves: SerCurveSet) -> float:
     result is nonnegative and zero exactly when all populated groups share
     one normalized curve.
     """
-    sizes = curves.group_sizes()
-    if np.count_nonzero(sizes) < 2:
-        raise UndefinedMetricError(
-            "intersectional divergence needs at least 2 populated groups"
-        )
+    curves_mod.require_two_groups(curves.layout.ds, "intersectional divergence")
     _, cand, vmin, vmax = curves.extremes()
     n_cand = cand.sum(axis=0)
     gap = np.where(n_cand >= 2, vmax - vmin, 0.0)
@@ -111,31 +107,18 @@ def group_mae_delta_pct(
     def one_row(label, mask):
         p = mask & (m_bits == 1)
         u = mask & (m_bits == 0)
-        if not p.any() or not u.any():
-            return {
-                "label": label,
-                "mae_privileged": None,
-                "mae_unprivileged": None,
-                "delta_pct": None,
-                "flag": "empty-subgroup",
-            }
-        mp = float(abs_err[p].mean())
-        mu = float(abs_err[u].mean())
-        if mu == 0.0:
-            return {
-                "label": label,
-                "mae_privileged": mp,
-                "mae_unprivileged": mu,
-                "delta_pct": None,
-                "flag": "zero-baseline",
-            }
-        return {
-            "label": label,
-            "mae_privileged": mp,
-            "mae_unprivileged": mu,
-            "delta_pct": (mp - mu) / mu * 100.0,
-            "flag": "",
-        }
+        mp = mu = delta = None
+        flag = "empty-subgroup"
+        if p.any() and u.any():
+            mp = float(abs_err[p].mean())
+            mu = float(abs_err[u].mean())
+            if mu == 0.0:
+                flag = "zero-baseline"
+            else:
+                flag = ""
+                delta = (mp - mu) / mu * 100.0
+        return {"label": label, "mae_privileged": mp, "mae_unprivileged": mu,
+                "delta_pct": delta, "flag": flag}
 
     rows = [
         one_row("all", np.ones(ds.n, dtype=bool)),
@@ -171,20 +154,7 @@ class FairnessReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "n_groups": self.n_groups,
-            "mse": self.mse,
-            "mae": self.mae,
-            "sera": self.sera,
-            "id": self.id,
-            "delta_bgl": self.delta_bgl,
-            "sp": self.sp,
-            "per_attribute": self.per_attribute,
-            "group_mae": self.group_mae,
-            "mae_delta_tables": self.mae_delta_tables,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=True)

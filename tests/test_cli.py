@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from interdiv import cli
+from interdiv import cli, dataset
 from interdiv.errors import InputError
 
 
@@ -234,6 +234,47 @@ class TestMalformedModelFile:
         assert "w must be in [0, 1], got 1.5" in err
 
 
+class TestExtremeParameterValues:
+    @pytest.mark.filterwarnings("error")
+    def test_huge_hess_floor_is_an_error(self, biased_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"),
+            "--rounds", "2", "--hess-floor", "1e308", "--out", str(model),
+        ) == 1
+        err = capsys.readouterr().err
+        assert "error: the Hessians floored at hess_floor=1e+308" in err
+        assert not model.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_huber_delta_trains_without_warnings(self, biased_dir, tmp_path):
+        assert run_cli(
+            "train", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"), "--objective", "huber",
+            "--rounds", "2", "--huber-delta", "1e308", "--out", str(tmp_path / "m.json"),
+        ) == 0
+
+    @pytest.mark.parametrize("command", ["train", "synth", "bench-approx", "experiment"])
+    def test_negative_seed_is_an_error(self, biased_dir, tmp_path, capsys, command):
+        data = ["--data", str(biased_dir / "data.csv"), "--config", str(biased_dir / "schema.cfg")]
+        argv = {
+            "train": ["train", *data, "--rounds", "1", "--seed", "-1",
+                      "--out", str(tmp_path / "m.json")],
+            "synth": ["synth", "--seed", "-1", "--out", str(tmp_path / "s")],
+            "bench-approx": ["bench-approx", "--n", "60", "--rounds", "1", "--seed", "-1"],
+            "experiment": ["experiment", "--config", str(tmp_path / "exp.cfg")],
+        }[command]
+        (tmp_path / "exp.cfg").write_text(
+            f"data = {biased_dir / 'data.csv'}\ntarget = y\nprotected = a0\n"
+            "privileged = 1\nmodels = mse\nseed = -1\n"
+        )
+        assert run_cli(*argv) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "s" / "data.csv").exists()
+
+
 class TestReadPreds:
     def test_header_is_optional(self, tmp_path):
         with_header = tmp_path / "h.csv"
@@ -241,21 +282,21 @@ class TestReadPreds:
         bare = tmp_path / "b.csv"
         bare.write_text("1.5\n-0\n2e3\n")
         for path in (with_header, bare):
-            vals = cli._read_preds(str(path))
+            vals = dataset.read_preds(str(path))
             assert vals.tolist() == [1.5, 0.0, 2000.0]
             assert np.signbit(vals[1])
 
     def test_non_finite_values_are_read(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pred\n1\ninf\nnan\n")
-        vals = cli._read_preds(str(path))
+        vals = dataset.read_preds(str(path))
         assert vals[0] == 1.0 and np.isposinf(vals[1]) and np.isnan(vals[2])
 
     def test_first_bad_row_named(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("pred\n1\ninf\noops,1\nworse\n")
         with pytest.raises(InputError, match="'oops,1'"):
-            cli._read_preds(str(path))
+            dataset.read_preds(str(path))
 
 
 class TestEndToEndFairnessGain:

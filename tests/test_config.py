@@ -7,6 +7,7 @@ default. Bad lines fail with an error naming the file, the line and the key.
 import contextlib
 import dataclasses
 import io
+import json
 import os
 import tempfile
 
@@ -185,6 +186,28 @@ class TestDefaultsStatedOnce:
         for name in names:
             assert getattr(args, name) == getattr(boost, name), name
         assert args.huber_delta == losses.DEFAULT_HUBER_DELTA
+
+    def test_train_flags_are_the_boost_config_keys(self):
+        boost_keys = {key for key, (_, *targets) in config.EXPERIMENT_KEYS.items()
+                      if any(t.startswith("boost.") for t in targets)}
+        assert set(cli.BOOST_FLAGS) == {"--" + k.replace("_", "-") for k in boost_keys}
+        assert cli.BOOST_FLAGS["--lambda"] == ("l2_lambda", float)
+        assert cli.BOOST_FLAGS["--seed"] == ("seed", int)
+
+    def test_experiment_manifest_records_the_run_plan(self, tmp_path):
+        path = write_experiment(tmp_path, experiment_text(seed="3", eta="0.5"))
+        assert run_cli(["experiment", "--config", path])[0] == 0
+        with open(tmp_path / "out" / "manifest.json") as fh:
+            params = json.load(fh)["parameters"]
+        assert params == {
+            "config": str(path), "data": str(tmp_path / "data.csv"), "models": ["mse"],
+            "runs": 1, "train_ratio": 0.8, "seed": 3,
+            "metrics": list(harness.DEFAULT_METRICS),
+            "boost": {"rounds": 2, "eta": 0.5, "depth": 2, "min_child_hessian": 0.0,
+                      "lambda": 1.0, "hess_floor": losses.DEFAULT_HESS_FLOOR},
+            "huber_delta": losses.DEFAULT_HUBER_DELTA, "fast": False,
+            "stratify_groups": False, "relevance_file": None,
+        }
 
     def test_bench_approx_flags_default_to_approx_params(self):
         args = cli.build_parser().parse_args(["bench-approx"])

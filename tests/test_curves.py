@@ -17,6 +17,22 @@ from conftest import (
 )
 
 
+class TestHelpers:
+    def test_normalize_divides_and_is_zero_where_empty(self, rng):
+        ser = rng.random(50) * 10.0
+        count = rng.integers(0, 4, size=50)
+        out = curves.normalize(ser, count)
+        assert np.array_equal(out, np.divide(ser, count, out=np.zeros(50), where=count > 0))
+        assert np.all(out[count == 0] == 0.0)
+
+    def test_require_two_groups_names_its_subject(self):
+        ds = dataset.from_arrays(np.zeros((3, 1)), [1.0, 2.0, 3.0], [[1], [1], [0]])
+        curves.require_two_groups(ds, "a measure")
+        with pytest.raises(UndefinedMetricError,
+                           match="^a measure needs at least 2 populated groups$"):
+            curves.require_two_groups(ds.subset([0, 1]), "a measure")
+
+
 class TestBuild:
     def test_perfect_predictions_give_zero_curves(self, rng):
         ds, phi, _ = make_instance(rng, n=30)

@@ -345,6 +345,11 @@ class TestSplit:
         with pytest.raises(SplitError):
             dataset.split(ds, 1.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        ds = self._dataset(10)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            dataset.split(ds, 0.8, seed=-1)
+
     def test_stratified_split_preserves_group_shares(self):
         ds = self._dataset(400)
         train, _ = dataset.split(ds, 0.8, seed=1, stratify_groups=True)
@@ -377,6 +382,10 @@ class TestSynthScenario:
         with pytest.raises(ValidationError):
             dataset.synth_imbalanced_scenario(5, divergence=1.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            dataset.synth_imbalanced_scenario(50, divergence=1.0, seed=-1)
+
 
 class TestSynthBiased:
     def test_shapes_and_determinism(self):
@@ -386,6 +395,10 @@ class TestSynthBiased:
         assert a.n_groups == 4
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.features, b.features)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            dataset.synth_biased(100, seed=-1)
 
     def test_single_attribute_variant(self):
         ds = dataset.synth_biased(200, seed=1, n_protected=1)

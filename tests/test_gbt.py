@@ -109,6 +109,13 @@ class TestFit:
         with pytest.raises(InputError):
             gbt.fit(ds, losses.MseObjective(ds), gbt.BoostParams(n_rounds=1))
 
+    def test_hessians_that_overflow_are_rejected(self):
+        ds = two_cluster_dataset()
+        params = gbt.BoostParams(n_rounds=1, hess_floor=1e308)
+        with np.errstate(all="raise"):
+            with pytest.raises(DegenerateObjectiveError, match="hess_floor=1e"):
+                gbt.fit(ds, losses.MseObjective(ds), params)
+
 
 class FixedGradHess:
     """Hands ``fit`` the same grad/hess each round; keeps the final predictions."""
@@ -244,6 +251,10 @@ class TestParams:
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ValidationError, match=name):
                     gbt.BoostParams(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            gbt.BoostParams(seed=-1)
 
 
 def one_split_doc(**tree_changes):

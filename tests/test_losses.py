@@ -289,6 +289,20 @@ class TestMseHuber:
             fd = fd_grad(huber.value, preds, j, 1e-6)
             assert fd == pytest.approx(gh.grad[j], abs=1e-6, rel=1e-6)
 
+    def test_huber_loss_matches_both_branch_formula(self, rng):
+        ds, _, preds = make_instance(rng, n=40)
+        for delta in (0.3, 1.0, 5.0):
+            r = preds - ds.targets
+            a = np.abs(r)
+            both = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
+            assert losses.HuberObjective(ds, delta=delta).value(preds) == float(np.sum(both))
+
+    def test_huge_delta_evaluates_without_overflow(self, rng):
+        ds, _, preds = make_instance(rng, n=20)
+        with np.errstate(all="raise"):
+            value = losses.HuberObjective(ds, delta=1e308).value(preds)
+        assert value == losses.MseObjective(ds).value(preds)
+
     def test_nonpositive_delta_rejected(self, rng):
         ds, _, _ = make_instance(rng, n=10)
         with pytest.raises(ValidationError):
