@@ -3,8 +3,8 @@
 Subcommands: train, predict, audit, experiment, curves, synth, bench-approx.
 Data goes to stdout or the requested files; diagnostics go to stderr. Exit
 codes: 0 success, 1 operational failure, 2 usage error. Every command that
-writes outputs also writes a manifest with the resolved parameters so the
-outputs can be reproduced bit-identically.
+writes outputs also writes a manifest of its parsed arguments (``experiment``:
+of its resolved config) so the outputs can be reproduced bit-identically.
 """
 from __future__ import annotations
 
@@ -63,6 +63,16 @@ BOOST_FLAGS = {
     for key, (convert, *targets) in config_mod.EXPERIMENT_KEYS.items()
     for target in targets if target.startswith("boost.")
 }
+# parsed arguments that only pick which command runs or where its output
+# goes; a manifest records every other one
+UNRECORDED = ("command", "func", "out", "json", "from_experiment")
+
+
+def _recorded(args) -> dict:
+    """The parsed arguments a manifest records, boosting flags under their config key."""
+    key_of = {name: flag[2:].replace("-", "_") for flag, (name, _) in BOOST_FLAGS.items()}
+    return {key_of.get(dest, dest): value
+            for dest, value in vars(args).items() if dest not in UNRECORDED}
 
 
 def cmd_train(args) -> int:
@@ -74,18 +84,7 @@ def cmd_train(args) -> int:
         args.huber_delta, args.fast,
     )
     model.to_json(args.out)
-    _write_manifest(args.out, "train", {
-        "data": args.data,
-        "config": args.config,
-        "model": args.model,
-        "objective": args.objective,
-        "w": args.w,
-        **{flag[2:].replace("-", "_"): getattr(args, name)
-           for flag, (name, _) in BOOST_FLAGS.items()},
-        "huber_delta": args.huber_delta,
-        "fast": args.fast,
-        "relevance_file": args.relevance_file,
-    })
+    _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -108,9 +107,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     preds = model.predict(ds.features)
     dataset_mod.write_preds(args.out, preds)
-    _write_manifest(args.out, "predict", {
-        "data": args.data, "config": args.config, "model": args.model,
-    })
+    _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -122,10 +119,7 @@ def cmd_audit(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-        _write_manifest(args.out, "audit", {
-            "data": args.data, "config": args.config, "preds": args.preds,
-            "relevance_file": args.relevance_file,
-        })
+        _write_manifest(args.out, args.command, _recorded(args))
     if args.json or not args.out:
         print(payload)
     if not args.json:
@@ -199,52 +193,42 @@ def cmd_curves(args) -> int:
     ds, preds, phi = _load_scored(args)
     cs = curves_mod.build(ds, preds, phi)
     curves_mod.export_curves(cs, args.out)
-    _write_manifest(args.out, "curves", {
-        "data": args.data, "config": args.config, "preds": args.preds,
-        "relevance_file": args.relevance_file,
-    })
+    _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    data_path = os.path.join(args.out, "data.csv")
-    schema_path = os.path.join(args.out, "schema.cfg")
     if args.kind == "scenario":
         ds, preds = dataset_mod.synth_imbalanced_scenario(
             args.n, args.divergence, args.seed
         )
-        preds_path = os.path.join(args.out, "preds.csv")
-        dataset_mod.write_preds(preds_path, preds)
     else:
         ds = dataset_mod.synth_biased(args.n, args.seed, n_protected=args.attributes)
-    _write_dataset_csv(data_path, ds)
-    config_mod.write_kv_file(schema_path, {
+        preds = None
+    # nothing is created until there is data to write
+    os.makedirs(args.out, exist_ok=True)
+    if preds is not None:
+        dataset_mod.write_preds(os.path.join(args.out, "preds.csv"), preds)
+    data_path = os.path.join(args.out, "data.csv")
+    dataset_mod.write_csv(data_path, ds)
+    config_mod.write_kv_file(os.path.join(args.out, "schema.cfg"), {
         "target": ds.target_name,
         "protected": list(ds.protected_names),
         "privileged": ["1"] * len(ds.protected_names),
     })
-    _write_manifest(args.out, "synth", {
-        "kind": args.kind,
-        "n": args.n,
-        "divergence": args.divergence,
-        "attributes": args.attributes,
-        "seed": args.seed,
-    })
+    _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {data_path}", file=sys.stderr)
     return 0
 
 
-def _write_dataset_csv(path, ds: dataset_mod.GroupedDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [ds.target_name, *ds.protected_names, *ds.feature_names]
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            cells = [f"{ds.targets[i]:.17g}"]
-            cells += [str(int(v)) for v in ds.protected[i]]
-            cells += [f"{v:.17g}" for v in ds.features[i]]
-            fh.write(",".join(cells) + "\n")
+# bench-approx CSV rows: (row name, report field stem, delta column suffix)
+BENCH_ROWS = (
+    ("time_s", "time", "pct"),
+    ("sera", "sera", "delta_pct"),
+    ("id", "id", "delta_pct"),
+    ("eval_points", "eval_points", "reduction_pct"),
+)
 
 
 def cmd_bench_approx(args) -> int:
@@ -260,27 +244,11 @@ def cmd_bench_approx(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("metric,exact,fast,delta_pct\n")
-            fh.write(
-                f"time_s,{report.time_exact:.17g},{report.time_fast:.17g},"
-                f"{report.time_pct:.17g}\n"
-            )
-            fh.write(
-                f"sera,{report.sera_exact:.17g},{report.sera_fast:.17g},"
-                f"{report.sera_delta_pct:.17g}\n"
-            )
-            fh.write(
-                f"id,{report.id_exact:.17g},{report.id_fast:.17g},"
-                f"{report.id_delta_pct:.17g}\n"
-            )
-            fh.write(
-                f"eval_points,{report.eval_points_exact},{report.eval_points_fast},"
-                f"{report.eval_points_reduction_pct:.17g}\n"
-            )
-        _write_manifest(args.out, "bench-approx", {
-            "n": args.n, "rounds": args.rounds, "w": args.w, "seed": args.seed,
-            "sigma": args.sigma, "grid_step": args.grid_step,
-            "attributes": args.attributes,
-        })
+            for row, stem, delta in BENCH_ROWS:
+                fh.write("%s,%.17g,%.17g,%.17g\n" % (
+                    row, doc[f"{stem}_exact"], doc[f"{stem}_fast"], doc[f"{stem}_{delta}"]
+                ))
+        _write_manifest(args.out, args.command, _recorded(args))
     print(json.dumps(doc, sort_keys=True))
     return 0
 

@@ -408,6 +408,22 @@ def write_preds(path, preds) -> None:
         fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
 
 
+def write_csv(path, ds: GroupedDataset) -> None:
+    """Write ``ds`` as a dataset CSV that :func:`load_csv` reads back.
+
+    Columns are the target, the protected attributes as their 0/1 bits
+    (1 is privileged) and the features; numbers are ``%.17g``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        cols = [ds.target_name, *ds.protected_names, *ds.feature_names]
+        fh.write(",".join(cols) + "\n")
+        for i in range(ds.n):
+            cells = [f"{ds.targets[i]:.17g}"]
+            cells += [str(int(v)) for v in ds.protected[i]]
+            cells += [f"{v:.17g}" for v in ds.features[i]]
+            fh.write(",".join(cells) + "\n")
+
+
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed!r}")
@@ -492,13 +508,14 @@ def synth_imbalanced_scenario(n_per_group: int, divergence: float, seed: int):
     return ds, preds
 
 
-def synth_biased(
-    n: int,
-    seed: int,
-    n_protected: int = 2,
-    tail_bias: float = 0.8,
-    noise: float = 0.5,
-):
+# synth_biased: the tail bump's relative extra height when the first
+# attribute is unprivileged (half of it for the second), and the standard
+# deviation of the target noise
+TAIL_BIAS = 0.8
+TARGET_NOISE = 0.5
+
+
+def synth_biased(n: int, seed: int, n_protected: int = 2):
     """Trainable dataset whose high-target tail depends on group membership.
 
     The target has a common linear part plus a tail bump triggered by one
@@ -524,10 +541,10 @@ def synth_biased(
     x2 = rng.normal(size=n)
     proxies = [A[:, j] + 0.35 * rng.normal(size=n) for j in range(A.shape[1])]
     tail = (x2 > 1.0).astype(float)
-    mult = 1.0 + tail_bias * (1 - A[:, 0])
+    mult = 1.0 + TAIL_BIAS * (1 - A[:, 0])
     if A.shape[1] == 2:
-        mult = mult + 0.5 * tail_bias * (1 - A[:, 1])
-    y = 3.0 * x0 + 2.0 * x1 + 8.0 * tail * mult + noise * rng.normal(size=n)
+        mult = mult + 0.5 * TAIL_BIAS * (1 - A[:, 1])
+    y = 3.0 * x0 + 2.0 * x1 + 8.0 * tail * mult + TARGET_NOISE * rng.normal(size=n)
     X = np.column_stack([x0, x1, x2, *proxies])
     names = ["x0", "x1", "x2"] + [f"proxy{j}" for j in range(A.shape[1])]
     return from_arrays(

@@ -159,19 +159,6 @@ class FairnessReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=True)
 
-    @staticmethod
-    def csv_header(attribute_names) -> list:
-        cols = ["n", "mse", "mae", "sera", "id", "delta_bgl", "sp"]
-        for a in attribute_names:
-            cols += [f"delta_bgl_{a}", f"sp_{a}"]
-        return cols
-
-    def to_csv_row(self) -> list:
-        row = [self.n, self.mse, self.mae, self.sera, self.id, self.delta_bgl, self.sp]
-        for entry in self.per_attribute:
-            row += [entry["delta_bgl"], entry["sp"]]
-        return row
-
 
 def full_report(ds: GroupedDataset, preds, phi: RelevanceFunction) -> FairnessReport:
     """Assemble every measure of finite predictions; component failures

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -273,6 +274,130 @@ class TestExtremeParameterValues:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
         assert not (tmp_path / "s" / "data.csv").exists()
+
+
+# the parsed arguments no manifest records: they pick the command and where
+# its output goes (``help`` is argparse's own)
+UNRECORDED = {"command", "func", "out", "json", "from_experiment", "help"}
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """Run every command whose manifest comes from its parsed arguments.
+
+    Maps a case name to ``(manifest document, command, expected parameters)``.
+    """
+    d = tmp_path_factory.mktemp("manifests")
+    scen, biased = d / "scen", d / "biased"
+    data = ["--data", str(biased / "data.csv"), "--config", str(biased / "schema.cfg")]
+    scored = {"data": str(biased / "data.csv"), "config": str(biased / "schema.cfg")}
+    rel = d / "rel.csv"
+    rel.write_text("y,relevance\n-2,0\n0,0.3\n6,1\n")
+    train_flags = [
+        "--rounds", "3", "--eta", "0.2", "--depth", "2", "--min-child-hessian", "0.5",
+        "--lambda", "2", "--hess-floor", "1e-5", "--seed", "3",
+    ]
+    assert set(train_flags[::2]) == set(cli.BOOST_FLAGS)
+    cases = {
+        "synth-scenario": (
+            ["synth", "--kind", "scenario", "--n", "60", "--divergence", "0.7",
+             "--seed", "3", "--out", str(scen)],
+            scen / "manifest.json",
+            {"kind": "scenario", "n": 60, "divergence": 0.7, "attributes": 2, "seed": 3},
+        ),
+        "synth-biased": (
+            ["synth", "--kind", "biased", "--n", "200", "--attributes", "1",
+             "--seed", "4", "--out", str(biased)],
+            biased / "manifest.json",
+            {"kind": "biased", "n": 200, "divergence": 1.0, "attributes": 1, "seed": 4},
+        ),
+        "train": (
+            ["train", *data, "--relevance-file", str(rel), "--model", "ensemble",
+             "--objective", "huber", "--w", "0.25", *train_flags, "--huber-delta", "0.7",
+             "--fast", "--out", str(d / "m.json")],
+            d / "m.json.manifest.json",
+            {**scored, "model": "ensemble", "objective": "huber", "w": 0.25,
+             "rounds": 3, "eta": 0.2, "depth": 2, "min_child_hessian": 0.5,
+             "lambda": 2.0, "hess_floor": 1e-5, "seed": 3, "huber_delta": 0.7,
+             "fast": True, "relevance_file": str(rel)},
+        ),
+        "predict": (
+            ["predict", *data, "--model", str(d / "m.json"), "--out", str(d / "p.csv")],
+            d / "p.csv.manifest.json",
+            {**scored, "model": str(d / "m.json")},
+        ),
+        "audit": (
+            ["audit", *data, "--preds", str(d / "p.csv"), "--out", str(d / "a.json")],
+            d / "a.json.manifest.json",
+            {**scored, "preds": str(d / "p.csv"), "relevance_file": None},
+        ),
+        "audit-json": (
+            ["audit", *data, "--preds", str(d / "p.csv"), "--relevance-file", str(rel),
+             "--json", "--out", str(d / "aj.json")],
+            d / "aj.json.manifest.json",
+            {**scored, "preds": str(d / "p.csv"), "relevance_file": str(rel)},
+        ),
+        "curves": (
+            ["curves", "--data", str(scen / "data.csv"), "--config", str(scen / "schema.cfg"),
+             "--preds", str(scen / "preds.csv"), "--out", str(d / "c.csv")],
+            d / "c.csv.manifest.json",
+            {"data": str(scen / "data.csv"), "config": str(scen / "schema.cfg"),
+             "preds": str(scen / "preds.csv"), "relevance_file": None},
+        ),
+        "bench-approx": (
+            ["bench-approx", "--n", "120", "--rounds", "2", "--attributes", "2",
+             "--seed", "2", "--sigma", "0.05", "--out", str(d / "b.csv")],
+            d / "b.csv.manifest.json",
+            {"n": 120, "attributes": 2, "rounds": 2, "w": 0.5, "sigma": 0.05,
+             "grid_step": 0.001, "seed": 2},
+        ),
+    }
+    found = {}
+    for name, (argv, path, params) in cases.items():
+        assert run_cli(*argv) == 0, name
+        found[name] = (json.loads(path.read_text()), argv[0], params)
+    return found
+
+
+class TestManifests:
+    @pytest.mark.parametrize("case", [
+        "synth-scenario", "synth-biased", "train", "predict", "audit", "audit-json",
+        "curves", "bench-approx",
+    ])
+    def test_parameters_recorded(self, manifests, case):
+        doc, command, params = manifests[case]
+        assert doc["command"] == command
+        assert doc["parameters"] == params
+
+    def test_every_parsed_flag_is_recorded(self, manifests):
+        key_of = {name: flag[2:].replace("-", "_") for flag, (name, _) in cli.BOOST_FLAGS.items()}
+        (commands,) = [a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        for case, (_, command, params) in manifests.items():
+            dests = {key_of.get(a.dest, a.dest) for a in commands.choices[command]._actions}
+            assert dests - UNRECORDED == set(params), case
+
+    def test_bench_approx_rows_come_from_its_report(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run_cli("bench-approx", "--n", "120", "--rounds", "2", "--out", str(out)) == 0
+        r = json.loads(capsys.readouterr().out)
+        assert out.read_text().splitlines() == [
+            "metric,exact,fast,delta_pct",
+            f"time_s,{r['time_exact']:.17g},{r['time_fast']:.17g},{r['time_pct']:.17g}",
+            f"sera,{r['sera_exact']:.17g},{r['sera_fast']:.17g},{r['sera_delta_pct']:.17g}",
+            f"id,{r['id_exact']:.17g},{r['id_fast']:.17g},{r['id_delta_pct']:.17g}",
+            f"eval_points,{r['eval_points_exact']},{r['eval_points_fast']},"
+            f"{r['eval_points_reduction_pct']:.17g}",
+        ]
+
+
+class TestRejectedSynth:
+    @pytest.mark.parametrize("flags", [["--n", "5"], ["--seed", "-1"], ["--divergence", "inf"]])
+    def test_leaves_no_directory(self, tmp_path, capsys, flags):
+        out = tmp_path / "s"
+        assert run_cli("synth", *flags, "--out", str(out)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReadPreds:

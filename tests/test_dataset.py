@@ -274,6 +274,24 @@ class TestAgainstRowwiseLoader:
             assert getattr(new, field) == getattr(old, field), field
 
 
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_protected", [1, 2])
+    def test_load_csv_reads_it_back(self, tmp_path, n_protected):
+        ds = dataset.synth_biased(120, seed=5, n_protected=n_protected)
+        path = tmp_path / "data.csv"
+        dataset.write_csv(path, ds)
+        names = ds.protected_names
+        back = dataset.load_csv(path, DatasetSchema(
+            target_column=ds.target_name, protected_columns=names,
+            privileged_values=("1",) * len(names),
+        ))
+        assert back.feature_names == ds.feature_names
+        assert np.array_equal(back.targets, ds.targets)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.protected, ds.protected)
+        assert np.array_equal(back.group_of, ds.group_of)
+
+
 class TestPartition:
     def test_groups_partition_samples(self, tmp_path):
         ds = dataset.load_csv(basic_csv(tmp_path), SCHEMA)

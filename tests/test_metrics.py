@@ -223,11 +223,3 @@ class TestFullReport:
         with pytest.raises(InputError):
             metrics.full_report(ds, preds[:-2], phi)
 
-    def test_csv_row_aligns_with_header(self, rng):
-        ds, phi, preds = make_instance(rng, n=40, n_attrs=2)
-        rep = metrics.full_report(ds, preds, phi)
-        header = metrics.FairnessReport.csv_header(ds.protected_names)
-        row = rep.to_csv_row()
-        assert len(header) == len(row)
-        assert header[:7] == ["n", "mse", "mae", "sera", "id", "delta_bgl", "sp"]
-        assert row[0] == ds.n and row[1] == rep.mse
