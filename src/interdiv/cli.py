@@ -89,22 +89,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError(f"model file {path} must hold a JSON object")
-    fmt = doc.get("format")
-    if fmt == gbt.FORMAT_NAME:
-        return gbt.TreeEnsemble.from_dict(doc)
-    if fmt == idboost.FORMAT_NAME:
-        return idboost.IdBoostModel.from_dict(doc)
-    raise InputError(f"unrecognized model format {fmt!r} in {path}")
-
-
 def cmd_predict(args) -> int:
     ds = _load_dataset(args)
-    model = _load_model(args.model)
+    model = idboost.load(args.model)
     preds = model.predict(ds.features)
     dataset_mod.write_preds(args.out, preds)
     _write_manifest(args.out, args.command, _recorded(args))
@@ -177,18 +164,21 @@ def cmd_experiment(args) -> int:
         )
         print(f"{model}: {cells}")
     if args.curves:
-        paths = harness.export_id_curves(cfg)
-        for name, path in paths.items():
-            print(f"curves[{name}] -> {path}")
+        _export_id_curves(cfg)
     return 0
+
+
+def _export_id_curves(cfg) -> None:
+    for name, runs in harness.failed_runs(cfg).items():
+        print(f"note: no curves for {name}, which failed in {', '.join(runs)}",
+              file=sys.stderr)
+    for name, path in harness.export_id_curves(cfg).items():
+        print(f"curves[{name}] -> {path}")
 
 
 def cmd_curves(args) -> int:
     if args.from_experiment:
-        cfg = harness.config_from_file(args.from_experiment)
-        paths = harness.export_id_curves(cfg)
-        for name, path in paths.items():
-            print(f"curves[{name}] -> {path}")
+        _export_id_curves(harness.config_from_file(args.from_experiment))
         return 0
     ds, preds, phi = _load_scored(args)
     cs = curves_mod.build(ds, preds, phi)

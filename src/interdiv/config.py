@@ -12,7 +12,7 @@ unknown, repeated or missing key, or a value its converter rejects, is a
 from __future__ import annotations
 
 from .dataset import DatasetSchema
-from .errors import ConfigError
+from .errors import ConfigError, decode_errors_as
 
 BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -68,7 +68,7 @@ def read(path, keys: dict, required: tuple) -> dict:
     """
     found = {}
     line_of = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, decode_errors_as(ConfigError, path):
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -28,6 +28,7 @@ from .errors import (
     SchemaError,
     SplitError,
     ValidationError,
+    decode_errors_as,
 )
 
 log = logging.getLogger(__name__)
@@ -290,7 +291,8 @@ def _read_columns(path):
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh, \
+                decode_errors_as(InputError, path):
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -383,7 +385,7 @@ def read_preds(path) -> np.ndarray:
     Blank lines are skipped. Non-finite values are read as they are, for
     the caller to reject; a row that is not a number is an ``InputError``.
     """
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, decode_errors_as(InputError, path):
         first = fh.readline().strip()
         rows = [line.strip() for line in fh if line.strip()]
     try:

@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit."""
+from contextlib import contextmanager
 
 
 class InterdivError(Exception):
@@ -47,3 +48,12 @@ class ParameterError(InterdivError):
 
 class InternalError(InterdivError):
     """Invariant violated inside the library; indicates a bug."""
+
+
+@contextmanager
+def decode_errors_as(error, path):
+    """Raise ``error`` naming ``path`` for text read from it that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None

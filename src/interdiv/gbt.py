@@ -298,11 +298,6 @@ class TreeEnsemble:
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed ensemble file: {exc}") from None
 
-    @staticmethod
-    def from_json(path) -> "TreeEnsemble":
-        with open(path, encoding="utf-8") as fh:
-            return TreeEnsemble.from_dict(json.load(fh))
-
 
 def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     """Boost ``params.n_rounds`` trees against the objective's grad/hess.

@@ -15,6 +15,7 @@ export and benchmarking can reuse them without refitting.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -90,7 +91,10 @@ def _parse_model_name(name: str):
         return ("ensemble", low, None)
     if low.startswith("idboost"):
         tail = low[len("idboost"):].lstrip("_")
-        w = float(tail) if tail else 0.5
+        try:
+            w = float(tail) if tail else 0.5
+        except ValueError:
+            raise ValidationError(f"unknown model name {name!r}") from None
         if not 0.0 <= w <= 1.0:
             raise ValidationError(f"idboost weight out of range in {name!r}")
         return ("idboost", "idloss+sera", w)
@@ -118,7 +122,7 @@ def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
     return gbt.fit(ds, obj, params)
 
 
-def _ensemble(fitted: dict, objective: str, train, phi, cfg: ExperimentConfig):
+def _ensemble(fitted: dict, train, phi, cfg: ExperimentConfig, objective: str):
     """The run's ensemble for ``objective``, fitted on first use.
 
     ``fitted`` maps each objective fitted so far in the run to its ensemble,
@@ -199,20 +203,15 @@ def run(cfg: ExperimentConfig):
         train, test, phi = _split(ds, cfg, r)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
-        fitted = {}
+        ensemble = functools.partial(_ensemble, {}, train, phi, cfg)
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:
                 kind, objective, w = _parse_model_name(name)
                 if kind == "idboost":
-                    idboost.check_fit(train, w)
-                    model = idboost.IdBoostModel(
-                        id_ensemble=_ensemble(fitted, "idloss", train, phi, cfg),
-                        sera_ensemble=_ensemble(fitted, "sera", train, phi, cfg),
-                        w=float(w),
-                    )
+                    model = idboost.assemble(train, w, ensemble)
                 else:
-                    model = _ensemble(fitted, objective, train, phi, cfg)
+                    model = ensemble(objective)
                 preds = model.predict(test.features)
                 report = metrics.full_report(test, preds, phi)
                 for k, metric in enumerate(cfg.metric_names):
@@ -264,18 +263,39 @@ def _write_raw_csv(path, cfg: ExperimentConfig, rows) -> None:
             fh.write(",".join(cells) + "\n")
 
 
+def failed_runs(cfg: ExperimentConfig) -> dict:
+    """Each model that ``raw_metrics.csv`` records as failed in some run,
+    mapped to those runs (``run_<r>``)."""
+    path = os.path.join(cfg.out_dir, "raw_metrics.csv")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+    except FileNotFoundError:
+        raise InputError(f"missing {path}; run the experiment first") from None
+    failed = {}
+    for row in rows:
+        # status commas are written as ';', so the fourth cell is the status
+        run, _, name, status = row.split(",")[:4]
+        if status != "ok":
+            failed.setdefault(name, []).append(f"run_{run}")
+    return failed
+
+
 def export_id_curves(cfg: ExperimentConfig) -> dict:
     """Average each model's normalized group curves across completed runs.
 
-    Requires the per-run prediction files written by :func:`run`; a missing
-    file is an explicit error naming the runs so a stale output directory is
-    caught instead of silently averaging fewer runs. Returns the mapping of
-    model name to the written CSV path.
+    A model that :func:`failed_runs` names is skipped. The others require
+    the per-run prediction files written by :func:`run`; a missing file is
+    an explicit error naming the runs so a stale output directory is caught
+    instead of silently averaging fewer runs. Returns the mapping of each
+    exported model name to the written CSV path.
     """
     ds = dataset_mod.load_csv(cfg.data, cfg.schema)
+    failed = failed_runs(cfg)
+    models = [name for name in cfg.models if name not in failed]
     missing = []
     for r in range(cfg.n_runs):
-        for name in cfg.models:
+        for name in models:
             p = os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv")
             if not os.path.exists(p):
                 missing.append(f"run_{r}/{name}")
@@ -296,7 +316,7 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     ts = [f"{t:.17g}" for t in grid.tolist()]
     rows = ["".join(f"{t},{g},%.17g\n" for t in ts) for g in range(ds.n_groups)]
     out = {}
-    for name in cfg.models:
+    for name in models:
         per_run = [
             layout.curves(dataset_mod.read_preds(
                 os.path.join(cfg.out_dir, f"run_{r}", f"preds_{name}.csv")

@@ -17,8 +17,8 @@ import numpy as np
 from . import gbt
 from .dataset import GroupedDataset
 from .curves import require_two_groups
-from .errors import InputError, ValidationError
-from .losses import IdLossObjective, SeraObjective
+from .errors import InputError, ValidationError, decode_errors_as
+from .losses import make_objective
 from .relevance import RelevanceFunction
 
 FORMAT_NAME = "interdiv-idboost"
@@ -77,21 +77,41 @@ class IdBoostModel:
             raise InputError(f"idboost weight w must be in [0, 1], got {model.w!r}")
         return model
 
-    @staticmethod
-    def from_json(path) -> "IdBoostModel":
-        with open(path, encoding="utf-8") as fh:
-            return IdBoostModel.from_dict(json.load(fh))
+
+def load(path):
+    """Read a model file: a ``TreeEnsemble`` or an ``IdBoostModel``, by its ``format``.
+
+    A file that is not UTF-8 JSON, not a JSON object or of an unknown
+    format raises ``InputError`` naming ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, decode_errors_as(InputError, path):
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"model file {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"model file {path} must hold a JSON object")
+    fmt = doc.get("format")
+    if fmt == gbt.FORMAT_NAME:
+        return gbt.TreeEnsemble.from_dict(doc)
+    if fmt == FORMAT_NAME:
+        return IdBoostModel.from_dict(doc)
+    raise InputError(f"unrecognized model format {fmt!r} in {path}")
 
 
-def check_fit(ds: GroupedDataset, w: float) -> None:
-    """The checks a fit makes before training either ensemble.
+def assemble(ds: GroupedDataset, w: float, ensemble) -> IdBoostModel:
+    """The dual model of weight ``w`` from ``ensemble(objective)``, the
+    ``TreeEnsemble`` fitted on ``ds`` for ``"idloss"`` or ``"sera"``.
 
-    Anything that assembles a model from separately fitted component
-    ensembles makes them first too, so it fails as ``fit`` would.
+    ``w`` and the groups are checked before either ensemble is asked for,
+    ``idloss`` first, so every caller fails in the same order.
     """
     if not 0.0 <= w <= 1.0:
         raise ValidationError(f"fairness weight w must be in [0, 1], got {w!r}")
     require_two_groups(ds, "the divergence loss")
+    return IdBoostModel(
+        id_ensemble=ensemble("idloss"), sera_ensemble=ensemble("sera"), w=float(w)
+    )
 
 
 def fit(
@@ -102,9 +122,10 @@ def fit(
     approx_params=None,
 ) -> IdBoostModel:
     """Train both component ensembles with shared params and seed."""
-    check_fit(ds, w)
-    id_obj = IdLossObjective(ds, phi, hess_floor=params.hess_floor, approx_params=approx_params)
-    sera_obj = SeraObjective(ds, phi)
-    id_ens = gbt.fit(ds, id_obj, params)
-    sera_ens = gbt.fit(ds, sera_obj, params)
-    return IdBoostModel(id_ensemble=id_ens, sera_ensemble=sera_ens, w=float(w))
+    def ensemble(objective):
+        obj = make_objective(
+            objective, ds, phi=phi, hess_floor=params.hess_floor, approx_params=approx_params
+        )
+        return gbt.fit(ds, obj, params)
+
+    return assemble(ds, w, ensemble)

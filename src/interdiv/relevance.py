@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, decode_errors_as
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,8 @@ def from_file_or_boxplot(path, targets) -> RelevanceFunction:
 def load_points(path) -> RelevanceFunction:
     """Read control points from a two-column ``y,relevance`` CSV."""
     pts = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh, \
+            decode_errors_as(InputError, path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from interdiv import cli, dataset
-from interdiv.errors import InputError
+from interdiv import cli, config, dataset, relevance
+from interdiv.errors import ConfigError, InputError
 
 
 def run_cli(*argv):
@@ -206,6 +206,19 @@ class TestMalformedModelFile:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
         return err
+
+    @pytest.mark.parametrize("content", [b"notes\n", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    def test_unreadable_file_is_named(self, biased_dir, tmp_path, capsys, content):
+        model = tmp_path / "notes.txt"
+        model.write_bytes(content)
+        code = run_cli(
+            "predict", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"),
+            "--model", str(model), "--out", str(tmp_path / "preds.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and str(model) in err
 
     def test_ensemble_without_trees(self, doc, biased_dir, tmp_path, capsys):
         del doc["id_ensemble"]["trees"]
@@ -543,6 +556,35 @@ out = {tmp_path / 'expout'}
         assert (out_dir / "manifest.json").exists()
 
 
+    def test_failed_model_has_no_curves(self, biased_dir, tmp_path, capsys):
+        def experiment(name, models, extra=""):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                f"data = {biased_dir / 'data.csv'}\ntarget = y\nprotected = a0\n"
+                f"privileged = 1\nmodels = {models}\nruns = 2\nrounds = 2\n"
+                f"seed = 0\nout = {tmp_path / name}\n{extra}"
+            )
+            return str(cfg)
+
+        both = experiment("both", "mse, huber", "huber_delta = -1\n")
+        alone = experiment("alone", "mse")
+        capsys.readouterr()
+        note = "note: no curves for huber, which failed in run_0, run_1\n"
+        assert run_cli("experiment", "--config", both, "--curves") == 0
+        assert capsys.readouterr().err == note
+        assert not (tmp_path / "both" / "curves" / "huber.csv").exists()
+        assert run_cli("experiment", "--config", alone, "--curves") == 0
+        mse = (tmp_path / "alone" / "curves" / "mse.csv").read_bytes()
+        assert (tmp_path / "both" / "curves" / "mse.csv").read_bytes() == mse
+        os.remove(tmp_path / "both" / "curves" / "mse.csv")
+        capsys.readouterr()
+        assert run_cli("curves", "--from-experiment", both) == 0
+        out = capsys.readouterr()
+        assert out.err == note
+        assert out.out == f"curves[mse] -> {tmp_path / 'both' / 'curves' / 'mse.csv'}\n"
+        assert (tmp_path / "both" / "curves" / "mse.csv").read_bytes() == mse
+        assert not (tmp_path / "both" / "curves" / "huber.csv").exists()
+
 class TestRelevanceFileFlag:
     def test_override_is_used(self, scenario_dir, tmp_path, capsys):
         # flat relevance makes the divergence integrand the plain per-group
@@ -558,3 +600,30 @@ class TestRelevanceFileFlag:
         assert code == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["sera"] == pytest.approx(doc["mse"] * doc["n"], rel=1e-9)
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is named in the error, with its reader's error type."""
+
+    @pytest.mark.parametrize("name, error, read", [
+        ("data.csv", InputError,
+         lambda p: dataset.load_csv(p, config.load_schema(p.parent / "schema.cfg"))),
+        ("schema.cfg", ConfigError, config.load_schema),
+        ("preds.csv", InputError, dataset.read_preds),
+        ("rel.csv", InputError, relevance.load_points),
+    ], ids=["dataset", "config", "preds", "relevance"])
+    def test_reader_names_the_file(self, scenario_dir, capsys, name, error, read):
+        (scenario_dir / "rel.csv").write_text("y,relevance\n-100,1.0\n100,1.0\n")
+        bad = scenario_dir / name
+        bad.write_bytes(bad.read_bytes() + "# café\n".encode("latin-1"))
+        capsys.readouterr()
+        code = run_cli(
+            "audit", "--data", str(scenario_dir / "data.csv"),
+            "--config", str(scenario_dir / "schema.cfg"),
+            "--preds", str(scenario_dir / "preds.csv"),
+            "--relevance-file", str(scenario_dir / "rel.csv"),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: ")
+        with pytest.raises(error, match="is not UTF-8 text"):
+            read(bad)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdiv import dataset, gbt, losses, relevance
+from interdiv import dataset, gbt, idboost, losses, relevance
 from interdiv.errors import DegenerateObjectiveError, InputError, ValidationError
 
 from conftest import make_instance, parent_grow_tree
@@ -215,7 +215,7 @@ class TestPredict:
         ens = gbt.fit(ds, losses.SeraObjective(ds, phi), params)
         path = tmp_path / "model.json"
         ens.to_json(path)
-        loaded = gbt.TreeEnsemble.from_json(path)
+        loaded = idboost.load(path)
         assert np.array_equal(ens.predict(ds.features), loaded.predict(ds.features))
         assert loaded.objective_name == "sera"
 
@@ -232,7 +232,7 @@ class TestPredict:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(InputError):
-            gbt.TreeEnsemble.from_json(path)
+            idboost.load(path)
 
 
 class TestParams:

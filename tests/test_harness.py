@@ -291,6 +291,11 @@ class TestModelNameParsing:
         assert kind == "idboost" and w == 0.5
         assert harness._parse_model_name("idboost")[2] == 0.5
 
+    @pytest.mark.parametrize("name", ["idboostx", "idboost_0.5.1"])
+    def test_malformed_weight_is_unknown_name(self, tmp_path, name):
+        with pytest.raises(ValidationError, match=f"^unknown model name '{name}'$"):
+            harness.config_from_file(write_experiment(tmp_path, models=f"mse, {name}"))
+
     def test_rejects_unknown(self):
         with pytest.raises(ValidationError):
             harness._parse_model_name("catboost")
@@ -350,4 +355,21 @@ class TestExportIdCurves:
         harness.run(cfg)
         os.remove(os.path.join(cfg.out_dir, "run_1", "preds_mse.csv"))
         with pytest.raises(InputError, match="run_1"):
+            harness.export_id_curves(cfg)
+
+    def test_failed_model_skipped_and_missing_ok_file_still_fails(self, tmp_path):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=2, models="mse, huber", extra="huber_delta = -1"
+        ))
+        harness.run(cfg)
+        assert harness.failed_runs(cfg) == {"huber": ["run_0", "run_1"]}
+        assert list(harness.export_id_curves(cfg)) == ["mse"]
+        assert not os.path.exists(os.path.join(cfg.out_dir, "curves", "huber.csv"))
+        os.remove(os.path.join(cfg.out_dir, "run_1", "preds_mse.csv"))
+        with pytest.raises(InputError, match="missing saved predictions for: run_1/mse$"):
+            harness.export_id_curves(cfg)
+
+    def test_experiment_never_run(self, tmp_path):
+        cfg = harness.config_from_file(write_experiment(tmp_path, models="mse"))
+        with pytest.raises(InputError, match="raw_metrics.csv; run the experiment first"):
             harness.export_id_curves(cfg)

@@ -103,6 +103,50 @@ class TestPredict:
         ds, _, _, model = trained
         path = tmp_path / "idboost.json"
         model.to_json(path)
-        loaded = idboost.IdBoostModel.from_json(path)
+        loaded = idboost.load(path)
         assert loaded.w == model.w
         assert np.array_equal(loaded.predict(ds.features), model.predict(ds.features))
+
+
+class TestAssemble:
+    def test_asks_for_idloss_then_sera(self, trained):
+        ds, _, _, model = trained
+        asked = []
+
+        def ensemble(objective):
+            asked.append(objective)
+            return model.id_ensemble if objective == "idloss" else model.sera_ensemble
+
+        got = idboost.assemble(ds, 0.25, ensemble)
+        assert asked == ["idloss", "sera"]
+        assert got == idboost.IdBoostModel(model.id_ensemble, model.sera_ensemble, 0.25)
+
+    def test_weight_checked_before_any_ensemble(self, trained):
+        ds = trained[0]
+        asked = []
+        with pytest.raises(ValidationError, match=r"w must be in \[0, 1\], got 1.5"):
+            idboost.assemble(ds, 1.5, asked.append)
+        assert asked == []
+
+    def test_groups_checked_before_any_ensemble(self, trained):
+        ds = trained[0]
+        one_group = ds.subset(np.flatnonzero(ds.group_of == 0))
+        asked = []
+        with pytest.raises(UndefinedMetricError, match="at least 2 populated groups"):
+            idboost.assemble(one_group, 0.5, asked.append)
+        assert asked == []
+
+
+class TestLoad:
+    @pytest.mark.parametrize("content, message", [
+        (b"notes, not a model\n", "is not JSON"),
+        (b'{"format": "\xff"}', "is not UTF-8 text"),
+        (b"[1, 2]", "must hold a JSON object"),
+        (b'{"format": "interdiv-other", "version": 1}', "unrecognized model format"),
+    ], ids=["not-json", "not-utf8", "json-list", "unknown-format"])
+    def test_bad_file_names_its_path(self, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError, match=message) as exc:
+            idboost.load(path)
+        assert str(path) in str(exc.value)
