@@ -19,11 +19,26 @@ pairwise, so another order would change the last bits of the model.
 
 Everything is deterministic: gain ties break toward the lowest feature index
 and then the lowest threshold.
+
+Two shortcuts skip work without changing a bit of the result:
+
+- Hessians are floored at ``hess_floor >= 0``, so the left sums
+  ``hl = cumsum(h)`` never decrease in floating point (adding a non-negative
+  number and rounding cannot go down) and ``hr = H - hl`` never increases.
+  ``hl >= m`` and ``hr >= m`` therefore hold at every split position exactly
+  when they hold at the first and the last, and so do ``hl + lambda > 0`` and
+  ``hr + lambda > 0``. The split search tests those two scalars and builds
+  the per-position masks, or the guarded score, only when a test fails.
+- ``Tree.predict`` walks every row the same number of levels, the tree's
+  depth: a leaf points both children at itself and carries the threshold
+  ``+inf``, so a row that reaches a leaf stays there, and no level has to
+  find which rows are still moving.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +75,10 @@ class BoostParams:
                 raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
+# the BoostParams fields a model file must hold as JSON integers
+_INT_PARAMS = tuple(f.name for f in fields(BoostParams) if f.type == "int")
+
+
 @dataclass
 class Tree:
     """Flat-array binary tree; feature -1 marks a leaf."""
@@ -70,17 +89,44 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
+    @cached_property
+    def _walk(self):
+        """(feature, threshold, children, depth) for the fixed-depth walk.
+
+        ``children[2 * i + 1]`` is node ``i``'s left child and
+        ``children[2 * i]`` its right one, so a row's next node is
+        ``children[2 * node + go_left]``. A leaf tests feature 0 against
+        ``+inf`` and is both its own children; ``depth`` is the longest path
+        from the root.
+        """
+        leaf = self.feature < 0
+        own = np.arange(self.feature.size)
+        level, depth = np.zeros(1, dtype=np.int64), 0
         while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
+            level = level[~leaf[level]]
+            if not level.size:
                 break
-            rows = np.nonzero(active)[0]
-            cur = node[rows]
-            go_left = X[rows, self.feature[cur]] <= self.threshold[cur]
-            node[rows] = np.where(go_left, self.left[cur], self.right[cur])
+            # unique: a loaded tree may reach one node along two paths
+            level = np.unique(np.concatenate((self.left[level], self.right[level])))
+            depth += 1
+        children = np.stack(
+            (np.where(leaf, own, self.right), np.where(leaf, own, self.left)), axis=1
+        )
+        return (
+            np.where(leaf, 0, self.feature),
+            np.where(leaf, np.inf, self.threshold),
+            children.ravel(),
+            depth,
+        )
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        feature, threshold, children, depth = self._walk
+        flat = X.ravel()
+        row_start = np.arange(X.shape[0]) * X.shape[1]
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(depth):
+            go_left = flat[row_start + feature[node]] <= threshold[node]
+            node = children[2 * node + go_left]
         return self.value[node]
 
     def to_dict(self) -> dict:
@@ -101,6 +147,9 @@ class Tree:
         """
         if not isinstance(d, dict):
             raise InputError(f"a tree must be a JSON object, not {type(d).__name__}")
+        for name in ("feature", "left", "right"):
+            if not isinstance(d[name], list) or not all(type(v) is int for v in d[name]):
+                raise InputError(f"tree {name} must be a list of JSON integers")
         tree = Tree(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=float),
@@ -123,6 +172,13 @@ class Tree:
         return tree
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer: an ``int`` and not a ``bool``."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _safe_score(G, H, lam):
     denom = H + lam
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,34 +186,46 @@ def _safe_score(G, H, lam):
     return s
 
 
-def _best_split(X, g, h, idx, sorted_rows, params: BoostParams):
+def _best_split(XT, g, h, idx, sorted_rows, params: BoostParams):
     """Highest-gain (feature, threshold) for one node; None if no valid split.
 
-    ``idx`` holds the node's rows in row order; ``sorted_rows[f]`` holds the
-    same rows stably sorted by feature ``f``.
+    ``XT`` is the transposed feature matrix, ``idx`` holds the node's rows in
+    row order, and ``sorted_rows[f]`` the same rows stably sorted by feature
+    ``f``.
     """
+    lam = params.l2_lambda
+    mch = params.min_child_hessian
     Gp = float(g[idx].sum())
     Hp = float(h[idx].sum())
-    parent = float(_safe_score(np.array(Gp), np.array(Hp), params.l2_lambda))
+    parent = float(_safe_score(np.array(Gp), np.array(Hp), lam))
     best_gain = 0.0
     best = None
     for f, rows in enumerate(sorted_rows):
-        xs = X[rows, f]
+        xs = XT[f][rows]
         if xs[0] == xs[-1]:
             continue
         gl = np.cumsum(g[rows])[:-1]
         hl = np.cumsum(h[rows])[:-1]
         gr = Gp - gl
         hr = Hp - hl
-        ok = (xs[1:] > xs[:-1]) & (hl >= params.min_child_hessian) & (
-            hr >= params.min_child_hessian
-        )
+        ok = xs[1:] > xs[:-1]
+        # hl never decreases and hr never increases (module docstring)
+        if not (hl[0] >= mch and hr[-1] >= mch):
+            ok &= (hl >= mch) & (hr >= mch)
         if not ok.any():
             continue
-        gain = _safe_score(gl, hl, params.l2_lambda) + _safe_score(
-            gr, hr, params.l2_lambda
-        ) - parent
-        gain = np.where(ok, gain, -np.inf)
+        if hl[0] + lam > 0 and hr[-1] + lam > 0:
+            # gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent, in place
+            hr += lam
+            gr *= gr
+            gr /= hr
+            gain = hl + lam
+            np.divide(gl * gl, gain, out=gain)
+            gain += gr
+            gain -= parent
+        else:
+            gain = _safe_score(gl, hl, lam) + _safe_score(gr, hr, lam) - parent
+        gain[~ok] = -np.inf
         i = int(np.argmax(gain))
         if gain[i] > best_gain:
             best_gain = float(gain[i])
@@ -165,16 +233,18 @@ def _best_split(X, g, h, idx, sorted_rows, params: BoostParams):
     return best
 
 
-def _grow_tree(X, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarray]:
+def _grow_tree(XT, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarray]:
     """Grow one tree; also return each training row's leaf value.
 
-    ``presorted[f]`` is the stable argsort of column ``f`` of ``X``. A split
-    partitions each node's sorted row lists into its children's, which keeps
-    them sorted, so no node sorts again.
+    ``XT`` is the transposed feature matrix, one contiguous row per feature,
+    and ``presorted[f]`` the stable argsort of ``XT[f]``. A split partitions
+    each node's sorted row lists into its children's, which keeps them
+    sorted, so no node sorts again.
     """
+    n = XT.shape[1]
     feature, threshold, left, right, value = [], [], [], [], []
-    update = np.empty(X.shape[0])
-    go_left_of = np.zeros(X.shape[0], dtype=bool)
+    update = np.empty(n)
+    go_left_of = np.zeros(n, dtype=bool)
 
     def new_node():
         feature.append(-1)
@@ -185,12 +255,12 @@ def _grow_tree(X, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarra
         return len(feature) - 1
 
     root = new_node()
-    stack = [(root, np.arange(X.shape[0]), presorted, 0)]
+    stack = [(root, np.arange(n), presorted, 0)]
     while stack:
         nid, idx, sorted_rows, depth = stack.pop()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = _best_split(X, g, h, idx, sorted_rows, params)
+            split = _best_split(XT, g, h, idx, sorted_rows, params)
         if split is None:
             G = float(g[idx].sum())
             H = float(h[idx].sum())
@@ -199,7 +269,7 @@ def _grow_tree(X, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarra
             update[idx] = value[nid]
             continue
         f, thr = split
-        go_left = X[idx, f] <= thr
+        go_left = XT[f][idx] <= thr
         feature[nid] = f
         threshold[nid] = thr
         lid = new_node()
@@ -276,22 +346,30 @@ class TreeEnsemble:
             raise InputError(f"an ensemble must be a JSON object, not {type(d).__name__}")
         if d.get("format") != FORMAT_NAME:
             raise InputError(f"not an ensemble file (format={d.get('format')!r})")
-        if d.get("version") != FORMAT_VERSION:
-            raise InputError(f"unsupported ensemble version {d.get('version')!r}")
+        version = d.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise InputError(f"unsupported ensemble version {version!r}")
         try:
-            n_features = int(d["n_features"])
+            n_features = _json_int(d["n_features"], "ensemble n_features")
             base_score = float(d["base_score"])
             if not np.isfinite(base_score):
                 raise InputError("ensemble base_score must be finite")
+            params = d["params"]
+            for name in _INT_PARAMS:
+                if name in params:
+                    _json_int(params[name], f"ensemble params {name}")
+            counts = {key: d.get(key) for key in ("region_switches", "eval_points")}
+            for key, count in counts.items():
+                if count is not None:
+                    _json_int(count, f"ensemble {key}")
             return TreeEnsemble(
                 base_score=base_score,
                 trees=[Tree.from_dict(t, n_features) for t in d["trees"]],
-                params=BoostParams(**d["params"]),
+                params=BoostParams(**params),
                 objective_name=d["objective"],
                 n_features=n_features,
                 train_trace=list(d.get("train_trace", [])),
-                region_switches=d.get("region_switches"),
-                eval_points=d.get("eval_points"),
+                **counts,
             )
         except KeyError as exc:
             raise InputError(f"ensemble file lacks the key {exc.args[0]!r}") from None
@@ -309,10 +387,10 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     """
     if ds.n < 2:
         raise InputError("need at least 2 samples to fit")
-    X = ds.features
+    XT = np.ascontiguousarray(ds.features.T)
     base = float(np.mean(ds.targets))
     preds = np.full(ds.n, base)
-    presorted = np.argsort(X.T, axis=1, kind="stable")
+    presorted = np.argsort(XT, axis=1, kind="stable")
     trace = []
     trees = []
     for _ in range(params.n_rounds):
@@ -331,7 +409,7 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
                 f"the Hessians floored at hess_floor={params.hess_floor!r} "
                 "do not sum to a finite number"
             )
-        tree, update = _grow_tree(X, g, h, presorted, params)
+        tree, update = _grow_tree(XT, g, h, presorted, params)
         preds = preds + params.learning_rate * update
         trees.append(tree)
     trace.append(objective.value(preds))
@@ -340,7 +418,7 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
         trees=trees,
         params=params,
         objective_name=getattr(objective, "name", objective.__class__.__name__),
-        n_features=X.shape[1],
+        n_features=XT.shape[0],
         train_trace=trace,
         region_switches=getattr(objective, "region_switches", None),
         eval_points=getattr(objective, "eval_points", None),

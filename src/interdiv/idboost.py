@@ -60,8 +60,9 @@ class IdBoostModel:
             raise InputError(f"an idboost model must be a JSON object, not {type(d).__name__}")
         if d.get("format") != FORMAT_NAME:
             raise InputError(f"not an idboost file (format={d.get('format')!r})")
-        if d.get("version") != FORMAT_VERSION:
-            raise InputError(f"unsupported idboost version {d.get('version')!r}")
+        version = d.get("version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise InputError(f"unsupported idboost version {version!r}")
         try:
             model = IdBoostModel(
                 id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
@@ -81,21 +82,24 @@ class IdBoostModel:
 def load(path):
     """Read a model file: a ``TreeEnsemble`` or an ``IdBoostModel``, by its ``format``.
 
-    A file that is not UTF-8 JSON, not a JSON object or of an unknown
-    format raises ``InputError`` naming ``path``.
+    A file that is not UTF-8 JSON, not a JSON object, of an unknown format,
+    nested too deeply to parse or holding a number too large to convert
+    raises ``InputError`` naming ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh, decode_errors_as(InputError, path):
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InputError(f"model file {path} must hold a JSON object")
+        fmt = doc.get("format")
+        if fmt == gbt.FORMAT_NAME:
+            return gbt.TreeEnsemble.from_dict(doc)
+        if fmt == FORMAT_NAME:
+            return IdBoostModel.from_dict(doc)
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise InputError(f"model file {path} must hold a JSON object")
-    fmt = doc.get("format")
-    if fmt == gbt.FORMAT_NAME:
-        return gbt.TreeEnsemble.from_dict(doc)
-    if fmt == FORMAT_NAME:
-        return IdBoostModel.from_dict(doc)
+    except (RecursionError, OverflowError) as exc:
+        raise InputError(f"model file {path} cannot be read: {exc}") from None
     raise InputError(f"unrecognized model format {fmt!r} in {path}")
 
 

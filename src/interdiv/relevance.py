@@ -40,18 +40,6 @@ class RelevanceFunction:
     def __call__(self, values):
         return evaluate(self, values)
 
-    @property
-    def control_points(self):
-        return list(zip(self.y.tolist(), self.rel.tolist(), self.slope.tolist()))
-
-    def save_points(self, path) -> None:
-        """Write the control points as a two-column ``y,relevance`` CSV."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "relevance"])
-            for yv, rv in zip(self.y, self.rel):
-                writer.writerow([repr(float(yv)), repr(float(rv))])
-
 
 def _limit_slopes(y: np.ndarray, rel: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """Fritsch-Carlson limiting: clamp slopes so each segment is monotone.

@@ -727,6 +727,24 @@ def parent_grow_tree(X, g, h, params: BoostParams) -> Tree:
     )
 
 
+# Tree traversal as it stood before ``Tree.predict`` walked every row a fixed
+# number of levels: each level finds the rows not yet at a leaf and moves only
+# those. Kept verbatim (as a function of the tree) as the reference for the
+# differential test. Nothing under src/ imports it.
+def parent_tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        cur = node[rows]
+        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
 # The experiment runner and the averaged-curve export as they stood before
 # ``harness.run`` fitted each distinct ensemble once per run and
 # ``harness.export_id_curves`` built each run's test layout once: every model

