@@ -28,6 +28,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import dataset
 from .dataset import GroupedDataset
 from .errors import InputError, InternalError, UndefinedMetricError
 from .relevance import RelevanceFunction, evaluate
@@ -253,15 +254,16 @@ def sera_from_curves(curves: SerCurveSet) -> float:
 def export_curves(curves: SerCurveSet, path) -> None:
     """Write ``t,group,ser,count,normalized_ser`` rows at every breakpoint.
 
-    Each group's block is formatted with one join and written in one call.
-    Writing per group rather than per file keeps the formatted text of the
-    other groups out of the command's peak memory.
+    Each group is formatted and written ``dataset.BLOCK_ROWS`` rows at a
+    time, which keeps the formatted text out of the command's peak memory.
     """
-    t = curves.breakpoints.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("t,group,ser,count,normalized_ser\n")
         for g in range(curves.n_groups):
             ser_v, cnt_v = curves.values_at(curves.breakpoints, g)
             norm = normalize(ser_v, cnt_v)
             row = f"%.17g,{g},%.17g,%d,%.17g\n"
-            fh.write("".join(row % r for r in zip(t, ser_v.tolist(), cnt_v.tolist(), norm.tolist())))
+            for s in range(0, len(norm), dataset.BLOCK_ROWS):
+                cols = (a[s:s + dataset.BLOCK_ROWS].tolist()
+                        for a in (curves.breakpoints, ser_v, cnt_v, norm))
+                fh.write("".join(row % r for r in zip(*cols)))

@@ -12,8 +12,9 @@ proxies the remaining columns carry.
 """
 from __future__ import annotations
 
+import collections
 import csv
-import gc
+import io
 import itertools
 import logging
 from dataclasses import dataclass
@@ -192,6 +193,10 @@ def from_arrays(
     )
 
 
+# records parsed at a time when a dataset CSV is read, and rows formatted at a
+# time when a curve file is written: it bounds the Python objects alive at once
+BLOCK_ROWS = 1024
+
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
 
 
@@ -253,60 +258,186 @@ def _one_hot(name: str, col):
     return onehot, [f"{name}={c}" for c in cats]
 
 
-def _feature_block(name: str, col, row_no: np.ndarray, path):
-    """Encode one feature column of the kept rows as ``(block, names)``.
+class _TokenCodes:
+    """A protected column's token codes, one map shared by every block.
 
-    A column is numeric when every token that is not a missing token parses
-    as a finite number; missing entries take the column median. A column
-    with any other token is one-hot encoded. A number that is not finite
-    (``inf``, ``1e999``) in an otherwise numeric column is an error.
+    Each distinct token gets the next code; per code, whether the stripped
+    token is missing and whether it is the privileged value.
     """
-    values, bad = parse_floats(col)
-    if bad.size:
-        uniq, codes = _factorize([col[i] for i in bad])
-        present = ~_missing(uniq)
-        if not all(_is_number(t) for t, p in zip(uniq, present) if p):
-            return _one_hot(name, col)
-        if present.any():
-            k = int(bad[np.argmax(present[codes])])
-            raise InputError(
-                f"non-finite value {col[k].strip()!r} in numeric feature column "
-                f"{name!r} at data row {int(row_no[k])} of {path}"
+
+    def __init__(self, privileged: str):
+        self.privileged = privileged
+        self.code = {}
+        self.missing = np.zeros(0, dtype=bool)
+        self.privileged_at = np.zeros(0, dtype=bool)
+
+    def __call__(self, tokens) -> np.ndarray:
+        new = [t for t in dict.fromkeys(tokens) if t not in self.code]
+        if new:
+            self.code.update(zip(new, range(len(self.code), len(self.code) + len(new))))
+            stripped = [t.strip() for t in new]
+            self.missing = np.concatenate((self.missing, _missing(stripped)))
+            self.privileged_at = np.concatenate(
+                (self.privileged_at, np.array(stripped, dtype=str) == self.privileged)
             )
-        if bad.size == len(col):
-            values = np.zeros(len(col))
-        else:
-            values = np.where(np.isnan(values), np.nanmedian(values), values)
-    return values.reshape(-1, 1), [name]
+        return np.fromiter(map(self.code.__getitem__, tokens), np.intp, len(tokens))
 
 
-def _read_columns(path):
-    """The stripped header and the columns of the rows as wide as the header.
+class _FeatureColumn:
+    """A feature column of the kept rows, parsed block by block.
 
-    Blank lines are skipped. Also returns, for each remaining row, whether
-    it had the header's width; the other rows are left out of the columns.
+    The column is numeric while every token that is not a missing token
+    parses as a number; the first token that does not makes it categorical,
+    and its float parts are dropped. A number that is not finite (``inf``,
+    ``1e999``) is an error only if the column stays numeric, so the first
+    one is noted and raised at the end.
     """
-    # One list per row and no reference cycles among them: with the cycle
-    # collector paused until the rows are freed, it never traverses them.
-    gc_enabled = gc.isenabled()
-    gc.disable()
+
+    def __init__(self, name: str):
+        self.name = name
+        self.parts = []
+        self.categorical = False
+        self.non_finite = None  # (stripped token, data row) of the first one
+
+    def add(self, col, row_no: np.ndarray) -> None:
+        if self.categorical:
+            return
+        values, bad = parse_floats(col)
+        if bad.size:
+            uniq, codes = _factorize([col[i] for i in bad])
+            present = ~_missing(uniq)
+            if not all(_is_number(t) for t, p in zip(uniq, present) if p):
+                self.categorical = True
+                self.parts = []
+                return
+            if present.any() and self.non_finite is None:
+                k = int(bad[np.argmax(present[codes])])
+                self.non_finite = (col[k].strip(), int(row_no[k]))
+        self.parts.append(values)
+
+    def numeric(self, path) -> np.ndarray:
+        """The values as one column; missing entries take the median."""
+        if self.non_finite is not None:
+            token, row = self.non_finite
+            raise InputError(
+                f"non-finite value {token!r} in numeric feature column "
+                f"{self.name!r} at data row {row} of {path}"
+            )
+        values = np.concatenate(self.parts)
+        self.parts = []
+        missing = np.isnan(values)
+        if missing.all():
+            values = np.zeros(len(values))
+        elif missing.any():
+            values = np.where(missing, np.nanmedian(values), values)
+        return values.reshape(-1, 1)
+
+
+def _records(data: bytes):
+    """``csv.reader`` over ``data`` decoded as UTF-8, a leading BOM dropped."""
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+
+
+def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
+    """Column ``i`` of the kept rows, parsed again from ``data``."""
+    records = _records(data)
+    next(records)
+    return list(itertools.compress((r[i] for r in records if len(r) == width), keep))
+
+
+def _parse(data: bytes, path, schema: DatasetSchema):
+    """Targets, protected bits, feature blocks and names, and ``n_dropped``.
+
+    Records are parsed ``BLOCK_ROWS`` at a time, and each block is reduced
+    to float parts, token codes and notes of bad tokens before the next is
+    read. Every check runs only after the last record, so an undecodable
+    byte or malformed record anywhere in the file is reported first.
+    """
+    records = _records(data)
+    header = next(records, None)
+    if header is None:
+        raise EmptyDataError(f"no header row in {path}")
+    header = [h.strip() for h in header]
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh, \
-                decode_errors_as(InputError, path):
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyDataError(f"no header row in {path}")
-            rows = [r for r in reader if r]
-        whole = np.fromiter(map(len, rows), np.intp, len(rows)) == len(header)
+        col_index = {}
+        for i, name in enumerate(header):
+            if col_index.setdefault(name, i) != i:
+                raise SchemaError(f"duplicate column {name!r} in the header of {path}")
+        for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
+            if col not in col_index:
+                raise SchemaError(f"column {col!r} not found in {path}")
+    except SchemaError:
+        # an undecodable byte or malformed record further on is reported
+        # first, as it was when the whole file was parsed before any check
+        collections.deque(records, maxlen=0)
+        raise
+
+    excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
+    if schema.feature_columns:
+        feature_cols = list(schema.feature_columns)
+    else:
+        feature_cols = [c for c in header if c not in excluded]
+
+    width = len(header)
+    target_at = col_index[schema.target_column]
+    protected_at = [col_index[c] for c in schema.protected_columns]
+    token_codes = [_TokenCodes(v) for v in schema.privileged_values]
+    features = [_FeatureColumn(c) for c in feature_cols]
+    kept, targets, protected = [], [], []
+    n_records = 0
+    rows = filter(None, records)
+    while batch := list(itertools.islice(rows, BLOCK_ROWS)):
+        whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
         if not whole.all():
-            rows = list(itertools.compress(rows, whole))
-        columns = list(zip(*rows)) or [()] * len(header)
-        del rows
-    finally:
-        if gc_enabled:
-            gc.enable()
-    return [h.strip() for h in header], columns, whole
+            batch = list(itertools.compress(batch, whole))
+        columns = list(zip(*batch)) or [()] * width
+        del batch
+        y, _ = parse_floats(columns[target_at])
+        keep = np.isfinite(y)
+        bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
+        for j, (i, codes_of) in enumerate(zip(protected_at, token_codes)):
+            codes = codes_of(columns[i])
+            keep &= ~codes_of.missing[codes]
+            bits[:, j] = codes_of.privileged_at[codes]
+        row_no = (np.flatnonzero(whole) + n_records + 1)[keep]
+        n_records += len(whole)
+        kept.append(keep)
+        targets.append(y[keep])
+        protected.append(bits[keep])
+        if row_no.size:
+            for f in features:
+                col = columns[col_index[f.name]]
+                if row_no.size < len(keep):
+                    col = list(itertools.compress(col, keep))
+                f.add(col, row_no)
+
+    targets = np.concatenate(targets) if targets else np.zeros(0)
+    n = len(targets)
+    if n == 0:
+        raise EmptyDataError(f"zero usable rows in {path}")
+    n_dropped = n_records - n
+    if n_dropped:
+        log.info("dropped %d unusable rows while loading %s", n_dropped, path)
+    protected = np.concatenate(protected)
+    for j, cname in enumerate(schema.protected_columns):
+        if np.unique(protected[:, j]).size < 2:
+            raise DegenerateAttributeError(
+                f"protected column {cname!r} has a single "
+                "observed value after binarization; group structure collapses"
+            )
+
+    blocks = []
+    names = []
+    keep = np.concatenate(kept)
+    for f in features:
+        if f.categorical:
+            tokens = _kept_tokens(data, col_index[f.name], width, keep)
+            block, block_names = _one_hot(f.name, tokens)
+        else:
+            block, block_names = f.numeric(path), [f.name]
+        blocks.append(block)
+        names.extend(block_names)
+    return targets, protected, blocks, names, n_dropped
 
 
 def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
@@ -317,60 +448,19 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     logged). Feature columns that fail to parse as numbers are treated as
     categorical and one-hot encoded in lexicographic category order;
     missing values in numeric feature columns are imputed with the column
-    median. Each column is parsed in one pass over its tokens.
+    median. The file is read once, as bytes, and parsed in blocks of
+    ``BLOCK_ROWS`` records; a categorical column is parsed again from those
+    bytes.
     """
-    header, columns, whole = _read_columns(path)
-    col_index = {}
-    for i, name in enumerate(header):
-        if col_index.setdefault(name, i) != i:
-            raise SchemaError(f"duplicate column {name!r} in the header of {path}")
-    for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
-        if col not in col_index:
-            raise SchemaError(f"column {col!r} not found in {path}")
-
-    excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-    if schema.feature_columns:
-        feature_cols = list(schema.feature_columns)
-    else:
-        feature_cols = [c for c in header if c not in excluded]
-
-    targets, _ = parse_floats(columns[col_index[schema.target_column]])
-    keep = np.isfinite(targets)
-    protected = np.empty((len(targets), len(schema.protected_columns)), dtype=np.uint8)
-    for j, (cname, priv) in enumerate(zip(schema.protected_columns, schema.privileged_values)):
-        uniq, codes = _factorize(columns[col_index[cname]])
-        keep &= ~_missing(uniq)[codes]
-        protected[:, j] = (np.array(uniq, dtype=str) == priv)[codes]
-
-    n = int(keep.sum())
-    if n == 0:
-        raise EmptyDataError(f"zero usable rows in {path}")
-    n_dropped = len(whole) - n
-    if n_dropped:
-        log.info("dropped %d unusable rows while loading %s", n_dropped, path)
-    row_no = np.flatnonzero(whole)[keep] + 1
-    protected = protected[keep]
-    for j, cname in enumerate(schema.protected_columns):
-        if np.unique(protected[:, j]).size < 2:
-            raise DegenerateAttributeError(
-                f"protected column {cname!r} has a single "
-                "observed value after binarization; group structure collapses"
-            )
-
-    blocks = []
-    names = []
-    for cname in feature_cols:
-        col = columns[col_index[cname]]
-        if n < len(keep):
-            col = list(itertools.compress(col, keep))
-        block, block_names = _feature_block(cname, col, row_no, path)
-        blocks.append(block)
-        names.extend(block_names)
-
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with decode_errors_as(InputError, path):
+        targets, protected, blocks, names, n_dropped = _parse(data, path, schema)
+    del data  # before the feature matrix is assembled, to keep the peak lower
+    X = np.hstack(blocks) if blocks else np.zeros((len(targets), 0))
     return from_arrays(
         X,
-        targets[keep],
+        targets,
         protected,
         feature_names=names,
         protected_names=schema.protected_columns,

@@ -75,8 +75,10 @@ class BoostParams:
                 raise ValidationError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
-# the BoostParams fields a model file must hold as JSON integers
+# the BoostParams fields a model file must hold as JSON integers, and those
+# it must hold as JSON numbers
 _INT_PARAMS = tuple(f.name for f in fields(BoostParams) if f.type == "int")
+_FLOAT_PARAMS = tuple(f.name for f in fields(BoostParams) if f.type == "float")
 
 
 @dataclass
@@ -150,6 +152,9 @@ class Tree:
         for name in ("feature", "left", "right"):
             if not isinstance(d[name], list) or not all(type(v) is int for v in d[name]):
                 raise InputError(f"tree {name} must be a list of JSON integers")
+        for name in ("threshold", "value"):
+            if not isinstance(d[name], list) or not all(type(v) in _NUMBER for v in d[name]):
+                raise InputError(f"tree {name} must be a list of JSON numbers")
         tree = Tree(
             feature=np.asarray(d["feature"], dtype=np.int64),
             threshold=np.asarray(d["threshold"], dtype=float),
@@ -177,6 +182,18 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise InputError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+# the Python types of a JSON number; bool, a subclass of int, is not one
+_NUMBER = (int, float)
+
+
+def json_float(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number: an ``int`` or a
+    ``float``, and not a ``bool`` or a string."""
+    if type(value) not in _NUMBER:
+        raise InputError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _safe_score(G, H, lam):
@@ -351,13 +368,16 @@ class TreeEnsemble:
             raise InputError(f"unsupported ensemble version {version!r}")
         try:
             n_features = _json_int(d["n_features"], "ensemble n_features")
-            base_score = float(d["base_score"])
+            base_score = json_float(d["base_score"], "ensemble base_score")
             if not np.isfinite(base_score):
                 raise InputError("ensemble base_score must be finite")
             params = d["params"]
             for name in _INT_PARAMS:
                 if name in params:
                     _json_int(params[name], f"ensemble params {name}")
+            for name in _FLOAT_PARAMS:
+                if name in params:
+                    json_float(params[name], f"ensemble params {name}")
             counts = {key: d.get(key) for key in ("region_switches", "eval_points")}
             for key, count in counts.items():
                 if count is not None:

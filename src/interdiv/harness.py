@@ -306,15 +306,13 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     curve_dir = os.path.join(cfg.out_dir, "curves")
     os.makedirs(curve_dir, exist_ok=True)
     # a run's test rows and relevance, and so its layout, do not depend on
-    # the model: neither do the union grid nor each group's row template
-    # (t and group formatted, the value left as %.17g)
+    # the model: neither do the union grid nor its formatted t values
     layouts = []
     for r in range(cfg.n_runs):
         _, test, phi = _split(ds, cfg, r)
         layouts.append(curves_mod.CurveLayout(test, phi))
     grid = np.unique(np.concatenate([layout.breakpoints for layout in layouts]))
     ts = [f"{t:.17g}" for t in grid.tolist()]
-    rows = ["".join(f"{t},{g},%.17g\n" for t in ts) for g in range(ds.n_groups)]
     out = {}
     for name in models:
         per_run = [
@@ -331,7 +329,11 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
                 for cs in per_run:
                     acc += curves_mod.normalize(*cs.values_at(grid, g))
                 acc /= len(per_run)
-                # one formatted block and one write per group, as in export_curves
-                fh.write(rows[g] % tuple(acc.tolist()))
+                # bounded blocks, as in export_curves; each row is
+                # "{t}{sep}" with the value left as %.17g
+                sep = f",{g},%.17g\n"
+                for s in range(0, len(ts), dataset_mod.BLOCK_ROWS):
+                    e = s + dataset_mod.BLOCK_ROWS
+                    fh.write((sep.join(ts[s:e]) + sep) % tuple(acc[s:e].tolist()))
         out[name] = path
     return out

@@ -67,7 +67,7 @@ class IdBoostModel:
             model = IdBoostModel(
                 id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
                 sera_ensemble=gbt.TreeEnsemble.from_dict(d["sera_ensemble"]),
-                w=float(d["w"]),
+                w=gbt.json_float(d["w"], "idboost weight w"),
             )
         except KeyError as exc:
             raise InputError(f"idboost file lacks the key {exc.args[0]!r}") from None

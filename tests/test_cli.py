@@ -275,6 +275,26 @@ class TestMalformedModelFile:
         err = self.predict_error(doc, biased_dir, tmp_path, capsys)
         assert "n_features must be a JSON integer" in err
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["id_ensemble"]["trees"][0]["threshold"].__setitem__(0, "0.5"),
+         "tree threshold must be a list of JSON numbers"),
+        (lambda d: d["id_ensemble"]["trees"][0]["value"].__setitem__(-1, True),
+         "tree value must be a list of JSON numbers"),
+        (lambda d: d["sera_ensemble"]["params"].__setitem__("learning_rate", True),
+         "ensemble params learning_rate must be a JSON number, got True"),
+        (lambda d: d["sera_ensemble"]["params"].__setitem__("l2_lambda", "1"),
+         "ensemble params l2_lambda must be a JSON number, got '1'"),
+        (lambda d: d.__setitem__("w", True), "idboost weight w must be a JSON number, got True"),
+        (lambda d: d["id_ensemble"].__setitem__("base_score", "3.5"),
+         "ensemble base_score must be a JSON number, got '3.5'"),
+    ], ids=["threshold-string", "value-bool", "learning-rate-bool", "l2-lambda-string",
+            "w-bool", "base-score-string"])
+    def test_float_field_that_is_not_a_number(
+        self, doc, biased_dir, tmp_path, capsys, mutate, message
+    ):
+        mutate(doc)
+        assert message in self.predict_error(doc, biased_dir, tmp_path, capsys)
+
 
 class TestExtremeParameterValues:
     @pytest.mark.filterwarnings("error")

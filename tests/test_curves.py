@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,13 @@ def test_export_curves_format(tmp_path, rng):
     t, g, s, c, nrm = lines[1].split(",")
     assert float(t) == 0.0 and int(g) == 0
     assert float(s) >= 0 and int(c) >= 0 and float(nrm) >= 0
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_export_curves_in_small_blocks(tmp_path, rng, block_rows):
+    ds, phi, preds = make_instance(rng, n=20)
+    cs = curves.build(ds, preds, phi)
+    curves.export_curves(cs, tmp_path / "one.csv")
+    with mock.patch.object(dataset, "BLOCK_ROWS", block_rows):
+        curves.export_curves(cs, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
