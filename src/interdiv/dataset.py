@@ -29,7 +29,7 @@ from .errors import (
     SchemaError,
     SplitError,
     ValidationError,
-    decode_errors_as,
+    read_errors_as,
 )
 
 log = logging.getLogger(__name__)
@@ -353,63 +353,64 @@ def _parse(data: bytes, path, schema: DatasetSchema):
     read. Every check runs only after the last record, so an undecodable
     byte or malformed record anywhere in the file is reported first.
     """
-    records = _records(data)
-    header = next(records, None)
-    if header is None:
-        raise EmptyDataError(f"no header row in {path}")
-    header = [h.strip() for h in header]
-    try:
-        col_index = {}
-        for i, name in enumerate(header):
-            if col_index.setdefault(name, i) != i:
-                raise SchemaError(f"duplicate column {name!r} in the header of {path}")
-        for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
-            if col not in col_index:
-                raise SchemaError(f"column {col!r} not found in {path}")
-    except SchemaError:
-        # an undecodable byte or malformed record further on is reported
-        # first, as it was when the whole file was parsed before any check
-        collections.deque(records, maxlen=0)
-        raise
+    with read_errors_as(InputError, path) as watch:
+        records = watch(_records(data))
+        header = next(records, None)
+        if header is None:
+            raise EmptyDataError(f"no header row in {path}")
+        header = [h.strip() for h in header]
+        try:
+            col_index = {}
+            for i, name in enumerate(header):
+                if col_index.setdefault(name, i) != i:
+                    raise SchemaError(f"duplicate column {name!r} in the header of {path}")
+            for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
+                if col not in col_index:
+                    raise SchemaError(f"column {col!r} not found in {path}")
+        except SchemaError:
+            # an undecodable byte or malformed record further on is reported
+            # first, as it was when the whole file was parsed before any check
+            collections.deque(records, maxlen=0)
+            raise
 
-    excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-    if schema.feature_columns:
-        feature_cols = list(schema.feature_columns)
-    else:
-        feature_cols = [c for c in header if c not in excluded]
+        excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
+        if schema.feature_columns:
+            feature_cols = list(schema.feature_columns)
+        else:
+            feature_cols = [c for c in header if c not in excluded]
 
-    width = len(header)
-    target_at = col_index[schema.target_column]
-    protected_at = [col_index[c] for c in schema.protected_columns]
-    token_codes = [_TokenCodes(v) for v in schema.privileged_values]
-    features = [_FeatureColumn(c) for c in feature_cols]
-    kept, targets, protected = [], [], []
-    n_records = 0
-    rows = filter(None, records)
-    while batch := list(itertools.islice(rows, BLOCK_ROWS)):
-        whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
-        if not whole.all():
-            batch = list(itertools.compress(batch, whole))
-        columns = list(zip(*batch)) or [()] * width
-        del batch
-        y, _ = parse_floats(columns[target_at])
-        keep = np.isfinite(y)
-        bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
-        for j, (i, codes_of) in enumerate(zip(protected_at, token_codes)):
-            codes = codes_of(columns[i])
-            keep &= ~codes_of.missing[codes]
-            bits[:, j] = codes_of.privileged_at[codes]
-        row_no = (np.flatnonzero(whole) + n_records + 1)[keep]
-        n_records += len(whole)
-        kept.append(keep)
-        targets.append(y[keep])
-        protected.append(bits[keep])
-        if row_no.size:
-            for f in features:
-                col = columns[col_index[f.name]]
-                if row_no.size < len(keep):
-                    col = list(itertools.compress(col, keep))
-                f.add(col, row_no)
+        width = len(header)
+        target_at = col_index[schema.target_column]
+        protected_at = [col_index[c] for c in schema.protected_columns]
+        token_codes = [_TokenCodes(v) for v in schema.privileged_values]
+        features = [_FeatureColumn(c) for c in feature_cols]
+        kept, targets, protected = [], [], []
+        n_records = 0
+        rows = filter(None, records)
+        while batch := list(itertools.islice(rows, BLOCK_ROWS)):
+            whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
+            if not whole.all():
+                batch = list(itertools.compress(batch, whole))
+            columns = list(zip(*batch)) or [()] * width
+            del batch
+            y, _ = parse_floats(columns[target_at])
+            keep = np.isfinite(y)
+            bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
+            for j, (i, codes_of) in enumerate(zip(protected_at, token_codes)):
+                codes = codes_of(columns[i])
+                keep &= ~codes_of.missing[codes]
+                bits[:, j] = codes_of.privileged_at[codes]
+            row_no = (np.flatnonzero(whole) + n_records + 1)[keep]
+            n_records += len(whole)
+            kept.append(keep)
+            targets.append(y[keep])
+            protected.append(bits[keep])
+            if row_no.size:
+                for f in features:
+                    col = columns[col_index[f.name]]
+                    if row_no.size < len(keep):
+                        col = list(itertools.compress(col, keep))
+                    f.add(col, row_no)
 
     targets = np.concatenate(targets) if targets else np.zeros(0)
     n = len(targets)
@@ -454,8 +455,7 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    with decode_errors_as(InputError, path):
-        targets, protected, blocks, names, n_dropped = _parse(data, path, schema)
+    targets, protected, blocks, names, n_dropped = _parse(data, path, schema)
     del data  # before the feature matrix is assembled, to keep the peak lower
     X = np.hstack(blocks) if blocks else np.zeros((len(targets), 0))
     return from_arrays(
@@ -475,7 +475,7 @@ def read_preds(path) -> np.ndarray:
     Blank lines are skipped. Non-finite values are read as they are, for
     the caller to reject; a row that is not a number is an ``InputError``.
     """
-    with open(path, encoding="utf-8-sig") as fh, decode_errors_as(InputError, path):
+    with open(path, encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
         first = fh.readline().strip()
         rows = [line.strip() for line in fh if line.strip()]
     try:

@@ -1,4 +1,5 @@
 """Exception types shared across the toolkit."""
+import csv
 from contextlib import contextmanager
 
 
@@ -51,9 +52,19 @@ class InternalError(InterdivError):
 
 
 @contextmanager
-def decode_errors_as(error, path):
-    """Raise ``error`` naming ``path`` for text read from it that is not UTF-8."""
+def read_errors_as(error, path):
+    """Raise ``error`` naming ``path`` for text read from it that is not UTF-8,
+    or for a record that a ``csv.reader`` passed through the context value
+    rejects, naming the line that reader stopped on."""
+    readers = []
+
+    def watch(reader):
+        readers.append(reader)
+        return reader
+
     try:
-        yield
+        yield watch
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise error(f"{path}, line {readers[-1].line_num}: {exc}") from None

@@ -3,9 +3,9 @@
 An experiment fits every configured model on ``runs`` independent
 train/test splits (seeded ``base_seed + run``), scores each test prediction
 with the full fairness report, and aggregates per-metric ranks across runs.
-Within a run each objective's ensemble is fitted once and shared by every
-model that uses it: an ``idboost_<w>`` model mixes the ensembles of the
-standalone ``idloss`` and ``sera`` models.
+Within a run each objective's ensemble is fitted and predicted once, an
+``idboost_<w>`` model mixes the test predictions of ``idloss`` and ``sera``,
+and every model is scored on one curve layout of the run's test rows.
 A model that raises an ``InterdivError`` during a run is recorded as failed
 and ranked last for every metric of that run rather than aborting the
 experiment. Any other exception is a fault of the program, not of the
@@ -122,18 +122,17 @@ def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
     return gbt.fit(ds, obj, params)
 
 
-def _ensemble(fitted: dict, train, phi, cfg: ExperimentConfig, objective: str):
-    """The run's ensemble for ``objective``, fitted on first use.
+def _ensemble(fitted: dict, split, cfg: ExperimentConfig, objective: str):
+    """The pair of the run's ensemble for ``objective`` and its test predictions.
 
-    ``fitted`` maps each objective fitted so far in the run to its ensemble,
-    or to the ``InterdivError`` its fit raised, which is raised again for
-    every model that needs it.
-    """
+    ``split`` is the run's ``(train, test, phi)``. ``fitted`` maps each objective
+    used so far in the run to its pair, or to the ``InterdivError`` its fit or
+    predict raised, which is raised again for every model that needs it."""
     if objective not in fitted:
+        train, test, phi = split
         try:
-            fitted[objective] = fit_model(
-                train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast
-            )
+            ens = fit_model(train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast)
+            fitted[objective] = (ens, ens.predict(test.features))
         except InterdivError as exc:
             fitted[objective] = exc
     found = fitted[objective]
@@ -200,20 +199,21 @@ def run(cfg: ExperimentConfig):
     raw_rows = []
     values = np.full((cfg.n_runs, n_models, n_metrics), np.inf)
     for r in range(cfg.n_runs):
-        train, test, phi = _split(ds, cfg, r)
+        train, test, phi = split = _split(ds, cfg, r)
+        layout = curves_mod.CurveLayout(test, phi)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
-        ensemble = functools.partial(_ensemble, {}, train, phi, cfg)
+        ensemble = functools.partial(_ensemble, {}, split, cfg)
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:
                 kind, objective, w = _parse_model_name(name)
                 if kind == "idboost":
-                    model = idboost.assemble(train, w, ensemble)
+                    model = idboost.assemble(train, w, lambda o: ensemble(o)[0])
+                    preds = model.mix(ensemble("idloss")[1], ensemble("sera")[1])
                 else:
-                    model = ensemble(objective)
-                preds = model.predict(test.features)
-                report = metrics.full_report(test, preds, phi)
+                    model, preds = ensemble(objective)
+                report = metrics.layout_report(layout, preds)
                 for k, metric in enumerate(cfg.metric_names):
                     values[r, m, k] = _report_metric(report, metric)
                 dataset_mod.write_preds(os.path.join(run_dir, f"preds_{name}.csv"), preds)

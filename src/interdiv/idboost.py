@@ -17,7 +17,7 @@ import numpy as np
 from . import gbt
 from .dataset import GroupedDataset
 from .curves import require_two_groups
-from .errors import InputError, ValidationError, decode_errors_as
+from .errors import InputError, ValidationError, read_errors_as
 from .losses import make_objective
 from .relevance import RelevanceFunction
 
@@ -32,13 +32,18 @@ class IdBoostModel:
     w: float
 
     def predict(self, X) -> np.ndarray:
-        if self.w == 1.0:
-            return self.id_ensemble.predict(X)
-        if self.w == 0.0:
-            return self.sera_ensemble.predict(X)
-        return self.w * self.id_ensemble.predict(X) + (1.0 - self.w) * (
-            self.sera_ensemble.predict(X)
+        return self.mix(
+            None if self.w == 0.0 else self.id_ensemble.predict(X),
+            None if self.w == 1.0 else self.sera_ensemble.predict(X),
         )
+
+    def mix(self, p_id, p_sera) -> np.ndarray:
+        """Mix the ensembles' predictions; at ``w`` 1 or 0 only one is read."""
+        if self.w == 1.0:
+            return p_id
+        if self.w == 0.0:
+            return p_sera
+        return self.w * p_id + (1.0 - self.w) * p_sera
 
     def to_dict(self) -> dict:
         return {
@@ -87,7 +92,7 @@ def load(path):
     raises ``InputError`` naming ``path``.
     """
     try:
-        with open(path, encoding="utf-8") as fh, decode_errors_as(InputError, path):
+        with open(path, encoding="utf-8") as fh, read_errors_as(InputError, path):
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise InputError(f"model file {path} must hold a JSON object")

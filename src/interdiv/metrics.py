@@ -161,25 +161,25 @@ class FairnessReport:
 
 
 def full_report(ds: GroupedDataset, preds, phi: RelevanceFunction) -> FairnessReport:
-    """Assemble every measure of finite predictions; component failures
-    become flagged fields."""
+    """:func:`layout_report` of ``preds`` on the curve layout of ``ds`` and ``phi``."""
+    return layout_report(curves_mod.CurveLayout(ds, phi), preds)
+
+
+def layout_report(layout: curves_mod.CurveLayout, preds) -> FairnessReport:
+    """Assemble every measure of finite predictions on the rows of ``layout``,
+    which every prediction vector on them shares; failures become flagged fields."""
+    ds = layout.ds
     preds = curves_mod.check_preds(ds, preds)
     notes = []
     report_mse = mse(ds, preds)
     report_mae = mae(ds, preds)
 
-    sera_val = None
+    sera_val = layout.sera(preds)
     id_val = None
     try:
-        layout = curves_mod.CurveLayout(ds, phi)
-        cs = layout.curves(preds)
-        sera_val = layout.sera(preds)
-        try:
-            id_val = intersectional_divergence(cs)
-        except InterdivError as exc:
-            notes.append(f"id: {exc}")
+        id_val = intersectional_divergence(layout.curves(preds))
     except InterdivError as exc:
-        notes.append(f"curves: {exc}")
+        notes.append(f"id: {exc}")
 
     per_attribute = []
     dbgl_vals = []

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ValidationError, decode_errors_as
+from .errors import InputError, ValidationError, read_errors_as
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,10 @@ def from_file_or_boxplot(path, targets) -> RelevanceFunction:
 def load_points(path) -> RelevanceFunction:
     """Read control points from a two-column ``y,relevance`` CSV."""
     pts = []
-    with open(path, newline="", encoding="utf-8-sig") as fh, \
-            decode_errors_as(InputError, path):
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
+        lines = fh.readlines()
+    with read_errors_as(ValidationError, path) as watch:
+        reader = watch(csv.reader(lines))
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"empty relevance file: {path}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from interdiv import cli, config, dataset, relevance
-from interdiv.errors import ConfigError, InputError
+from interdiv.errors import ConfigError, InputError, ValidationError
 
 
 def run_cli(*argv):
@@ -675,3 +675,45 @@ class TestUndecodableInput:
         assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: ")
         with pytest.raises(error, match="is not UTF-8 text"):
             read(bad)
+
+
+class TestOverlongCsvField:
+    """A CSV cell longer than the ``csv`` module's field limit fails as the
+    reader's error, naming the file and the line, with no traceback."""
+
+    LONG = "x" * 200_000
+
+    def assert_clean_failure(self, code, capsys, path, line):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(
+            f"error: {path}, line {line}: field larger than field limit"
+        )
+
+    def test_dataset(self, scenario_dir, capsys):
+        data = scenario_dir / "data.csv"
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + self.LONG
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(
+            "audit", "--data", str(data), "--config", str(scenario_dir / "schema.cfg"),
+            "--preds", str(scenario_dir / "preds.csv"),
+        )
+        self.assert_clean_failure(code, capsys, data, 4)
+        with pytest.raises(InputError, match="field larger"):
+            dataset.load_csv(data, config.load_schema(scenario_dir / "schema.cfg"))
+
+    def test_relevance_file(self, scenario_dir, tmp_path, capsys):
+        rel = tmp_path / "rel.csv"
+        rel.write_text(f"y,relevance\n-100,1.0\n{self.LONG},0.5\n100,1.0\n")
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--data", str(scenario_dir / "data.csv"),
+            "--config", str(scenario_dir / "schema.cfg"), "--relevance-file", str(rel),
+            "--rounds", "1", "--out", str(tmp_path / "m.json"),
+        )
+        self.assert_clean_failure(code, capsys, rel, 3)
+        with pytest.raises(ValidationError, match="field larger"):
+            relevance.load_points(rel)

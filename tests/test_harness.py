@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from interdiv import dataset, harness
+from interdiv import curves, dataset, gbt, harness
 from interdiv.errors import InputError, UndefinedMetricError, ValidationError
 
 from conftest import parent_export_id_curves, parent_run
@@ -190,6 +190,39 @@ class TestSharedEnsembles:
         _, rows = harness.run(cfg)
         assert all(r["status"] == "ok" for r in rows)
         assert sorted(objectives) == ["idloss", "idloss", "mse", "mse", "sera", "sera"]
+
+    def test_each_ensemble_predicted_and_test_layout_built_once_per_run(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=2, models="mse, idloss, sera, idboost_0.3, idboost_0.7"
+        ))
+        split = dataset.split
+        predict = gbt.TreeEnsemble.predict
+        post_init = curves.CurveLayout.__post_init__
+        test_sets, walked, laid_out = [], [], []
+
+        def recording_split(*args, **kwargs):
+            train, test = split(*args, **kwargs)
+            test_sets.append(test)
+            return train, test
+
+        def counted_predict(self, X):
+            walked.append(self)
+            return predict(self, X)
+
+        def recording_post_init(self, phi):
+            laid_out.append(self.ds)
+            post_init(self, phi)
+
+        monkeypatch.setattr(dataset, "split", recording_split)
+        monkeypatch.setattr(gbt.TreeEnsemble, "predict", counted_predict)
+        monkeypatch.setattr(curves.CurveLayout, "__post_init__", recording_post_init)
+        _, rows = harness.run(cfg)
+        assert all(r["status"] == "ok" for r in rows)
+        # the mse, idloss and sera ensembles of each run, once each
+        assert len(walked) == 6
+        assert sum(any(ds is t for t in test_sets) for ds in laid_out) == 2
 
     @pytest.mark.parametrize("fast", ["false", "true"])
     def test_outputs_equal_fitting_each_model_alone(self, tmp_path, fast):

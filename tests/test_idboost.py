@@ -94,6 +94,28 @@ class TestPredict:
         for w in ws:
             assert np.allclose(preds[w], w * p1 + (1 - w) * p0, atol=1e-10)
 
+    def test_mix_of_ensemble_predictions_is_predict(self, trained, rng):
+        ds, _, _, model = trained
+        p_id = model.id_ensemble.predict(ds.features)
+        p_sera = model.sera_ensemble.predict(ds.features)
+        for w in (0.0, 1.0, 0.3, *rng.uniform(size=20)):
+            m = idboost.IdBoostModel(model.id_ensemble, model.sera_ensemble, float(w))
+            assert m.mix(p_id, p_sera).tobytes() == m.predict(ds.features).tobytes(), w
+
+    @pytest.mark.parametrize("w, walked", [(0.0, "sera_ensemble"), (1.0, "id_ensemble")])
+    def test_end_weights_walk_one_ensemble(self, trained, monkeypatch, w, walked):
+        ds, _, _, model = trained
+        walks = []
+        predict = gbt.TreeEnsemble.predict
+
+        def counted(self, X):
+            walks.append(self)
+            return predict(self, X)
+
+        monkeypatch.setattr(gbt.TreeEnsemble, "predict", counted)
+        idboost.IdBoostModel(model.id_ensemble, model.sera_ensemble, w).predict(ds.features)
+        assert len(walks) == 1 and walks[0] is getattr(model, walked)
+
     def test_dimension_mismatch_rejected(self, trained):
         ds, _, _, model = trained
         with pytest.raises(InputError):
