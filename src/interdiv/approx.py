@@ -13,7 +13,8 @@ Like the curves themselves, simplification splits into a part fixed per
 curve layout and parameters and a part that changes with the predictions.
 :class:`SimplifyGrid` holds the fixed part: the grid, the kernel, the
 breakpoint interval of each grid point and the count integrals the
-objective's sweep reads at grid points and sample relevances. Its
+objective's sweep reads at grid points and sample relevances, which it
+computes from the layout's count step functions. Its
 :meth:`~SimplifyGrid.marks` marks the retained points of all groups at once
 in a boolean (groups, grid) array. The divergence objective builds one grid
 per fit; :func:`simplify` is the one-shot form for a single curve set.
@@ -105,9 +106,10 @@ class SimplifyGrid:
 
     Holds the uniform grid, the Gaussian kernel and its edge normalizer, the
     breakpoint interval of every grid point, and, for the simplified sweep of
-    the divergence objective, the count integral F_g at every grid point,
-    each sample's grid cell and F_g at each sample's own relevance (a
-    breakpoint, so the value is the layout's ``count_integral`` there).
+    the divergence objective, each sample's grid cell and the count integral
+    F_g at every grid point and at each sample's own relevance. F_g is
+    computed here from the layout's count step functions and is not kept:
+    it is exact at breakpoints and linear between them.
     Per prediction, :meth:`marks` then costs one convolution per group and
     array operations over all groups at once.
     """
@@ -136,13 +138,17 @@ class SimplifyGrid:
         self.edge = np.convolve(np.ones(n_grid), self.kernel, mode="same")
         self.min_points = params.min_points
         self.floor_points = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
-        bp = layout.breakpoints
+        bp, count = layout.breakpoints, layout.count
         self.interval = _grid_intervals(bp, self.grid)
-        self.count_at_grid = np.stack([np.interp(self.grid, bp, f) for f in layout.count_integral])
+        # F_g(bp[k]): the integral of dt / |D^t_g| from 0, zero on empty
+        # stretches, so F_g is piecewise linear between breakpoints
+        integrand = np.where(count > 0, np.diff(bp) / np.maximum(count, 1), 0.0)
+        f = np.concatenate([np.zeros((len(count), 1)), np.cumsum(integrand, axis=1)], axis=1)
+        self.count_at_grid = np.stack([np.interp(self.grid, bp, fg) for fg in f])
         self.sample_cell = np.clip(
             np.searchsorted(self.grid, layout.relevance, side="right") - 1, 0, n_grid - 2
         )
-        self.count_at_sample = layout.count_integral[layout.ds.group_of, layout.sample_interval]
+        self.count_at_sample = f[layout.ds.group_of, layout.sample_interval]
 
     def marks(self, norm: np.ndarray):
         """Resampled curves and the (groups, grid) mask of their retained points.
@@ -195,16 +201,10 @@ def id_from_simplified(simplified: SimplifiedCurveSet, curves: SerCurveSet) -> f
     mid = 0.5 * (grid[:-1] + grid[1:])
     seg_len = np.diff(grid)
     cand = curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0
-    n_cand = cand.sum(axis=0)
     lo = np.stack([c(grid[:-1]) for c in simplified.curves])
     hi = np.stack([c(grid[1:]) for c in simplified.curves])
-
-    def gap(vals):
-        vmax = np.max(np.where(cand, vals, -np.inf), axis=0)
-        vmin = np.min(np.where(cand, vals, np.inf), axis=0)
-        return np.where(n_cand >= 2, vmax - vmin, 0.0)
-
-    return float(np.sum(0.5 * (gap(lo) + gap(hi)) * seg_len))
+    gap = curves_mod.divergence_gap(lo, cand) + curves_mod.divergence_gap(hi, cand)
+    return float(np.sum(0.5 * gap * seg_len))
 
 
 @dataclass

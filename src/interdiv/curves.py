@@ -15,10 +15,10 @@ for oracle-style comparisons and curve export.
 
 Everything except the squared errors depends on the targets alone. A
 :class:`CurveLayout` holds that fixed part for one dataset and relevance
-function: relevances, breakpoints, each group's relevance sort order, the
-count step functions and their running integrals. ``layout.curves(preds)``
-adds the per-prediction part, one suffix sum of squared errors per group, so
-a training loop builds the layout once and pays O(n) per round. The
+function: relevances, breakpoints, each group's relevance sort order and
+the count step functions. ``layout.curves(preds)`` adds the per-prediction
+part, one suffix sum of squared errors per group, so a training loop builds
+the layout once and pays O(n) per round. The
 divergence objective does so, and its ``grad_hess`` returns the loss value
 from the same curves, so a boosting round builds them once.
 """
@@ -65,9 +65,8 @@ class CurveLayout:
 
     ``orders[g]`` lists group g's sample indices in stable relevance order;
     ``sample_interval[j]`` is the index of sample j's relevance among the
-    breakpoints; ``count_integral[g, k]`` is the exact integral
-    F_g(breakpoints[k]) of dt / |D^t_g| from 0, zero on empty stretches, so
-    F_g is piecewise linear between breakpoints.
+    breakpoints. The counts' integrals over cutoffs are not held here:
+    :class:`~interdiv.approx.SimplifyGrid`, their one reader, computes them.
     """
 
     ds: GroupedDataset
@@ -77,7 +76,6 @@ class CurveLayout:
     orders: tuple = field(init=False)
     count: np.ndarray = field(init=False)            # (n_groups, n_intervals)
     sample_interval: np.ndarray = field(init=False)
-    count_integral: np.ndarray = field(init=False)   # (n_groups, n_breakpoints)
 
     def __post_init__(self, phi: RelevanceFunction):
         rel = np.asarray(evaluate(phi, self.ds.targets), dtype=float)
@@ -92,15 +90,11 @@ class CurveLayout:
             count[g] = len(order) - np.searchsorted(rel[order], bp[1:], side="left")
             order.setflags(write=False)
             orders.append(order)
-        integrand = np.where(count > 0, np.diff(bp) / np.maximum(count, 1), 0.0)
         fixed = {
             "relevance": rel,
             "breakpoints": bp,
             "count": count,
             "sample_interval": where[: len(rel)],
-            "count_integral": np.concatenate(
-                [np.zeros((n_groups, 1)), np.cumsum(integrand, axis=1)], axis=1
-            ),
         }
         for name, arr in fixed.items():
             arr.setflags(write=False)
@@ -187,22 +181,31 @@ class SerCurveSet:
             object.__setattr__(self, "_normalized", out)
         return out
 
-    def extremes(self):
-        """Normalized curves, populated-group mask, and masked min and max.
-
-        Per interval, the min and max run over the groups that still have
-        samples; where none has, they are +inf and -inf.
-        """
-        norm = self.normalized()
-        cand = self.count > 0
-        vmin = np.min(np.where(cand, norm, np.inf), axis=0)
-        vmax = np.max(np.where(cand, norm, -np.inf), axis=0)
-        return norm, cand, vmin, vmax
-
 
 def build(ds: GroupedDataset, preds, phi: RelevanceFunction) -> SerCurveSet:
     """One-shot curves of one prediction vector, in O(n log n + |A| n)."""
     return CurveLayout(ds, phi).curves(preds)
+
+
+def best_group(values, populated) -> np.ndarray:
+    """Per column, the populated group (row) with the lowest value.
+
+    Ties go to the lowest group id; -1 where no group is populated.
+    """
+    best = np.argmin(np.where(populated, values, np.inf), axis=0)
+    best[~populated.any(axis=0)] = -1
+    return best.astype(np.int64)
+
+
+def divergence_gap(values, populated) -> np.ndarray:
+    """Per column, max minus min of ``values`` over the populated groups.
+
+    The gap is 0 where fewer than two groups are populated.
+    """
+    # one masked copy of ``values`` at a time: each is freed after its reduction
+    vmax = np.max(np.where(populated, values, -np.inf), axis=0)
+    vmin = np.min(np.where(populated, values, np.inf), axis=0)
+    return np.where(populated.sum(axis=0) >= 2, vmax - vmin, 0.0)
 
 
 def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
@@ -212,12 +215,7 @@ def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
     piece of the divergence loss the current predictions sit on, so two
     prediction vectors with equal patterns share one smooth loss piece.
     """
-    norm = curves.normalized()
-    cand = curves.count > 0
-    masked = np.where(cand, norm, np.inf)
-    pattern = np.argmin(masked, axis=0)
-    pattern[~cand.any(axis=0)] = -1
-    return pattern.astype(np.int64)
+    return best_group(curves.normalized(), curves.count > 0)
 
 
 def integrate_step(values, breakpoints) -> float:

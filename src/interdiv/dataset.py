@@ -258,31 +258,6 @@ def _one_hot(name: str, col):
     return onehot, [f"{name}={c}" for c in cats]
 
 
-class _TokenCodes:
-    """A protected column's token codes, one map shared by every block.
-
-    Each distinct token gets the next code; per code, whether the stripped
-    token is missing and whether it is the privileged value.
-    """
-
-    def __init__(self, privileged: str):
-        self.privileged = privileged
-        self.code = {}
-        self.missing = np.zeros(0, dtype=bool)
-        self.privileged_at = np.zeros(0, dtype=bool)
-
-    def __call__(self, tokens) -> np.ndarray:
-        new = [t for t in dict.fromkeys(tokens) if t not in self.code]
-        if new:
-            self.code.update(zip(new, range(len(self.code), len(self.code) + len(new))))
-            stripped = [t.strip() for t in new]
-            self.missing = np.concatenate((self.missing, _missing(stripped)))
-            self.privileged_at = np.concatenate(
-                (self.privileged_at, np.array(stripped, dtype=str) == self.privileged)
-            )
-        return np.fromiter(map(self.code.__getitem__, tokens), np.intp, len(tokens))
-
-
 class _FeatureColumn:
     """A feature column of the kept rows, parsed block by block.
 
@@ -349,8 +324,8 @@ def _parse(data: bytes, path, schema: DatasetSchema):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
 
     Records are parsed ``BLOCK_ROWS`` at a time, and each block is reduced
-    to float parts, token codes and notes of bad tokens before the next is
-    read. Every check runs only after the last record, so an undecodable
+    to float parts, protected bits and notes of bad tokens before the next
+    is read. Every check runs only after the last record, so an undecodable
     byte or malformed record anywhere in the file is reported first.
     """
     with read_errors_as(InputError, path) as watch:
@@ -364,7 +339,8 @@ def _parse(data: bytes, path, schema: DatasetSchema):
             for i, name in enumerate(header):
                 if col_index.setdefault(name, i) != i:
                     raise SchemaError(f"duplicate column {name!r} in the header of {path}")
-            for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
+            for col in (schema.target_column, *schema.protected_columns,
+                        *schema.feature_columns, *schema.drop_columns):
                 if col not in col_index:
                     raise SchemaError(f"column {col!r} not found in {path}")
         except SchemaError:
@@ -382,7 +358,6 @@ def _parse(data: bytes, path, schema: DatasetSchema):
         width = len(header)
         target_at = col_index[schema.target_column]
         protected_at = [col_index[c] for c in schema.protected_columns]
-        token_codes = [_TokenCodes(v) for v in schema.privileged_values]
         features = [_FeatureColumn(c) for c in feature_cols]
         kept, targets, protected = [], [], []
         n_records = 0
@@ -396,10 +371,10 @@ def _parse(data: bytes, path, schema: DatasetSchema):
             y, _ = parse_floats(columns[target_at])
             keep = np.isfinite(y)
             bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
-            for j, (i, codes_of) in enumerate(zip(protected_at, token_codes)):
-                codes = codes_of(columns[i])
-                keep &= ~codes_of.missing[codes]
-                bits[:, j] = codes_of.privileged_at[codes]
+            for j, (i, privileged) in enumerate(zip(protected_at, schema.privileged_values)):
+                uniq, codes = _factorize(columns[i])
+                keep &= ~_missing(uniq)[codes]
+                bits[:, j] = (np.array(uniq, dtype=str) == privileged)[codes]
             row_no = (np.flatnonzero(whole) + n_records + 1)[keep]
             n_records += len(whole)
             kept.append(keep)

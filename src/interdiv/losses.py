@@ -24,7 +24,7 @@ import numpy as np
 
 from . import curves as curves_mod
 from .approx import SimplifyGrid, _grid_intervals
-from .curves import SerCurveSet, argmin_pattern, check_preds
+from .curves import SerCurveSet, argmin_pattern, best_group, check_preds
 from .dataset import GroupedDataset
 from .errors import InputError, ValidationError
 from .relevance import RelevanceFunction
@@ -55,7 +55,9 @@ class GradHess:
 def idloss_from_curves(curves: SerCurveSet) -> float:
     """Exact sweep evaluation of the divergence loss from built curves."""
     curves_mod.require_two_groups(curves.layout.ds, "divergence loss")
-    norm, cand, vmin, _ = curves.extremes()
+    norm = curves.normalized()
+    cand = curves.count > 0
+    vmin = np.min(np.where(cand, norm, np.inf), axis=0)
     any_cand = cand.any(axis=0)
     total = np.where(cand, norm, 0.0).sum(axis=0)
     vmin_safe = np.where(any_cand, vmin, 0.0)
@@ -255,9 +257,7 @@ def _simplified_sample_weights(curves: SerCurveSet, sgrid: SimplifyGrid):
     grid = sgrid.grid[union]
     idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
     cand = curves.count[:, idx] > 0
-    masked = np.where(cand, norm[:, idx], np.inf)
-    pattern = np.argmin(masked, axis=0)
-    pattern[~cand.any(axis=0)] = -1
+    pattern = best_group(norm[:, idx], cand)
     gids = np.arange(curves.n_groups)[:, None]
     mask = cand & (pattern[None, :] != gids)
 
@@ -272,7 +272,7 @@ def _simplified_sample_weights(curves: SerCurveSet, sgrid: SimplifyGrid):
     g = curves.sample_group
     s = np.cumsum(union)[sgrid.sample_cell] - 1
     W = cum[g, s] + np.where(mask[g, s], sgrid.count_at_sample - f_at_grid[g, s], 0.0)
-    return W, pattern.astype(np.int64), len(grid) - 1
+    return W, pattern, len(grid) - 1
 
 
 OBJECTIVE_NAMES = ("mse", "huber", "sera", "idloss")

@@ -31,9 +31,7 @@ def intersectional_divergence(curves: SerCurveSet) -> float:
     one normalized curve.
     """
     curves_mod.require_two_groups(curves.layout.ds, "intersectional divergence")
-    _, cand, vmin, vmax = curves.extremes()
-    n_cand = cand.sum(axis=0)
-    gap = np.where(n_cand >= 2, vmax - vmin, 0.0)
+    gap = curves_mod.divergence_gap(curves.normalized(), curves.count > 0)
     return float(np.sum(gap * curves.interval_widths))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from interdiv import cli, config, dataset, relevance
-from interdiv.errors import ConfigError, InputError, ValidationError
+from interdiv.errors import ConfigError, InputError, SchemaError, ValidationError
 
 
 def run_cli(*argv):
@@ -717,3 +717,21 @@ class TestOverlongCsvField:
         self.assert_clean_failure(code, capsys, rel, 3)
         with pytest.raises(ValidationError, match="field larger"):
             relevance.load_points(rel)
+
+
+def test_drop_column_missing_from_header_is_rejected(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("y,a,id,x\n" + "".join(
+        f"{i * 0.5},{i % 2},{i},{(i * 7) % 5}\n" for i in range(12)))
+    cfg = tmp_path / "schema.cfg"
+    cfg.write_text("target = y\nprotected = a\nprivileged = 1\ndrop = idd\n")
+    preds = tmp_path / "preds.csv"
+    preds.write_text("pred\n" + "1.0\n" * 12)
+    capsys.readouterr()
+    code = run_cli("audit", "--data", str(data), "--config", str(cfg), "--preds", str(preds))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == f"error: column 'idd' not found in {data}"
+    with pytest.raises(SchemaError, match="'idd'"):
+        dataset.load_csv(data, config.load_schema(cfg))

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,25 @@ class TestHelpers:
         with pytest.raises(UndefinedMetricError,
                            match="^a measure needs at least 2 populated groups$"):
             curves.require_two_groups(ds.subset([0, 1]), "a measure")
+
+
+    # columns: (values per group, populated per group, best group, gap)
+    @pytest.mark.parametrize("values, populated, best, gap", [
+        ([1.0, 1.0, 3.0], [True, True, True], 0, 2.0),            # tie: lowest id
+        ([2.0, 1.0, 1.0], [True, True, True], 1, 1.0),
+        ([0.0, 5.0, 2.0], [False, True, True], 2, 3.0),           # an empty group's 0 is skipped
+        ([0.0, 5.0, 2.0], [False, False, False], -1, 0.0),        # no group populated
+        ([0.0, 5.0, 2.0], [False, True, False], 1, 0.0),          # one group populated
+    ])
+    def test_best_group_and_divergence_gap(self, values, populated, best, gap):
+        # the same column three times, beside a column of other groups
+        other = [[4.0, 0.0, 7.0], [True, True, False]]
+        values = np.array([values, other[0], values, values]).T
+        populated = np.array([populated, other[1], populated, populated]).T
+        got_best = curves.best_group(values, populated)
+        assert got_best.dtype == np.int64
+        assert got_best.tolist() == [best, 1, best, best]
+        assert curves.divergence_gap(values, populated).tolist() == [gap, 4.0, gap, gap]
 
 
 class TestBuild:
@@ -253,3 +273,27 @@ def test_export_curves_in_small_blocks(tmp_path, rng, block_rows):
     with mock.patch.object(dataset, "BLOCK_ROWS", block_rows):
         curves.export_curves(cs, tmp_path / "blocks.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+# Traced peak of building one layout, per row: the layout's own arrays
+# (relevances, breakpoints, orders, sample intervals and a groups x
+# breakpoints count table) plus the temporaries of building them. Measured
+# at 104 B per row for the 50k rows and 4 groups below, and at 157 B for a
+# layout that also held each group's running count integral.
+LAYOUT_PEAK_PER_ROW = 120
+
+
+def test_layout_traced_peak_per_row():
+    rng = np.random.default_rng(3)
+    n = 50_000
+    ds = dataset.from_arrays(rng.normal(size=(n, 1)), rng.normal(size=n),
+                             rng.random((n, 2)) < 0.5)
+    phi = relevance.from_boxplot(ds.targets)
+    tracemalloc.start()
+    try:
+        layout = curves.CurveLayout(ds, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert layout.count.shape[0] == 4
+    assert peak < LAYOUT_PEAK_PER_ROW * n
