@@ -13,6 +13,7 @@ proxies the remaining columns carry.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import io
 import itertools
@@ -220,8 +221,11 @@ def parse_floats(tokens) -> tuple[np.ndarray, np.ndarray]:
 
     Surrounding whitespace is ignored and a token that does not parse is
     NaN. Returns the values and the ascending indices of those that are not
-    finite (unparseable, NaN or infinite).
+    finite (unparseable, NaN or infinite). A float array, as numpy's reader
+    gives a column, is taken as it is.
     """
+    if isinstance(tokens, np.ndarray):
+        return tokens, np.flatnonzero(~np.isfinite(tokens))
     n = len(tokens)
     try:
         values = np.fromiter(map(float, tokens), float, n)
@@ -308,28 +312,66 @@ class _FeatureColumn:
         return values.reshape(-1, 1)
 
 
-def _records(data: bytes):
-    """``csv.reader`` over ``data`` decoded as UTF-8, a leading BOM dropped."""
-    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+def _text(data: bytes):
+    """``data`` decoded as UTF-8 lines, a leading BOM dropped."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
     """Column ``i`` of the kept rows, parsed again from ``data``."""
-    records = _records(data)
+    records = csv.reader(_text(data))
     next(records)
     return list(itertools.compress((r[i] for r in records if len(r) == width), keep))
+
+
+def _blocks(data: bytes, text, records, watch, width: int, numeric_at, protected_at):
+    """Each block of ``BLOCK_ROWS`` records after the header as columns,
+    leaving out records not ``width`` long, and the mask of the records kept.
+
+    A file with a quote, CR or NUL byte is read by ``csv``. In any other,
+    a line is a record, and numpy's reader reads a block into float arrays
+    for ``numeric_at`` and tokens, padding kept, for ``protected_at``; it
+    parses a token as ``float()`` parses it stripped. ``csv`` reads the
+    block instead if a line is blank or ragged (a header has two columns at
+    least) or over ``csv``'s field limit, or a number is not finite or not
+    a token numpy parses (``1_0``, non-ASCII digits, missing, a word).
+    """
+    plain = not any(c in data for c in (b'"', b"\r", b"\0"))
+    rows, lines_before = text if plain else filter(None, records), records.line_num
+    used = sorted([*numeric_at, *protected_at])
+    fields = np.dtype([(str(i), object if i in protected_at else float) for i in used])
+    while batch := list(itertools.islice(rows, BLOCK_ROWS)):
+        n_lines, values = len(batch), None
+        if plain and set(map(str.count, batch, itertools.repeat(","))) == {width - 1} and max(
+                map(len, batch)) <= csv.field_size_limit():
+            with contextlib.suppress(ValueError):  # a token numpy does not parse
+                values = np.loadtxt(batch, fields, delimiter=",", usecols=used, comments=None,
+                                    ndmin=1)
+        if values is not None and all(np.isfinite(values[str(i)]).all() for i in numeric_at):
+            # copies, so that no float column keeps the block's tokens alive
+            yield {i: values[str(i)].tolist() if i in protected_at else values[str(i)].copy()
+                   for i in used}, np.ones(n_lines, dtype=bool)
+        else:
+            if plain:
+                batch = list(filter(None, watch(csv.reader(batch), lines_before)))
+            whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
+            if not whole.all():
+                batch = list(itertools.compress(batch, whole))
+            yield list(zip(*batch)) or [()] * width, whole
+        lines_before += n_lines
 
 
 def _parse(data: bytes, path, schema: DatasetSchema):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
 
-    Records are parsed ``BLOCK_ROWS`` at a time, and each block is reduced
-    to float parts, protected bits and notes of bad tokens before the next
-    is read. Every check runs only after the last record, so an undecodable
-    byte or malformed record anywhere in the file is reported first.
+    Each block of records from :func:`_blocks`, numpy's or ``csv``'s, is
+    reduced to float parts, protected bits and notes of bad tokens before
+    the next is read. Every check runs only after the last record, so an
+    undecodable byte or malformed record anywhere is reported first.
     """
     with read_errors_as(InputError, path) as watch:
-        records = watch(_records(data))
+        text = _text(data)
+        records = watch(csv.reader(text))
         header = next(records, None)
         if header is None:
             raise EmptyDataError(f"no header row in {path}")
@@ -359,15 +401,12 @@ def _parse(data: bytes, path, schema: DatasetSchema):
         target_at = col_index[schema.target_column]
         protected_at = [col_index[c] for c in schema.protected_columns]
         features = [_FeatureColumn(c) for c in feature_cols]
+        numeric_at = sorted({target_at, *(col_index[f.name] for f in features)}
+                            - set(protected_at))
         kept, targets, protected = [], [], []
         n_records = 0
-        rows = filter(None, records)
-        while batch := list(itertools.islice(rows, BLOCK_ROWS)):
-            whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
-            if not whole.all():
-                batch = list(itertools.compress(batch, whole))
-            columns = list(zip(*batch)) or [()] * width
-            del batch
+        for columns, whole in _blocks(data, text, records, watch, width, numeric_at,
+                                      protected_at):
             y, _ = parse_floats(columns[target_at])
             keep = np.isfinite(y)
             bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
@@ -425,8 +464,9 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     categorical and one-hot encoded in lexicographic category order;
     missing values in numeric feature columns are imputed with the column
     median. The file is read once, as bytes, and parsed in blocks of
-    ``BLOCK_ROWS`` records; a categorical column is parsed again from those
-    bytes.
+    ``BLOCK_ROWS`` records, by numpy's C reader where it gives the values
+    ``csv`` would (see :func:`_blocks`); a categorical column is parsed
+    again from those bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -55,11 +55,11 @@ class InternalError(InterdivError):
 def read_errors_as(error, path):
     """Raise ``error`` naming ``path`` for text read from it that is not UTF-8,
     or for a record that a ``csv.reader`` passed through the context value
-    rejects, naming the line that reader stopped on."""
-    readers = []
+    rejects, naming its line: the reader's plus the ``lines_before`` passed."""
+    line_now = []  # per watched reader, the file line it stopped on
 
-    def watch(reader):
-        readers.append(reader)
+    def watch(reader, lines_before=0):
+        line_now.append(lambda: lines_before + reader.line_num)
         return reader
 
     try:
@@ -67,4 +67,4 @@ def read_errors_as(error, path):
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
-        raise error(f"{path}, line {readers[-1].line_num}: {exc}") from None
+        raise error(f"{path}, line {line_now[-1]()}: {exc}") from None

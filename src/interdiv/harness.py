@@ -287,8 +287,8 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     A model that :func:`failed_runs` names is skipped. The others require
     the per-run prediction files written by :func:`run`; a missing file is
     an explicit error naming the runs so a stale output directory is caught
-    instead of silently averaging fewer runs. Returns the mapping of each
-    exported model name to the written CSV path.
+    instead of silently averaging fewer runs. Returns each exported model's
+    CSV path by name; :func:`curves.write_curve_rows` writes the files.
     """
     ds = dataset_mod.load_csv(cfg.data, cfg.schema)
     failed = failed_runs(cfg)
@@ -306,13 +306,12 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
     curve_dir = os.path.join(cfg.out_dir, "curves")
     os.makedirs(curve_dir, exist_ok=True)
     # a run's test rows and relevance, and so its layout, do not depend on
-    # the model: neither do the union grid nor its formatted t values
+    # the model: neither does the union grid
     layouts = []
     for r in range(cfg.n_runs):
         _, test, phi = _split(ds, cfg, r)
         layouts.append(curves_mod.CurveLayout(test, phi))
     grid = np.unique(np.concatenate([layout.breakpoints for layout in layouts]))
-    ts = [f"{t:.17g}" for t in grid.tolist()]
     out = {}
     for name in models:
         per_run = [
@@ -321,19 +320,8 @@ def export_id_curves(cfg: ExperimentConfig) -> dict:
             ))
             for r, layout in enumerate(layouts)
         ]
-        path = os.path.join(curve_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,group,normalized_ser\n")
-            for g in range(ds.n_groups):
-                acc = np.zeros(len(grid))
-                for cs in per_run:
-                    acc += curves_mod.normalize(*cs.values_at(grid, g))
-                acc /= len(per_run)
-                # bounded blocks, as in export_curves; each row is
-                # "{t}{sep}" with the value left as %.17g
-                sep = f",{g},%.17g\n"
-                for s in range(0, len(ts), dataset_mod.BLOCK_ROWS):
-                    e = s + dataset_mod.BLOCK_ROWS
-                    fh.write((sep.join(ts[s:e]) + sep) % tuple(acc[s:e].tolist()))
-        out[name] = path
+        averaged = ((sum((curves_mod.normalize(*cs.values_at(grid, g)) for cs in per_run),
+                         np.zeros(len(grid))) / len(per_run),) for g in range(ds.n_groups))
+        out[name] = os.path.join(curve_dir, f"{name}.csv")
+        curves_mod.write_curve_rows(out[name], "t,group,normalized_ser", grid, "%.17g", averaged)
     return out

@@ -7,8 +7,9 @@ loading from the row-at-a-time loader that the column-wise one replaced,
 curves and divergence-loss gradients from the per-call curve build that the
 curve layout replaced, curve simplification from the per-group loop that the
 per-layout grid replaced, trees from the per-node sorting growth that the
-presorted one replaced, and experiment outputs from the per-model fits and
-curve builds that the shared ensembles and layouts replaced.
+presorted one replaced, experiment outputs from the per-model fits and
+curve builds that the shared ensembles and layouts replaced, and curve files
+from the row-at-a-time writer that the run-sharing one replaced.
 """
 import csv
 import logging
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from interdiv import curves as curves_mod
 from interdiv import dataset, harness, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
-from interdiv.curves import argmin_pattern
+from interdiv.curves import SerCurveSet, argmin_pattern, normalize
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
 from interdiv.errors import (
     DegenerateAttributeError,
@@ -854,3 +855,25 @@ def parent_export_id_curves(cfg) -> dict:
                 fh.write("".join(f"{t:.17g},{g},{v:.17g}\n" for t, v in zip(ts, acc.tolist())))
         out[name] = path
     return out
+
+
+# The curve writer as it stood before ``curves.write_curve_rows`` formatted
+# each t value once per file and each run of equal rows once, kept verbatim
+# (renamed) as the reference for the differential test. Nothing under src/
+# imports it.
+def parent_export_curves(curves: SerCurveSet, path) -> None:
+    """Write ``t,group,ser,count,normalized_ser`` rows at every breakpoint.
+
+    Each group is formatted and written ``dataset.BLOCK_ROWS`` rows at a
+    time, which keeps the formatted text out of the command's peak memory.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("t,group,ser,count,normalized_ser\n")
+        for g in range(curves.n_groups):
+            ser_v, cnt_v = curves.values_at(curves.breakpoints, g)
+            norm = normalize(ser_v, cnt_v)
+            row = f"%.17g,{g},%.17g,%d,%.17g\n"
+            for s in range(0, len(norm), dataset.BLOCK_ROWS):
+                cols = (a[s:s + dataset.BLOCK_ROWS].tolist()
+                        for a in (curves.breakpoints, ser_v, cnt_v, norm))
+                fh.write("".join(row % r for r in zip(*cols)))
