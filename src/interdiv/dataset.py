@@ -328,13 +328,12 @@ def _blocks(data: bytes, text, records, watch, width: int, numeric_at, protected
     """Each block of ``BLOCK_ROWS`` records after the header as columns,
     leaving out records not ``width`` long, and the mask of the records kept.
 
-    A file with a quote, CR or NUL byte is read by ``csv``. In any other,
-    a line is a record, and numpy's reader reads a block into float arrays
-    for ``numeric_at`` and tokens, padding kept, for ``protected_at``; it
-    parses a token as ``float()`` parses it stripped. ``csv`` reads the
-    block instead if a line is blank or ragged (a header has two columns at
-    least) or over ``csv``'s field limit, or a number is not finite or not
-    a token numpy parses (``1_0``, non-ASCII digits, missing, a word).
+    A file with a quote, CR or NUL byte is read by ``csv``. In any other, a
+    line is a record, and numpy's reader reads a block into floats, parsed
+    as ``float()`` parses a stripped token, for ``numeric_at`` and tokens,
+    padding kept, for ``protected_at``. ``csv`` reads the first block with
+    a blank, ragged or overlong line, or a number numpy cannot parse or finds
+    not finite (``1_0``, non-ASCII digits, a word, NA, inf), and every later one.
     """
     plain = not any(c in data for c in (b'"', b"\r", b"\0"))
     rows, lines_before = text if plain else filter(None, records), records.line_num
@@ -352,8 +351,9 @@ def _blocks(data: bytes, text, records, watch, width: int, numeric_at, protected
             yield {i: values[str(i)].tolist() if i in protected_at else values[str(i)].copy()
                    for i in used}, np.ones(n_lines, dtype=bool)
         else:
-            if plain:
+            if plain:  # and csv reads the rest of the file straight from the text
                 batch = list(filter(None, watch(csv.reader(batch), lines_before)))
+                rows, plain = filter(None, watch(csv.reader(text), lines_before + n_lines)), False
             whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
             if not whole.all():
                 batch = list(itertools.compress(batch, whole))

@@ -370,10 +370,11 @@ _PLAIN_ATTR = st.one_of(_ATTR, st.sampled_from(["#", "M#1", "\u00e9"]))
 def _plain_csv_case(draw):
     """A CSV text with no quoted cell, and its schema.
 
-    Rows 1 to 5 hold only plain numbers in the target and feature columns
-    and no missing attribute, so that with ``BLOCK_ROWS`` of 1 to 3 some
-    block is read by numpy whole. Row 0 holds a word in each "cat" column,
-    and later rows hold any token, blank lines and ragged rows. As in
+    Rows 0 to 6 have no missing attribute and only plain numbers in the
+    target and feature columns, except that row 6 holds a word in each
+    "cat" column. So with ``BLOCK_ROWS`` of 1 to 3 numpy reads the blocks of
+    rows 0 to 5 whole, and a kept row makes each "cat" column categorical.
+    Later rows hold any token, blank lines and ragged rows. As in
     :func:`_csv_case`, a non-finite number appears only where the old
     loader's handling is kept.
     """
@@ -384,24 +385,24 @@ def _plain_csv_case(draw):
     header = draw(st.permutations(["y", *protected, *features, "junk"]))
     schema = DatasetSchema("y", tuple(protected), tuple(privileged), drop_columns=("junk",))
     lines = [",".join(draw(_padded(st.just(h))) for h in header)]
-    for r in range(draw(st.integers(6, 14))):
+    for r in range(draw(st.integers(7, 15))):
         cells = {"junk": draw(_padded(st.one_of(_PLAIN_NUMBER, _PLAIN_OTHER)))}
-        number = _padded(_PLAIN_NUMBER if r < 6 else st.one_of(_PLAIN_NUMBER, _PLAIN_OTHER))
+        number = _padded(_PLAIN_NUMBER if r < 7 else st.one_of(_PLAIN_NUMBER, _PLAIN_OTHER))
         cells["y"] = draw(number)
         for a, v in zip(protected, privileged):
             attr = st.just(v) if r == 0 else _PLAIN_ATTR.filter(lambda t, v=v: t != v)
-            cells[a] = draw(_padded(attr if r < 6 else st.one_of(_PLAIN_ATTR, _MISSING)))
+            cells[a] = draw(_padded(attr if r < 7 else st.one_of(_PLAIN_ATTR, _MISSING)))
         for name, kind in zip(features, kinds):
-            if r == 0 and kind == "cat":
+            if r == 6 and kind == "cat":
                 cells[name] = draw(_padded(st.just("red")))
-            elif kind == "num" and r >= 6:
+            elif kind == "num" and r >= 7:
                 cells[name] = draw(_padded(st.one_of(_PLAIN_NUMBER, _MISSING, st.just("1_0"))))
             else:
                 cells[name] = draw(number)
         row = [cells[h] for h in header]
-        if r >= 6 and draw(st.integers(0, 5)) == 0:
+        if r >= 7 and draw(st.integers(0, 5)) == 0:
             row = row[:-1] if draw(st.booleans()) else row + ["extra"]
-        if r >= 6:
+        if r >= 7:
             lines.extend([""] * draw(st.integers(0, 1)))
         lines.append(",".join(row))
     bom = "\ufeff" if draw(st.booleans()) else ""
@@ -420,17 +421,25 @@ class TestNumpyReader:
         path = tmp_path_factory.mktemp("plain") / "d.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        read = []  # the blocks numpy's reader took whole
+        read, failed = [], []  # the blocks numpy's reader took whole, and those it did not
 
         def loadtxt(*args, real=np.loadtxt, **kwargs):
-            read.append(real(*args, **kwargs))
+            assert not failed, "numpy's reader was tried again after a token it did not parse"
+            try:
+                read.append(real(*args, **kwargs))
+            except ValueError:
+                failed.append(args)
+                raise
             return read[-1]
 
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
                 mock.patch.object(np, "loadtxt", wraps=loadtxt):
             new = _load(dataset.load_csv, path, schema)
         assert read
-        old = _load(rowwise_load_csv, path, schema)
+        self.assert_same(new, _load(rowwise_load_csv, path, schema))
+
+    @staticmethod
+    def assert_same(new, old):
         if isinstance(old, tuple) or isinstance(new, tuple):
             assert new == old
             return
@@ -442,9 +451,28 @@ class TestNumpyReader:
                       "n_dropped"):
             assert getattr(new, field) == getattr(old, field), field
 
+    # a missing value, a word, a token numpy finds not finite, one it does not
+    # parse, and a ragged line
+    @pytest.mark.parametrize("token", ["NA", "red", "nan", "1_0", "7,8"])
+    def test_csv_reads_every_block_from_the_first_numpy_leaves(self, tmp_path, token):
+        rows = [f"{'MF'[i % 2]},{'WB'[i % 3 > 0]},{i}.5,{i}" for i in range(12)]
+        rows[5] = rows[5].rsplit(",", 1)[0] + "," + token
+        path = write_csv(tmp_path / "d.csv", "sex,race,y,x1", rows)
+        with mock.patch.object(dataset, "BLOCK_ROWS", 4), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            new = dataset.load_csv(path, SCHEMA)
+        # numpy reads the first block and no block after the second, which
+        # holds the token; the ragged line's block it does not try
+        assert loadtxt.call_count == (1 if "," in token else 2)
+        self.assert_same(new, rowwise_load_csv(path, SCHEMA))
+
     @pytest.mark.parametrize("block_rows", [1, 2, 3, dataset.BLOCK_ROWS])
-    def test_overlong_line_is_named(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("missing_target_at", [None, 1])
+    def test_overlong_line_is_named(self, tmp_path, block_rows, missing_target_at):
         rows = [f"{'MF'[i % 2]},{'WB'[i % 3 > 0]},{i}.5,{i}" for i in range(8)]
+        if missing_target_at is not None:
+            # from the block holding it, csv reads the rest of the file
+            rows[missing_target_at] = "M,W,NA,1"
         rows[5] = "F,B,1.5," + "7" * (csv.field_size_limit() + 1)
         path = write_csv(tmp_path / "d.csv", "sex,race,y,x1", rows)
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
