@@ -6,6 +6,11 @@ with the full fairness report, and aggregates per-metric ranks across runs.
 Within a run each objective's ensemble is fitted and predicted once, an
 ``idboost_<w>`` model mixes the test predictions of ``idloss`` and ``sera``,
 and every model is scored on one curve layout of the run's test rows.
+The run's fits are independent, so :func:`parallel.fork_map` runs them in up
+to N processes, N being the CPUs in the affinity mask (``taskset -c 0``
+runs them in one). Workers only fit, each in its own copy of memory; every
+predict, score and output file is the calling process's, and the outputs
+are byte-identical for every N.
 A model that raises an ``InterdivError`` during a run is recorded as failed
 and ranked last for every metric of that run rather than aborting the
 experiment. Any other exception is a fault of the program, not of the
@@ -24,7 +29,7 @@ import numpy as np
 from . import config as config_mod
 from . import curves as curves_mod
 from . import dataset as dataset_mod
-from . import gbt, idboost, metrics, relevance
+from . import gbt, idboost, metrics, parallel, relevance
 from .approx import ApproxParams
 from .errors import InputError, InterdivError, ValidationError
 from .losses import DEFAULT_HUBER_DELTA, OBJECTIVE_NAMES, make_objective
@@ -122,20 +127,46 @@ def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
     return gbt.fit(ds, obj, params)
 
 
-def _ensemble(fitted: dict, split, cfg: ExperimentConfig, objective: str):
-    """The pair of the run's ensemble for ``objective`` and its test predictions.
+def _objectives(cfg: ExperimentConfig, train) -> list:
+    """The objectives the run's models ask :func:`_ensemble` for, in the
+    order they first ask, when every fit succeeds."""
+    asked = {}
+    for name in cfg.models:
+        kind, objective, w = _parse_model_name(name)
+        if kind == "idboost":
+            try:  # assemble asks for no ensemble when w or the groups fail its checks
+                idboost.assemble(train, w, asked.setdefault)
+            except InterdivError:
+                pass
+        else:
+            asked.setdefault(objective)
+    return list(asked)
 
-    ``split`` is the run's ``(train, test, phi)``. ``fitted`` maps each objective
-    used so far in the run to its pair, or to the ``InterdivError`` its fit or
+
+def _fit(split, cfg: ExperimentConfig, objective: str):
+    """The run's ensemble for ``objective``, or the ``InterdivError`` its fit raised.
+
+    ``split`` is the run's ``(train, test, phi)``."""
+    train, _, phi = split
+    try:
+        return fit_model(train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast)
+    except InterdivError as exc:
+        return exc
+
+
+def _ensemble(fitted: dict, test, objective: str):
+    """The pair of the run's ensemble for ``objective`` and its predictions on ``test``.
+
+    ``fitted`` maps each objective of the run to what :func:`_fit` returned,
+    then to that pair once predicted, or to the ``InterdivError`` its fit or
     predict raised, which is raised again for every model that needs it."""
-    if objective not in fitted:
-        train, test, phi = split
-        try:
-            ens = fit_model(train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast)
-            fitted[objective] = (ens, ens.predict(test.features))
-        except InterdivError as exc:
-            fitted[objective] = exc
     found = fitted[objective]
+    if isinstance(found, gbt.TreeEnsemble):
+        try:
+            found = (found, found.predict(test.features))
+        except InterdivError as exc:
+            found = exc
+        fitted[objective] = found
     if isinstance(found, InterdivError):
         raise found
     return found
@@ -203,7 +234,9 @@ def run(cfg: ExperimentConfig):
         layout = curves_mod.CurveLayout(test, phi)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
-        ensemble = functools.partial(_ensemble, {}, split, cfg)
+        objectives = _objectives(cfg, train)
+        fits = parallel.fork_map(functools.partial(_fit, split, cfg), objectives)
+        ensemble = functools.partial(_ensemble, dict(zip(objectives, fits)), test)
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:

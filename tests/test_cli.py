@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from interdiv import cli, config, dataset, relevance
+from interdiv import cli, config, dataset, parallel, relevance
 from interdiv.errors import ConfigError, InputError, SchemaError, ValidationError
 
 
@@ -131,6 +131,23 @@ class TestTrainPredictAudit:
             "--model", str(model), "--out", str(preds),
         ) == 0
         assert len(preds.read_text().splitlines()) == 301  # header + rows
+
+    @pytest.mark.parametrize("fast", [[], ["--fast"]], ids=["exact", "fast"])
+    def test_idboost_model_bytes_equal_in_one_and_two_processes(
+        self, biased_dir, tmp_path, monkeypatch, fast
+    ):
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            model = tmp_path / f"idb_{cpus}.json"
+            assert run_cli(
+                "train", "--data", str(biased_dir / "data.csv"),
+                "--config", str(biased_dir / "schema.cfg"),
+                "--model", "idboost", "--w", "0.3", "--rounds", "3", "--depth", "2",
+                "--lambda", "1e-6", *fast, "--out", str(model),
+            ) == 0
+            written.append(model.read_bytes())
+        assert written[0] == written[1]
 
     def test_fast_training_flag(self, biased_dir, tmp_path):
         model = tmp_path / "fast.json"

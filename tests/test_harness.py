@@ -1,15 +1,21 @@
 import dataclasses
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from interdiv import curves, dataset, gbt, harness
+from interdiv import curves, dataset, gbt, harness, parallel
 from interdiv.errors import InputError, UndefinedMetricError, ValidationError
 
 from conftest import parent_export_id_curves, parent_run
+from test_parallel import buffered_env, in_worker, no_fd_left_open, two_cpus  # noqa: F401 (fixtures)
 
 
 def write_experiment(tmp_path, n=160, runs=2, models="mse, idboost_0.5", extra=""):
@@ -174,20 +180,36 @@ def read_tree(root) -> dict:
     return out
 
 
+def log_line(path, line: str) -> None:
+    """Append ``line`` to ``path``: how a call made in a forked worker reaches the test."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+
+
 class TestSharedEnsembles:
+    """Each run's fits shared out over two processes; the subclass below
+    runs the same tests with every fit in process."""
+
+    CPUS = 2
+
+    @pytest.fixture(autouse=True)
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(parallel, "cpus", lambda: self.CPUS)
+
     def test_each_objective_fitted_once_per_run(self, tmp_path, monkeypatch):
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=2, models="mse, idloss, sera, idboost_0.3, idboost_0.7"
         ))
         fit = harness.fit_model
-        objectives = []
+        log = tmp_path / "fits.log"
 
         def counted(*args, **kwargs):
-            objectives.append(args[3])
+            log_line(log, args[3])
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(harness, "fit_model", counted)
         _, rows = harness.run(cfg)
+        objectives = log.read_text().split()
         assert all(r["status"] == "ok" for r in rows)
         assert sorted(objectives) == ["idloss", "idloss", "mse", "mse", "sera", "sera"]
 
@@ -273,20 +295,113 @@ class TestSharedEnsembles:
     @pytest.mark.parametrize("models", ["idboost_0.5, idloss, sera", "sera, idloss, idboost_0.5"])
     def test_cached_failures_raised_idloss_first(self, tmp_path, monkeypatch, models):
         cfg = harness.config_from_file(write_experiment(tmp_path, runs=1, models=models))
-        objectives = []
+        log = tmp_path / "fits.log"
 
         def failing_fit(ds, phi, params, objective, *args, **kwargs):
-            objectives.append(objective)
+            log_line(log, objective)
             raise UndefinedMetricError(f"{objective} broke")
 
         monkeypatch.setattr(harness, "fit_model", failing_fit)
         _, rows = harness.run(cfg)
+        objectives = log.read_text().split()
         assert {r["model"]: r["status"] for r in rows} == {
             "idloss": "failed: idloss broke",
             "sera": "failed: sera broke",
             "idboost_0.5": "failed: idloss broke",
         }
         assert sorted(objectives) == ["idloss", "sera"]
+
+
+class TestSharedEnsemblesInProcess(TestSharedEnsembles):
+    CPUS = 1
+
+
+@pytest.mark.usefixtures("two_cpus", "no_fd_left_open")
+class TestWorkerFaults:
+    """Faults of a run's fits with two processes: each is raised in the
+    caller, no output is scored or ranked, every worker is reaped and no
+    pipe is left open."""
+
+    @staticmethod
+    def assert_not_ranked(cfg):
+        assert not os.path.exists(os.path.join(cfg.out_dir, "ranks.csv"))
+        assert not os.path.exists(os.path.join(cfg.out_dir, "raw_metrics.csv"))
+
+    # mse and sera are fitted by the caller, idloss by the worker
+    @pytest.mark.parametrize("broken", ["mse", "idloss", "sera"])
+    def test_non_interdiv_error_propagates_from_three_objectives(
+        self, tmp_path, monkeypatch, capfd, broken
+    ):
+        cfg = harness.config_from_file(write_experiment(tmp_path, models="mse, idloss, sera"))
+        fit = harness.fit_model
+
+        def broken_fit(ds, phi, params, objective, *args, **kwargs):
+            if objective == broken:
+                raise RuntimeError(f"fault in the program ({objective})")
+            return fit(ds, phi, params, objective, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_model", broken_fit)
+        with pytest.raises(RuntimeError, match=rf"fault in the program \({broken}\)"):
+            harness.run(cfg)
+        self.assert_not_ranked(cfg)
+        worker_traceback = "Traceback" in capfd.readouterr().err
+        assert worker_traceback == (broken == "idloss")
+
+    @pytest.mark.parametrize("die, named", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+        (lambda: os._exit(3), "exited with code 3"),
+    ], ids=["sigkill", "os-exit"])
+    def test_dead_worker_is_an_error_naming_it(self, tmp_path, monkeypatch, die, named):
+        cfg = harness.config_from_file(write_experiment(tmp_path, models="mse, idboost_0.5"))
+        fit = harness.fit_model
+
+        def dying_fit(*args, **kwargs):
+            if in_worker():
+                die()
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "fit_model", dying_fit)
+        with pytest.raises(ChildProcessError, match=named):
+            harness.run(cfg)
+        self.assert_not_ranked(cfg)
+
+    def test_interrupt_kills_and_reaps_the_worker(self, tmp_path, monkeypatch):
+        cfg = harness.config_from_file(write_experiment(tmp_path, models="mse, idloss"))
+        pid_file = tmp_path / "worker.pid"
+
+        def interrupted_fit(*args, **kwargs):
+            if in_worker():
+                pid_file.write_text(str(os.getpid()))
+                time.sleep(30)
+            while not pid_file.exists() or not pid_file.read_text():
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "fit_model", interrupted_fit)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            harness.run(cfg)
+        assert time.monotonic() - t0 < 20
+        with pytest.raises(ChildProcessError):  # reaped: no longer a child
+            os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+        self.assert_not_ranked(cfg)
+
+    def test_worker_runs_no_exit_hook_and_flushes_no_inherited_output(self, tmp_path):
+        cfg_path = write_experiment(tmp_path, models="mse, idloss, idboost_0.5")
+        exits = tmp_path / "exits"
+        script = textwrap.dedent(f"""
+            import atexit, sys
+            from interdiv import cli, parallel
+            parallel.cpus = lambda: 2
+            atexit.register(lambda: open({str(exits)!r}, "a").write("exit\\n"))
+            sys.stdout.write("buffered")
+            sys.exit(cli.main(["experiment", "--config", {str(cfg_path)!r}]))
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=buffered_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("buffered") and done.stdout.count("buffered") == 1
+        assert exits.read_text() == "exit\n"
 
 
 class TestConfigChecks:
