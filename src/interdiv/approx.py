@@ -13,21 +13,23 @@ Like the curves themselves, simplification splits into a part fixed per
 curve layout and parameters and a part that changes with the predictions.
 :class:`SimplifyGrid` holds the fixed part: the grid, the kernel, the
 breakpoint interval of each grid point and the count integrals the
-objective's sweep reads at grid points and sample relevances, which it
+simplified sweep reads at grid points and sample relevances, which it
 computes from the layout's count step functions. Its
 :meth:`~SimplifyGrid.marks` marks the retained points of all groups at once
-in a boolean (groups, grid) array. The divergence objective builds one grid
-per fit; :func:`simplify` is the one-shot form for a single curve set.
+in a boolean (groups, grid) array, and its simplified sweep
+:meth:`~SimplifyGrid.sample_weights` runs over their union. The divergence
+objective builds one grid per fit. Training never calls :func:`simplify`,
+the one-shot form for a single curve set; the benchmark's tracer times it.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import curves as curves_mod
-from .curves import CurveLayout, SerCurveSet
+from .curves import CurveLayout, SerCurveSet, best_group
 from .errors import ParameterError
 from .relevance import RelevanceFunction
 
@@ -41,15 +43,16 @@ class ApproxParams:
     def __post_init__(self):
         if not 0.0 < self.sigma < np.inf:  # NaN fails this comparison too
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not 0.0 < self.grid_step < 1.0:
-            raise ParameterError("grid_step must be in (0, 1)")
+        # smoothing costs about quadratically more as the step shrinks
+        if not 1e-4 <= self.grid_step < 1.0:
+            raise ParameterError(f"grid_step must be in [1e-4, 1), got {self.grid_step!r}")
         if self.min_points < 2:
             raise ParameterError("min_points must be >= 2")
 
 
 @dataclass(frozen=True)
 class SimplifiedCurve:
-    """Retained (t, value) points with piecewise-linear evaluation."""
+    """Retained (t, value) points of one group's normalized curve."""
 
     t: np.ndarray
     value: np.ndarray
@@ -58,22 +61,11 @@ class SimplifiedCurve:
         self.t.setflags(write=False)
         self.value.setflags(write=False)
 
-    def __call__(self, ts):
-        return np.interp(np.asarray(ts, dtype=float), self.t, self.value)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.t)
-
 
 @dataclass(frozen=True)
 class SimplifiedCurveSet:
     curves: tuple
     grid_size: int
-
-    @property
-    def n_retained(self) -> tuple:
-        return tuple(c.n_points for c in self.curves)
 
 
 def _grid_intervals(breakpoints: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -81,11 +73,6 @@ def _grid_intervals(breakpoints: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return np.clip(
         np.searchsorted(breakpoints, ts, side="right") - 1, 0, len(breakpoints) - 2
     )
-
-
-def _resample_step(curves: SerCurveSet, grid: np.ndarray) -> np.ndarray:
-    """Normalized curve values (all groups) on the interval each grid point falls in."""
-    return curves.normalized()[:, _grid_intervals(curves.breakpoints, grid)]
 
 
 def _sign_changes(d: np.ndarray, noise_floor) -> np.ndarray:
@@ -110,8 +97,8 @@ class SimplifyGrid:
     F_g at every grid point and at each sample's own relevance. F_g is
     computed here from the layout's count step functions and is not kept:
     it is exact at breakpoints and linear between them.
-    Per prediction, :meth:`marks` then costs one convolution per group and
-    array operations over all groups at once.
+    Per prediction, :meth:`marks` and :meth:`sample_weights` then cost one
+    convolution per group and array operations over all groups at once.
     """
 
     def __init__(self, layout: CurveLayout, params: ApproxParams):
@@ -173,38 +160,49 @@ class SimplifyGrid:
         keep[np.ix_(short, self.floor_points)] = True
         return vals, keep
 
-    def simplify(self, curves: SerCurveSet) -> SimplifiedCurveSet:
-        """Reduce each group's normalized curve to its retained points."""
-        vals, keep = self.marks(curves.normalized())
-        return SimplifiedCurveSet(
-            curves=tuple(
-                SimplifiedCurve(t=self.grid[k], value=v[k]) for v, k in zip(vals, keep)
-            ),
-            grid_size=len(self.grid),
+    def sample_weights(self, curves: SerCurveSet):
+        """Per-sample weights W_j swept over the union of the retained points.
+
+        Returns W, the best group of each union segment and the number of
+        segments. Within a segment the best group is held constant, resolved
+        from the true curve values at the segment midpoint; the count
+        integrals are exact. The only approximation left is the coarse
+        pattern: it can change at segment boundaries, not inside.
+        """
+        norm = curves.normalized()
+        _, keep = self.marks(norm)
+        union = keep.any(axis=0)
+        grid = self.grid[union]
+        idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
+        cand = curves.count[:, idx] > 0
+        pattern = best_group(norm[:, idx], cand)
+        gids = np.arange(curves.n_groups)[:, None]
+        mask = cand & (pattern[None, :] != gids)
+
+        f_at_grid = self.count_at_grid[:, union]
+        df = np.diff(f_at_grid, axis=1)
+        cum = np.concatenate(
+            [np.zeros((curves.n_groups, 1)), np.cumsum(np.where(mask, df, 0.0), axis=1)],
+            axis=1,
         )
+        # the union keeps grid point 0, so a sample's segment is the number
+        # of union points at or below its cell, less one
+        g = curves.sample_group
+        s = np.cumsum(union)[self.sample_cell] - 1
+        W = cum[g, s] + np.where(mask[g, s], self.count_at_sample - f_at_grid[g, s], 0.0)
+        return W, pattern, len(grid) - 1
 
 
 def simplify(curves: SerCurveSet, params: ApproxParams) -> SimplifiedCurveSet:
     """Reduce each group's normalized curve to its significant points."""
-    return SimplifyGrid(curves.layout, params).simplify(curves)
-
-
-def id_from_simplified(simplified: SimplifiedCurveSet, curves: SerCurveSet) -> float:
-    """Divergence integral over the union of retained points.
-
-    ``curves`` supplies only the (prediction-independent) count step
-    functions that decide which groups are populated at a cutoff. Within
-    each union segment, candidate curves are linear, so the max-min gap is
-    integrated with the trapezoid rule on the segment endpoints.
-    """
-    grid = np.unique(np.concatenate([c.t for c in simplified.curves]))
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    seg_len = np.diff(grid)
-    cand = curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0
-    lo = np.stack([c(grid[:-1]) for c in simplified.curves])
-    hi = np.stack([c(grid[1:]) for c in simplified.curves])
-    gap = curves_mod.divergence_gap(lo, cand) + curves_mod.divergence_gap(hi, cand)
-    return float(np.sum(0.5 * gap * seg_len))
+    sgrid = SimplifyGrid(curves.layout, params)
+    vals, keep = sgrid.marks(curves.normalized())
+    return SimplifiedCurveSet(
+        curves=tuple(
+            SimplifiedCurve(t=sgrid.grid[k], value=v[k]) for v, k in zip(vals, keep)
+        ),
+        grid_size=len(sgrid.grid),
+    )
 
 
 @dataclass
@@ -226,12 +224,9 @@ class BenchReport:
     eval_points_exact: int
     eval_points_fast: int
     eval_points_reduction_pct: float
-    preds_exact: np.ndarray = field(repr=False, default=None)
-    preds_fast: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if not k.startswith("preds_")}
-        return d
+        return asdict(self)
 
 
 def _pct(new: float, old: float) -> float:
@@ -291,6 +286,4 @@ def bench_approx(
         eval_points_exact=pe,
         eval_points_fast=pf,
         eval_points_reduction_pct=_pct(pf, pe),
-        preds_exact=preds_exact,
-        preds_fast=preds_fast,
     )

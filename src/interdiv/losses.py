@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as curves_mod
-from .approx import SimplifyGrid, _grid_intervals
-from .curves import SerCurveSet, argmin_pattern, best_group, check_preds
+from .approx import SimplifyGrid
+from .curves import SerCurveSet, argmin_pattern, check_preds
 from .dataset import GroupedDataset
 from .errors import InputError, ValidationError
 from .relevance import RelevanceFunction
@@ -186,11 +186,11 @@ class IdLossObjective:
 
     The curve layout is built once, so each evaluation costs one O(n) curve
     build. With ``approx_params`` the simplification grid is built once too,
-    so bad parameters fail here rather than at the first round. Tracks two counters across gradient calls: ``eval_points``
-    accumulates the number of cutoff intervals swept per gradient evaluation
-    (the quantity the curve-simplification mode reduces) and
-    ``region_switches`` counts how often the best-group pattern changed
-    between consecutive evaluations.
+    so bad parameters fail here rather than at the first round. Tracks two
+    counters across gradient calls: ``eval_points`` accumulates the number
+    of cutoff intervals swept per gradient evaluation (the quantity the
+    curve-simplification mode reduces) and ``region_switches`` counts how
+    often the best-group pattern changed between consecutive evaluations.
     """
 
     name = "idloss"
@@ -232,47 +232,12 @@ class IdLossObjective:
             self._note_pattern(pattern)
             w = _sample_weights(cs, pattern)
         else:
-            w, pattern, n_segments = _simplified_sample_weights(cs, self._sgrid)
+            w, pattern, n_segments = self._sgrid.sample_weights(cs)
             self.eval_points += n_segments
             self._note_pattern(pattern)
         grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
         hess = np.maximum(2.0 * w, self.hess_floor)
         return GradHess(grad=grad, hess=hess, value=value)
-
-
-def _simplified_sample_weights(curves: SerCurveSet, sgrid: SimplifyGrid):
-    """W_j swept over the simplified curves' union grid only.
-
-    Curve simplification picks the significant cutoffs; the sweep then runs
-    on that coarse grid instead of every breakpoint. Within a segment the
-    best-group identity is held constant, resolved from the true curve
-    values at the segment midpoint, and the count integrals come exactly
-    from the layout's piecewise-linear F_g, read at the grid points and at
-    the samples' relevances from ``sgrid``. The only approximation left is
-    the coarse pattern: it can change at segment boundaries, not inside.
-    """
-    norm = curves.normalized()
-    _, keep = sgrid.marks(norm)
-    union = keep.any(axis=0)
-    grid = sgrid.grid[union]
-    idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
-    cand = curves.count[:, idx] > 0
-    pattern = best_group(norm[:, idx], cand)
-    gids = np.arange(curves.n_groups)[:, None]
-    mask = cand & (pattern[None, :] != gids)
-
-    f_at_grid = sgrid.count_at_grid[:, union]
-    df = np.diff(f_at_grid, axis=1)
-    cum = np.concatenate(
-        [np.zeros((curves.n_groups, 1)), np.cumsum(np.where(mask, df, 0.0), axis=1)],
-        axis=1,
-    )
-    # the union keeps grid point 0, so a sample's segment is the number of
-    # union points at or below its cell, less one
-    g = curves.sample_group
-    s = np.cumsum(union)[sgrid.sample_cell] - 1
-    W = cum[g, s] + np.where(mask[g, s], sgrid.count_at_sample - f_at_grid[g, s], 0.0)
-    return W, pattern, len(grid) - 1
 
 
 OBJECTIVE_NAMES = ("mse", "huber", "sera", "idloss")

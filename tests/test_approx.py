@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdiv import approx, curves, dataset, losses, metrics, relevance
+from interdiv import approx, curves, dataset, gbt, idboost, losses, metrics, relevance
+from interdiv import curves as curves_mod
+from interdiv.approx import _grid_intervals
 from interdiv.errors import ParameterError, UndefinedMetricError
 
 from conftest import (
@@ -13,6 +15,34 @@ from conftest import (
     parent_build,
     parent_simplify,
 )
+
+
+# The step-curve resampling and the divergence integral over simplified
+# curves that the tests below check simplification against. Training uses
+# neither, so they live here.
+def resample_step(curves: curves_mod.SerCurveSet, grid: np.ndarray) -> np.ndarray:
+    """Normalized curve values (all groups) on the interval each grid point falls in."""
+    return curves.normalized()[:, _grid_intervals(curves.breakpoints, grid)]
+
+
+def id_from_simplified(
+    simplified: approx.SimplifiedCurveSet, curves: curves_mod.SerCurveSet
+) -> float:
+    """Divergence integral over the union of retained points.
+
+    ``curves`` supplies only the (prediction-independent) count step
+    functions that decide which groups are populated at a cutoff. Within
+    each union segment, candidate curves are linear, so the max-min gap is
+    integrated with the trapezoid rule on the segment endpoints.
+    """
+    grid = np.unique(np.concatenate([c.t for c in simplified.curves]))
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    seg_len = np.diff(grid)
+    cand = curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0
+    lo = np.stack([np.interp(grid[:-1], c.t, c.value) for c in simplified.curves])
+    hi = np.stack([np.interp(grid[1:], c.t, c.value) for c in simplified.curves])
+    gap = curves_mod.divergence_gap(lo, cand) + curves_mod.divergence_gap(hi, cand)
+    return float(np.sum(0.5 * gap * seg_len))
 
 
 def flat_relevance_instance(rng, n=40):
@@ -52,6 +82,14 @@ class TestParams:
         with pytest.raises(ParameterError):
             approx.ApproxParams(min_points=1)
 
+    def test_grid_step_floor(self):
+        # a step of 1e-9 would ask for a 1e9-point grid when the grid is built
+        with pytest.raises(ParameterError, match=r"grid_step must be in \[1e-4, 1\), got 1e-09"):
+            approx.ApproxParams(grid_step=1e-9)
+        with pytest.raises(ParameterError, match="got 9.9e-05"):
+            approx.ApproxParams(grid_step=9.9e-5)
+        assert approx.ApproxParams(grid_step=1e-4).grid_step == 1e-4
+
     def test_grid_coarser_than_support_rejected(self, rng):
         ds, phi, preds = flat_relevance_instance(rng)
         cs = curves.build(ds, preds, phi)
@@ -74,10 +112,10 @@ class TestSimplify:
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams())
         grid = np.linspace(0, 1, 101)
-        resampled = approx._resample_step(cs, grid)
+        resampled = resample_step(cs, grid)
         for g, sc in enumerate(simp.curves):
-            assert sc.n_points == 2
-            assert np.allclose(sc(grid), resampled[g], atol=1e-12)
+            assert len(sc.t) == 2
+            assert np.allclose(np.interp(grid, sc.t, sc.value), resampled[g], atol=1e-12)
 
     def test_concave_curve_keeps_at_most_three_points(self):
         ds, phi, preds, _ = concave_instance()
@@ -85,11 +123,11 @@ class TestSimplify:
         params = approx.ApproxParams(sigma=2e-2, grid_step=1e-3)
         simp = approx.simplify(cs, params)
         sc = simp.curves[0]
-        assert sc.n_points <= 3
+        assert len(sc.t) <= 3
         # reconstruction bounded by the analytic chord deviation of 1 - t^2
         # plus twice the step-curve discretization gap
         grid = np.linspace(0, 1, 1001)
-        resampled = approx._resample_step(cs, grid)[0]
+        resampled = resample_step(cs, grid)[0]
         chord = 0.0
         for a, b in zip(sc.t[:-1], sc.t[1:]):
             slope = ((1 - b**2) - (1 - a**2)) / (b - a)
@@ -98,21 +136,21 @@ class TestSimplify:
                 line = (1 - a**2) + slope * (tstar - a)
                 chord = max(chord, (1 - tstar**2) - line)
         disc = np.abs(resampled - (1 - grid**2)).max()
-        linf = np.abs(sc(grid) - resampled).max()
+        linf = np.abs(np.interp(grid, sc.t, sc.value) - resampled).max()
         assert linf <= chord + 2 * disc
 
     def test_retained_share_small_on_random_curves(self, rng):
         ds, phi, preds = make_instance(rng, n=200, n_attrs=1)
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams())
-        for kept in simp.n_retained:
+        for kept in (len(c.t) for c in simp.curves):
             assert 2 <= kept <= 0.15 * simp.grid_size
 
     def test_endpoints_preserved_exactly(self, rng):
         ds, phi, preds = make_instance(rng, n=80)
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams())
-        resampled = approx._resample_step(cs, np.array([0.0, 1.0]))
+        resampled = resample_step(cs, np.array([0.0, 1.0]))
         for g, sc in enumerate(simp.curves):
             assert sc.t[0] == 0.0 and sc.t[-1] == 1.0
             assert sc.value[0] == resampled[g, 0]
@@ -122,7 +160,7 @@ class TestSimplify:
         ds, phi, preds = flat_relevance_instance(rng)
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams(min_points=6))
-        for kept in simp.n_retained:
+        for kept in (len(c.t) for c in simp.curves):
             assert kept >= 6
 
     def test_curve_at_the_floor_is_not_padded(self):
@@ -145,7 +183,7 @@ class TestIdFromSimplified:
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams())
         exact = metrics.intersectional_divergence(cs)
-        assert approx.id_from_simplified(simp, cs) == pytest.approx(exact, abs=1e-10)
+        assert id_from_simplified(simp, cs) == pytest.approx(exact, abs=1e-10)
 
     def test_scenario_deviation_under_five_percent(self):
         ds, preds = dataset.synth_imbalanced_scenario(500, divergence=2.0, seed=0)
@@ -153,7 +191,7 @@ class TestIdFromSimplified:
         cs = curves.build(ds, preds, phi)
         simp = approx.simplify(cs, approx.ApproxParams())
         exact = metrics.intersectional_divergence(cs)
-        simplified = approx.id_from_simplified(simp, cs)
+        simplified = id_from_simplified(simp, cs)
         assert abs(simplified - exact) / exact < 0.05
 
     def test_refinement_deviation_nonincreasing(self):
@@ -164,7 +202,7 @@ class TestIdFromSimplified:
         devs = []
         for step, sigma in [(4e-3, 4e-2), (1e-3, 1e-2), (2.5e-4, 2.5e-3)]:
             simp = approx.simplify(cs, approx.ApproxParams(sigma=sigma, grid_step=step))
-            devs.append(abs(approx.id_from_simplified(simp, cs) - exact))
+            devs.append(abs(id_from_simplified(simp, cs) - exact))
         assert devs[0] >= devs[1] >= devs[2]
 
 
@@ -180,12 +218,22 @@ class TestBench:
     def test_deltas_match_recomputation_from_saved_predictions(self):
         ds = dataset.synth_biased(400, seed=1, n_protected=1)
         phi = relevance.from_boxplot(ds.targets)
-        rep = approx.bench_approx(ds, phi, approx.ApproxParams(), rounds=5, seed=1)
+        params = approx.ApproxParams()
+        rep = approx.bench_approx(ds, phi, params, rounds=5, seed=1)
+        # the report keeps no predictions: refit both arms on the same split
+        # with the same parameters, which gives the same ensembles
         train, test = dataset.split(ds, 0.8, seed=1)
-        assert curves.sera(test, rep.preds_exact, phi) == pytest.approx(rep.sera_exact)
-        assert curves.sera(test, rep.preds_fast, phi) == pytest.approx(rep.sera_fast)
-        cs_e = curves.build(test, rep.preds_exact, phi)
-        cs_f = curves.build(test, rep.preds_fast, phi)
+        boost = gbt.BoostParams(n_rounds=5, max_depth=3, l2_lambda=1e-6, seed=1)
+        preds_exact = idboost.fit(train, phi, boost, 0.5).predict(test.features)
+        preds_fast = idboost.fit(train, phi, boost, 0.5, approx_params=params).predict(
+            test.features
+        )
+        assert curves.sera(test, preds_exact, phi) == rep.sera_exact
+        assert curves.sera(test, preds_fast, phi) == rep.sera_fast
+        assert curves.sera(test, preds_exact, phi) == pytest.approx(rep.sera_exact)
+        assert curves.sera(test, preds_fast, phi) == pytest.approx(rep.sera_fast)
+        cs_e = curves.build(test, preds_exact, phi)
+        cs_f = curves.build(test, preds_fast, phi)
         assert metrics.intersectional_divergence(cs_e) == pytest.approx(rep.id_exact)
         assert metrics.intersectional_divergence(cs_f) == pytest.approx(rep.id_fast)
         want_pct = (rep.sera_fast - rep.sera_exact) / rep.sera_exact * 100

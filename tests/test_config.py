@@ -304,6 +304,12 @@ class TestNumericFlagRegressions:
         assert code == 1
         assert "error: sigma=1e+308 needs a kernel wider than" in err
 
+    def test_tiny_grid_step_is_an_error(self):
+        # refused before any fit, so no 1e9-point grid is ever asked for
+        code, err = run_cli(["bench-approx", "--n", "60", "--rounds", "1", "--grid-step", "1e-9"])
+        assert code == 1
+        assert "error: grid_step must be in [1e-4, 1), got 1e-09" in err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_divergence_is_an_error(self, tmp_path, value):
         code, err = run_cli(["synth", "--n", "50", "--divergence", value,
