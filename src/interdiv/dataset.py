@@ -176,11 +176,15 @@ def from_arrays(
         raise InputError("features, targets, and protected must share their length")
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
-    group_of, catalog = _build_catalog(A)
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     if protected_names is None:
         protected_names = tuple(f"a{i}" for i in range(A.shape[1]))
+    for kind, names, width in (("feature", feature_names, X.shape[1]),
+                               ("protected", protected_names, A.shape[1])):
+        if len(names) != width:
+            raise InputError(f"{kind} names: {len(names)} given for {width} columns")
+    group_of, catalog = _build_catalog(A)
     return GroupedDataset(
         features=X,
         targets=y,

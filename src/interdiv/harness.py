@@ -6,6 +6,9 @@ with the full fairness report, and aggregates per-metric ranks across runs.
 Within a run each objective's ensemble is fitted and predicted once, an
 ``idboost_<w>`` model mixes the test predictions of ``idloss`` and ``sera``,
 and every model is scored on one curve layout of the run's test rows.
+The objectives to fit are read from the config once per experiment, so a
+run fits ``idloss`` and ``sera`` for an ``idboost_<w>`` model even where
+``idboost.check`` then fails that model on the run's training rows.
 The run's fits are independent, so :func:`parallel.fork_map` runs them in up
 to N processes, N being the CPUs in the affinity mask (``taskset -c 0``
 runs them in one). Workers only fit, each in its own copy of memory; every
@@ -16,7 +19,9 @@ and ranked last for every metric of that run rather than aborting the
 experiment. Any other exception is a fault of the program, not of the
 model: it propagates, and no ``ranks.csv`` is written. Per-run
 predictions and models are persisted under ``<out>/run_<r>/`` so curve
-export and benchmarking can reuse them without refitting.
+export and benchmarking can reuse them without refitting; that directory
+is made once the run's split and relevance function are built, so an
+experiment whose first split fails leaves no ``<out>`` behind.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from . import dataset as dataset_mod
 from . import gbt, idboost, metrics, parallel, relevance
 from .approx import ApproxParams
 from .errors import InputError, InterdivError, ValidationError
-from .losses import DEFAULT_HUBER_DELTA, OBJECTIVE_NAMES, make_objective
+from .losses import DEFAULT_HUBER_DELTA, OBJECTIVE_NAMES
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
 # the numeric measures of a metrics.FairnessReport
@@ -116,31 +121,16 @@ def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
     approx_params = ApproxParams() if fast else None
     if w is not None:
         return idboost.fit(ds, phi, params, w, approx_params=approx_params)
-    obj = make_objective(
-        objective,
-        ds,
-        phi=phi,
-        huber_delta=huber_delta,
-        hess_floor=params.hess_floor,
-        approx_params=approx_params,
-    )
-    return gbt.fit(ds, obj, params)
+    return idboost.fit_ensemble(ds, phi, params, objective, huber_delta, approx_params)
 
 
-def _objectives(cfg: ExperimentConfig, train) -> list:
-    """The objectives the run's models ask :func:`_ensemble` for, in the
-    order they first ask, when every fit succeeds."""
-    asked = {}
-    for name in cfg.models:
-        kind, objective, w = _parse_model_name(name)
-        if kind == "idboost":
-            try:  # assemble asks for no ensemble when w or the groups fail its checks
-                idboost.assemble(train, w, asked.setdefault)
-            except InterdivError:
-                pass
-        else:
-            asked.setdefault(objective)
-    return list(asked)
+def _objectives(cfg: ExperimentConfig) -> list:
+    """Each objective the config's models name, once, in the order first
+    named; an ``idboost_<w>`` model names ``idloss`` and ``sera``."""
+    named = {}
+    for name in cfg.models:  # split an idboost_<w> model's "idloss+sera"
+        named.update(dict.fromkeys(_parse_model_name(name)[1].split("+")))
+    return list(named)
 
 
 def _fit(split, cfg: ExperimentConfig, objective: str):
@@ -224,7 +214,7 @@ def _report_metric(report: metrics.FairnessReport, name: str) -> float:
 def run(cfg: ExperimentConfig):
     """Execute the experiment; returns (RankTable, raw metric rows)."""
     ds = dataset_mod.load_csv(cfg.data, cfg.schema)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    objectives = _objectives(cfg)
     n_models = len(cfg.models)
     n_metrics = len(cfg.metric_names)
     raw_rows = []
@@ -234,7 +224,6 @@ def run(cfg: ExperimentConfig):
         layout = curves_mod.CurveLayout(test, phi)
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
-        objectives = _objectives(cfg, train)
         fits = parallel.fork_map(functools.partial(_fit, split, cfg), objectives)
         ensemble = functools.partial(_ensemble, dict(zip(objectives, fits)), test)
         for m, name in enumerate(cfg.models):
@@ -242,7 +231,8 @@ def run(cfg: ExperimentConfig):
             try:
                 kind, objective, w = _parse_model_name(name)
                 if kind == "idboost":
-                    model = idboost.assemble(train, w, lambda o: ensemble(o)[0])
+                    w = idboost.check(train, w)
+                    model = idboost.IdBoostModel(ensemble("idloss")[0], ensemble("sera")[0], w)
                     preds = model.mix(ensemble("idloss")[1], ensemble("sera")[1])
                 else:
                     model, preds = ensemble(objective)

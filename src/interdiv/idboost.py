@@ -5,13 +5,16 @@ hyperparameters: one against the divergence loss, one against the
 relevance-weighted squared error. Predictions are the convex combination
 ``w * fairness_ensemble + (1 - w) * error_ensemble``, so ``w`` trades
 fairness pressure against predictive accuracy; ``w = 1`` and ``w = 0``
-recover the standalone ensembles exactly. :func:`fit` trains the two
-ensembles in two processes when the affinity mask holds two CPUs or more
-(``taskset -c 0`` trains them in one); the model is byte-identical either
-way, and each process's memory is its own.
+recover the standalone ensembles exactly. :func:`fit_ensemble` fits every
+ensemble, here and in the experiment runner, after :func:`check` has passed
+for a dual model. :func:`fit` trains the two ensembles in two processes
+when the affinity mask holds two CPUs or more (``taskset -c 0`` trains them
+in one); the model is byte-identical either way, and each process's memory
+is its own.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -21,7 +24,7 @@ from . import gbt, parallel
 from .dataset import GroupedDataset
 from .curves import require_two_groups
 from .errors import InputError, ValidationError, read_errors_as
-from .losses import make_objective
+from .losses import DEFAULT_HUBER_DELTA, make_objective
 from .relevance import RelevanceFunction
 
 FORMAT_NAME = "interdiv-idboost"
@@ -111,19 +114,21 @@ def load(path):
     raise InputError(f"unrecognized model format {fmt!r} in {path}")
 
 
-def assemble(ds: GroupedDataset, w: float, ensemble) -> IdBoostModel:
-    """The dual model of weight ``w`` from ``ensemble(objective)``, the
-    ``TreeEnsemble`` fitted on ``ds`` for ``"idloss"`` or ``"sera"``.
-
-    ``w`` and the groups are checked before either ensemble is asked for,
-    ``idloss`` first, so every caller fails in the same order.
-    """
+def check(ds: GroupedDataset, w: float) -> float:
+    """``w`` as a float, once it lies in [0, 1] and ``ds`` has two populated
+    groups; every caller checks before it fits, so all fail the same way."""
     if not 0.0 <= w <= 1.0:
         raise ValidationError(f"fairness weight w must be in [0, 1], got {w!r}")
     require_two_groups(ds, "the divergence loss")
-    return IdBoostModel(
-        id_ensemble=ensemble("idloss"), sera_ensemble=ensemble("sera"), w=float(w)
-    )
+    return float(w)
+
+
+def fit_ensemble(ds: GroupedDataset, phi: RelevanceFunction, params: gbt.BoostParams,
+                 objective: str, huber_delta: float = DEFAULT_HUBER_DELTA,
+                 approx_params=None) -> gbt.TreeEnsemble:
+    """The ensemble fitted on ``ds`` against the objective named ``objective``."""
+    obj = make_objective(objective, ds, phi, huber_delta, params.hess_floor, approx_params)
+    return gbt.fit(ds, obj, params)
 
 
 def fit(
@@ -135,18 +140,6 @@ def fit(
 ) -> IdBoostModel:
     """Train both component ensembles with shared params and seed, side by
     side in two processes where :func:`parallel.cpus` allows two."""
-    def ensemble(objective):
-        obj = make_objective(
-            objective, ds, phi=phi, hess_floor=params.hess_floor, approx_params=approx_params
-        )
-        return gbt.fit(ds, obj, params)
-
-    fitted = {}
-
-    def fitted_ensemble(objective):
-        if not fitted:  # assemble asks only once its checks pass: fit both then
-            objectives = ("idloss", "sera")
-            fitted.update(zip(objectives, parallel.fork_map(ensemble, objectives)))
-        return fitted[objective]
-
-    return assemble(ds, w, fitted_ensemble)
+    w = check(ds, w)
+    fit_one = functools.partial(fit_ensemble, ds, phi, params, approx_params=approx_params)
+    return IdBoostModel(*parallel.fork_map(fit_one, ("idloss", "sera")), w=w)

@@ -246,7 +246,7 @@ OBJECTIVE_NAMES = ("mse", "huber", "sera", "idloss")
 def make_objective(
     name: str,
     ds: GroupedDataset,
-    phi: RelevanceFunction | None = None,
+    phi: RelevanceFunction,
     huber_delta: float = DEFAULT_HUBER_DELTA,
     hess_floor: float = DEFAULT_HESS_FLOOR,
     approx_params=None,
@@ -257,13 +257,7 @@ def make_objective(
     if name == "huber":
         return HuberObjective(ds, delta=huber_delta, hess_floor=hess_floor)
     if name == "sera":
-        if phi is None:
-            raise ValidationError("sera objective requires a relevance function")
         return SeraObjective(ds, phi)
     if name == "idloss":
-        if phi is None:
-            raise ValidationError("idloss objective requires a relevance function")
-        return IdLossObjective(
-            ds, phi, hess_floor=hess_floor, approx_params=approx_params
-        )
+        return IdLossObjective(ds, phi, hess_floor=hess_floor, approx_params=approx_params)
     raise ValidationError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")

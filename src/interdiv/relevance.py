@@ -161,7 +161,7 @@ def from_file_or_boxplot(path, targets) -> RelevanceFunction:
 
 
 def load_points(path) -> RelevanceFunction:
-    """Read control points from a two-column ``y,relevance`` CSV."""
+    """Read control points from a CSV whose rows are ``y,relevance`` pairs."""
     pts = []
     with open(path, newline="", encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
         lines = fh.readlines()
@@ -174,7 +174,8 @@ def load_points(path) -> RelevanceFunction:
             if not row:
                 continue
             try:
-                pts.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
+                y, rel = row
+                pts.append((float(y), float(rel)))
+            except ValueError as exc:
                 raise ValidationError(f"bad relevance row {row!r} in {path}") from exc
     return from_points(pts)

@@ -649,6 +649,24 @@ out = {tmp_path / 'expout'}
         assert out.out == f"curves[mse] -> {tmp_path / 'both' / 'curves' / 'mse.csv'}\n"
         assert (tmp_path / "both" / "curves" / "mse.csv").read_bytes() == mse
         assert not (tmp_path / "both" / "curves" / "huber.csv").exists()
+    @pytest.mark.parametrize("extra, message", [
+        ("train_ratio = 1.5", "train_ratio must be in (0, 1)"),
+        ("relevance_file = missing.csv", "missing.csv"),
+    ], ids=["train-ratio", "missing-relevance-file"])
+    def test_bad_input_leaves_no_output_directory(
+        self, biased_dir, tmp_path, capsys, extra, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"data = {biased_dir / 'data.csv'}\ntarget = y\nprotected = a0\n"
+            f"privileged = 1\nmodels = mse\nruns = 1\nrounds = 1\nout = out\n{extra}\n"
+        )
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRelevanceFileFlag:
     def test_override_is_used(self, scenario_dir, tmp_path, capsys):
@@ -665,6 +683,18 @@ class TestRelevanceFileFlag:
         assert code == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["sera"] == pytest.approx(doc["mse"] * doc["n"], rel=1e-9)
+
+    def test_extra_cell_is_an_error(self, scenario_dir, tmp_path, capsys):
+        rel = tmp_path / "rel.csv"
+        rel.write_text("y,relevance,slope\n-100,1.0\n0,1,9\n100,1.0\n")
+        capsys.readouterr()
+        code = run_cli(
+            "audit", "--data", str(scenario_dir / "data.csv"),
+            "--config", str(scenario_dir / "schema.cfg"),
+            "--preds", str(scenario_dir / "preds.csv"), "--relevance-file", str(rel),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad relevance row ['0', '1', '9'] in {rel}\n"
 
 
 class TestUndecodableInput:

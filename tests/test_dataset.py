@@ -605,6 +605,17 @@ class TestWriteCsv:
         assert np.array_equal(back.group_of, ds.group_of)
 
 
+class TestFromArrays:
+    @pytest.mark.parametrize("names, message", [
+        ({"feature_names": ("x0",)}, "feature names: 1 given for 2 columns"),
+        ({"feature_names": ("x0", "x1", "x2")}, "feature names: 3 given for 2 columns"),
+        ({"protected_names": ("a0", "a1")}, "protected names: 2 given for 1 columns"),
+    ], ids=["too-few-features", "too-many-features", "too-many-protected"])
+    def test_name_count_must_match_width(self, names, message):
+        with pytest.raises(InputError, match=message):
+            dataset.from_arrays(np.zeros((4, 2)), np.arange(4.0), np.array([0, 1, 0, 1]), **names)
+
+
 class TestPartition:
     def test_groups_partition_samples(self, tmp_path):
         ds = dataset.load_csv(basic_csv(tmp_path), SCHEMA)

@@ -264,10 +264,10 @@ class TestSharedEnsembles:
         for name in want:
             assert got[name] == want[name], name
 
-    def test_one_populated_training_group_keeps_failure_statuses(self, tmp_path):
-        cfg = harness.config_from_file(write_experiment(
-            tmp_path, runs=1, models="mse, idloss, sera, idboost_0.5"
-        ))
+    @staticmethod
+    def one_populated_training_group(tmp_path, models):
+        """A one-run config whose training split holds one populated group."""
+        cfg = harness.config_from_file(write_experiment(tmp_path, runs=1, models=models))
         # two rows of group a0 = 0, and a seed that puts both in the test part
         data = tmp_path / "data.csv"
         lines = data.read_text().splitlines()
@@ -280,12 +280,27 @@ class TestSharedEnsembles:
             s for s in range(1000)
             if np.count_nonzero(dataset.split(ds, cfg.train_ratio, s)[0].group_counts()) == 1
         )
-        cfg = dataclasses.replace(cfg, base_seed=seed)
+        return dataclasses.replace(cfg, base_seed=seed)
+
+    def test_one_populated_training_group_keeps_failure_statuses(self, tmp_path):
+        cfg = self.one_populated_training_group(tmp_path, "mse, idloss, sera, idboost_0.5")
         _, rows = harness.run(cfg)
         assert {r["model"]: r["status"] for r in rows} == {
             "mse": "ok",
             "idloss": "failed: divergence loss needs at least 2 populated groups",
             "sera": "ok",
+            "idboost_0.5": "failed: the divergence loss needs at least 2 populated groups",
+        }
+        oracle = dataclasses.replace(cfg, out_dir=str(tmp_path / "oracle"))
+        parent_run(oracle)
+        assert read_tree(cfg.out_dir) == read_tree(oracle.out_dir)
+
+    def test_one_populated_training_group_without_idloss_or_sera_models(self, tmp_path):
+        # idboost_0.5 fails its group check, so the idloss and sera fits go unused
+        cfg = self.one_populated_training_group(tmp_path, "mse, idboost_0.5")
+        _, rows = harness.run(cfg)
+        assert {r["model"]: r["status"] for r in rows} == {
+            "mse": "ok",
             "idboost_0.5": "failed: the divergence loss needs at least 2 populated groups",
         }
         oracle = dataclasses.replace(cfg, out_dir=str(tmp_path / "oracle"))

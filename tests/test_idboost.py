@@ -131,32 +131,39 @@ class TestPredict:
 
 
 class TestAssemble:
+    """How ``fit`` builds the dual model, and the checks it makes before any fit."""
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def fit_ensemble(*args, **kwargs):  # raised from a worker too, by fork_map
+            raise AssertionError("an ensemble was fitted")
+
+        monkeypatch.setattr(idboost, "fit_ensemble", fit_ensemble)
+
     def test_asks_for_idloss_then_sera(self, trained):
-        ds, _, _, model = trained
-        asked = []
+        ds, phi, params, _ = trained
+        want = idboost.IdBoostModel(
+            idboost.fit_ensemble(ds, phi, params, "idloss"),
+            idboost.fit_ensemble(ds, phi, params, "sera"),
+            0.25,
+        )
+        assert idboost.fit(ds, phi, params, 0.25).to_dict() == want.to_dict()
 
-        def ensemble(objective):
-            asked.append(objective)
-            return model.id_ensemble if objective == "idloss" else model.sera_ensemble
-
-        got = idboost.assemble(ds, 0.25, ensemble)
-        assert asked == ["idloss", "sera"]
-        assert got == idboost.IdBoostModel(model.id_ensemble, model.sera_ensemble, 0.25)
-
-    def test_weight_checked_before_any_ensemble(self, trained):
-        ds = trained[0]
-        asked = []
+    def test_weight_checked_before_any_ensemble(self, trained, no_fit):
+        ds, phi, params, _ = trained
+        assert type(idboost.check(ds, 1)) is float
         with pytest.raises(ValidationError, match=r"w must be in \[0, 1\], got 1.5"):
-            idboost.assemble(ds, 1.5, asked.append)
-        assert asked == []
+            idboost.check(ds, 1.5)
+        with pytest.raises(ValidationError, match=r"w must be in \[0, 1\], got 1.5"):
+            idboost.fit(ds, phi, params, 1.5)
 
-    def test_groups_checked_before_any_ensemble(self, trained):
-        ds = trained[0]
+    def test_groups_checked_before_any_ensemble(self, trained, no_fit):
+        ds, phi, params, _ = trained
         one_group = ds.subset(np.flatnonzero(ds.group_of == 0))
-        asked = []
         with pytest.raises(UndefinedMetricError, match="at least 2 populated groups"):
-            idboost.assemble(one_group, 0.5, asked.append)
-        assert asked == []
+            idboost.check(one_group, 0.5)
+        with pytest.raises(UndefinedMetricError, match="at least 2 populated groups"):
+            idboost.fit(one_group, phi, params, 0.5)
 
 
 class TestLoad:

@@ -341,11 +341,11 @@ class TestObjectiveFactory:
             assert gh.value == obj.value(preds)
 
     def test_unknown_name_rejected(self, rng):
-        ds, _, _ = make_instance(rng, n=10)
+        ds, phi, _ = make_instance(rng, n=10)
         with pytest.raises(ValidationError):
-            losses.make_objective("logcosh", ds)
+            losses.make_objective("logcosh", ds, phi)
 
     def test_sera_requires_relevance(self, rng):
         ds, _, _ = make_instance(rng, n=10)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError, match="'phi'"):
             losses.make_objective("sera", ds)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,3 +162,21 @@ def test_save_and_load_round_trip(tmp_path, rng):
     phi2 = relevance.load_points(path)
     xs = rng.uniform(-1, 8, 100)
     assert np.array_equal(phi(xs), phi2(xs))
+
+
+def test_blank_rows_skipped(tmp_path, rng):
+    phi = relevance.from_points([(0.0, 1.0), (2.0, 0.0), (7.0, 0.9)])
+    path = tmp_path / "rel.csv"
+    path.write_text("y,relevance\n\n0.0,1.0\n2.0,0.0\n\n7.0,0.9\n\n", encoding="utf-8")
+    xs = rng.uniform(-1, 8, 100)
+    assert np.array_equal(phi(xs), relevance.load_points(path)(xs))
+
+
+@pytest.mark.parametrize("row", ["2.0,0.0,9", "2.0,0.0,", "2.0"],
+                         ids=["three-cells", "trailing-comma", "one-cell"])
+def test_row_of_other_than_two_cells_rejected(tmp_path, row):
+    path = tmp_path / "rel.csv"
+    path.write_text(f"y,relevance\n0.0,1.0\n{row}\n7.0,0.9\n", encoding="utf-8")
+    message = f"bad relevance row {row.split(',')!r} in {path}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        relevance.load_points(path)
