@@ -68,10 +68,9 @@ class DatasetSchema:
 
 @dataclass(frozen=True)
 class GroupInfo:
-    """One observed protected-attribute combination and its sample count."""
+    """One observed protected-attribute combination."""
 
     combo: tuple[int, ...]
-    count: int
 
 
 @dataclass(frozen=True)
@@ -106,17 +105,12 @@ class GroupedDataset:
     def subset(self, ids) -> "GroupedDataset":
         """Row subset that keeps the parent catalog (absent groups count 0)."""
         ids = np.asarray(ids, dtype=int)
-        counts = np.bincount(self.group_of[ids], minlength=self.n_groups)
-        catalog = tuple(
-            GroupInfo(combo=g.combo, count=int(c))
-            for g, c in zip(self.group_catalog, counts)
-        )
         return GroupedDataset(
             features=self.features[ids].copy(),
             targets=self.targets[ids].copy(),
             protected=self.protected[ids].copy(),
             group_of=self.group_of[ids].copy(),
-            group_catalog=catalog,
+            group_catalog=self.group_catalog,
             feature_names=self.feature_names,
             protected_names=self.protected_names,
             target_name=self.target_name,
@@ -140,10 +134,7 @@ def _build_catalog(protected: np.ndarray):
     for new_id, old_id in enumerate(order):
         remap[old_id] = new_id
     group_of = remap[inverse.ravel()]
-    catalog = tuple(
-        GroupInfo(combo=tuple(int(v) for v in combos[old_id]), count=int(counts[old_id]))
-        for old_id in order
-    )
+    catalog = tuple(GroupInfo(combo=tuple(int(v) for v in combos[old_id])) for old_id in order)
     return group_of.astype(np.int64), catalog
 
 

@@ -2,12 +2,11 @@
 
 A relevance function expresses which parts of the target domain matter most:
 1 marks the values a user most needs predicted accurately, 0 the values that
-barely matter. The map is defined by control points ``(y, relevance, slope)``
-and interpolated with a monotone piecewise-cubic Hermite scheme
-(Fritsch-Carlson slope limiting), so the interpolant passes through every
-control point, never overshoots between neighbouring points, and therefore
-never leaves [0, 1]. Outside the outermost control points the value is held
-constant.
+barely matter. The map is defined by control points ``(y, relevance)`` and
+interpolated by cubic Hermite segments with zero slope at every control
+point, so each segment runs monotonically from one control point's
+relevance to the next, passes through both and never leaves [0, 1].
+Outside the outermost control points the value is held constant.
 
 Control points can be supplied directly (domain knowledge) or inferred from
 boxplot statistics of an observed target sample, in which case the median
@@ -25,60 +24,24 @@ from .errors import InputError, ValidationError, read_errors_as
 
 @dataclass(frozen=True)
 class RelevanceFunction:
-    """Piecewise monotone-cubic map from target values to [0, 1].
+    """Piecewise zero-slope cubic map from target values to [0, 1].
 
-    ``y`` holds the strictly increasing control abscissae, ``rel`` the
-    relevance at each control point, and ``slope`` the (limited) slopes the
-    interpolant actually uses. Instances are immutable and evaluation is
-    pure, so they are safe to share across threads.
+    ``y`` holds the strictly increasing control abscissae and ``rel`` the
+    relevance at each control point. Instances are immutable and evaluation
+    is pure, so they are safe to share across threads.
     """
 
     y: np.ndarray
     rel: np.ndarray
-    slope: np.ndarray
 
     def __call__(self, values):
         return evaluate(self, values)
 
 
-def _limit_slopes(y: np.ndarray, rel: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson limiting: clamp slopes so each segment is monotone.
-
-    Segments with equal endpoint relevance are forced flat; elsewhere slopes
-    whose ratio to the secant falls outside the monotone region are scaled
-    back onto the circle of radius 3.
-    """
-    m = slope.astype(float).copy()
-    h = np.diff(y)
-    delta = np.diff(rel) / h
-    for k in range(len(delta)):
-        if delta[k] == 0.0:
-            m[k] = 0.0
-            m[k + 1] = 0.0
-            continue
-        a = m[k] / delta[k]
-        b = m[k + 1] / delta[k]
-        if a < 0.0:
-            m[k] = 0.0
-            a = 0.0
-        if b < 0.0:
-            m[k + 1] = 0.0
-            b = 0.0
-        r2 = a * a + b * b
-        if r2 > 9.0:
-            tau = 3.0 / np.sqrt(r2)
-            m[k] = tau * a * delta[k]
-            m[k + 1] = tau * b * delta[k]
-    return m
-
-
-def from_points(points, slopes=None) -> RelevanceFunction:
+def from_points(points) -> RelevanceFunction:
     """Build a relevance function from explicit ``(y, relevance)`` pairs.
 
-    ``slopes`` optionally overrides the per-point slope (default 0 at every
-    control point, which already yields a monotone segment). Slopes are run
-    through the monotone limiter regardless, so the [0, 1] range invariant
-    cannot be broken by an aggressive override.
+    The gap between neighbouring control points must be a finite number.
     """
     pts = sorted((float(p[0]), float(p[1])) for p in points)
     if len(pts) < 2:
@@ -87,18 +50,15 @@ def from_points(points, slopes=None) -> RelevanceFunction:
     rel = np.array([p[1] for p in pts], dtype=float)
     if not np.all(np.isfinite(y)) or not np.all(np.isfinite(rel)):
         raise ValidationError("control points must be finite")
-    if np.any(np.diff(y) <= 0):
+    with np.errstate(over="ignore"):
+        gaps = np.diff(y)
+    if not np.all(np.isfinite(gaps)):
+        raise ValidationError("gaps between control-point target values must be finite")
+    if np.any(gaps <= 0):
         raise ValidationError("control-point target values must be strictly increasing")
     if np.any(rel < 0.0) or np.any(rel > 1.0):
         raise ValidationError("relevance values must lie in [0, 1]")
-    if slopes is None:
-        slope = np.zeros_like(y)
-    else:
-        slope = np.asarray(slopes, dtype=float)
-        if slope.shape != y.shape:
-            raise ValidationError("slopes must match the number of control points")
-    slope = _limit_slopes(y, rel, slope)
-    return RelevanceFunction(y=y, rel=rel, slope=slope)
+    return RelevanceFunction(y=y, rel=rel)
 
 
 def from_boxplot(targets) -> RelevanceFunction:
@@ -129,29 +89,25 @@ def from_boxplot(targets) -> RelevanceFunction:
 def evaluate(phi: RelevanceFunction, values):
     """Evaluate the relevance function; constant outside the control span.
 
-    Accepts a scalar or array; non-finite inputs raise. The result is
-    clipped to [0, 1] as a numerical backstop (the limiter already keeps the
-    interpolant inside the band).
+    On the segment ``[y[k], y[k+1]]`` with ``s = (v - y[k]) / (y[k+1] - y[k])``
+    the value is ``(2s³ - 3s² + 1)·rel[k] + (-2s³ + 3s²)·rel[k+1]``: the
+    cubic Hermite segment with zero slope at both ends. ``s`` is clipped to
+    [0, 1], which holds the end relevances outside the span. Accepts a
+    scalar or array; non-finite inputs raise. The result is clipped to
+    [0, 1] as a numerical backstop against rounding of the two weights.
     """
     v = np.asarray(values, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v)
     if not np.all(np.isfinite(v)):
         raise InputError("relevance evaluation requires finite target values")
-    y, rel, m = phi.y, phi.rel, phi.slope
+    y, rel = phi.y, phi.rel
     k = np.clip(np.searchsorted(y, v, side="right") - 1, 0, len(y) - 2)
-    h = y[k + 1] - y[k]
-    s = np.clip((v - y[k]) / h, 0.0, 1.0)
+    s = np.clip((v - y[k]) / (y[k + 1] - y[k]), 0.0, 1.0)
     s2 = s * s
     s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    out = h00 * rel[k] + h10 * h * m[k] + h01 * rel[k + 1] + h11 * h * m[k + 1]
+    out = (2.0 * s3 - 3.0 * s2 + 1.0) * rel[k] + (-2.0 * s3 + 3.0 * s2) * rel[k + 1]
     out = np.clip(out, 0.0, 1.0)
-    out[v <= y[0]] = rel[0]
-    out[v >= y[-1]] = rel[-1]
     return float(out[0]) if scalar else out
 
 
@@ -160,8 +116,16 @@ def from_file_or_boxplot(path, targets) -> RelevanceFunction:
     return load_points(path) if path else from_boxplot(targets)
 
 
+def _is_number(cell) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_points(path) -> RelevanceFunction:
-    """Read control points from a CSV whose rows are ``y,relevance`` pairs."""
+    """Read control points from a CSV: a two-name header, then ``y,relevance`` rows."""
     pts = []
     with open(path, newline="", encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
         lines = fh.readlines()
@@ -170,6 +134,11 @@ def load_points(path) -> RelevanceFunction:
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"empty relevance file: {path}")
+        if len(header) != 2 or all(map(_is_number, header)):
+            raise ValidationError(
+                f"bad relevance header {header!r} in {path}: "
+                "expected two column names, such as y,relevance"
+            )
         for row in reader:
             if not row:
                 continue

@@ -684,17 +684,39 @@ class TestRelevanceFileFlag:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["sera"] == pytest.approx(doc["mse"] * doc["n"], rel=1e-9)
 
-    def test_extra_cell_is_an_error(self, scenario_dir, tmp_path, capsys):
-        rel = tmp_path / "rel.csv"
-        rel.write_text("y,relevance,slope\n-100,1.0\n0,1,9\n100,1.0\n")
+    def audit_error(self, scenario_dir, rel, capsys):
         capsys.readouterr()
         code = run_cli(
             "audit", "--data", str(scenario_dir / "data.csv"),
             "--config", str(scenario_dir / "schema.cfg"),
             "--preds", str(scenario_dir / "preds.csv"), "--relevance-file", str(rel),
         )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: bad relevance row ['0', '1', '9'] in {rel}\n"
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        return captured.err
+
+    def test_extra_cell_is_an_error(self, scenario_dir, tmp_path, capsys):
+        rel = tmp_path / "rel.csv"
+        rel.write_text("y,relevance\n-100,1.0\n0,1,9\n100,1.0\n")
+        err = self.audit_error(scenario_dir, rel, capsys)
+        assert err == f"error: bad relevance row ['0', '1', '9'] in {rel}\n"
+
+    @pytest.mark.parametrize("header", ["-100,1", "y,relevance,slope", "y", ""],
+                             ids=["headerless", "three-names", "one-name", "blank"])
+    def test_header_must_be_two_names(self, scenario_dir, tmp_path, capsys, header):
+        # a first row of two numbers is a control point, not a header to skip
+        rel = tmp_path / "rel.csv"
+        rel.write_text(f"{header}\n0,0\n100,1\n")
+        err = self.audit_error(scenario_dir, rel, capsys)
+        cells = header.split(",") if header else []
+        assert err.startswith(f"error: bad relevance header {cells!r} in {rel}: ")
+
+    def test_overflowing_gap_is_an_error(self, scenario_dir, tmp_path, capsys):
+        # the gap 2e308 is inf, which evaluated every target to NaN
+        rel = tmp_path / "rel.csv"
+        rel.write_text("y,relevance\n-1e308,1\n1e308,0\n")
+        err = self.audit_error(scenario_dir, rel, capsys)
+        assert err == "error: gaps between control-point target values must be finite\n"
 
 
 class TestUndecodableInput:

@@ -76,7 +76,7 @@ class TestLoadCsv:
                 i += 1
         path = write_csv(tmp_path / "compas.csv", "sex,race,y,x1", rows)
         ds = dataset.load_csv(path, DatasetSchema("y", ("sex", "race"), ("M", "C")))
-        counts = [g.count for g in ds.group_catalog]
+        counts = ds.group_counts().tolist()
         assert counts == [4813, 2377, 1100, 759]
         assert counts == sorted(counts, reverse=True)
 
@@ -621,7 +621,7 @@ class TestPartition:
         ds = dataset.load_csv(basic_csv(tmp_path), SCHEMA)
         counts = np.bincount(ds.group_of, minlength=ds.n_groups)
         assert counts.sum() == ds.n
-        assert [g.count for g in ds.group_catalog] == counts.tolist()
+        assert ds.group_counts().tolist() == counts.tolist()
         # each sample's combo matches its group's combo
         for i in range(ds.n):
             assert tuple(ds.protected[i]) == ds.group_catalog[ds.group_of[i]].combo
@@ -633,7 +633,8 @@ class TestPartition:
         ds = dataset.from_arrays(np.zeros((300, 1)), np.zeros(300), prot)
         counts = collections.Counter(map(tuple, prot.tolist()))
         expected = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert [(g.combo, g.count) for g in ds.group_catalog] == expected
+        combos = [g.combo for g in ds.group_catalog]
+        assert list(zip(combos, ds.group_counts().tolist())) == expected
         for g, row in zip(ds.group_of.tolist(), prot.tolist()):
             assert ds.group_catalog[g].combo == tuple(row)
 

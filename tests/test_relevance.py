@@ -74,13 +74,9 @@ class TestFromPoints:
         with pytest.raises(ValidationError):
             relevance.from_points([(0.0, 0.5)])
 
-    def test_slope_override_is_limited(self):
-        # a wild slope cannot push the interpolant outside the band
-        phi = relevance.from_points([(0.0, 0.0), (1.0, 1.0)], slopes=[50.0, 50.0])
-        xs = np.linspace(0.0, 1.0, 500)
-        vals = phi(xs)
-        assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
-        assert np.all(np.diff(vals) >= -1e-12)
+    def test_overflowing_gap_rejected(self):
+        with pytest.raises(ValidationError, match="gaps .* must be finite"):
+            relevance.from_points([(-1e308, 1.0), (1e308, 0.0)])
 
 
 class TestEvaluate:
@@ -111,8 +107,7 @@ class TestEvaluate:
             else:
                 k = int(np.searchsorted(y, x, side="right") - 1)
                 want = hermite_scalar(
-                    x, y[k], y[k + 1], phi.rel[k], phi.rel[k + 1],
-                    phi.slope[k], phi.slope[k + 1],
+                    x, y[k], y[k + 1], phi.rel[k], phi.rel[k + 1], 0.0, 0.0,
                 )
                 want = min(1.0, max(0.0, want))
             assert got == pytest.approx(want, abs=1e-12)
@@ -153,6 +148,56 @@ def test_range_invariant_on_random_control_points(ys, data):
         v = phi(seg)
         lo, hi = min(rels[k], rels[k + 1]), max(rels[k], rels[k + 1])
         assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
+
+
+def four_term_hermite(phi, values):
+    """The evaluation before slopes were removed: four Hermite terms, zero slopes."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    y, rel, m = phi.y, phi.rel, np.zeros_like(phi.y)
+    k = np.clip(np.searchsorted(y, v, side="right") - 1, 0, len(y) - 2)
+    h = y[k + 1] - y[k]
+    s = np.clip((v - y[k]) / h, 0.0, 1.0)
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    out = h00 * rel[k] + h10 * h * m[k] + h01 * rel[k + 1] + h11 * h * m[k + 1]
+    out = np.clip(out, 0.0, 1.0)
+    out[v <= y[0]] = rel[0]
+    out[v >= y[-1]] = rel[-1]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scale=st.sampled_from([1e-6, 1.0, 1e6, 1e300]),
+    ys=st.lists(
+        st.floats(min_value=-1, max_value=1, allow_nan=False),
+        min_size=2, max_size=8, unique=True,
+    ),
+    data=st.data(),
+)
+def test_two_terms_match_four_term_form_bitwise(scale, ys, data):
+    ys = sorted(ys)
+    if min(b - a for a, b in zip(ys[:-1], ys[1:])) < 1e-9:
+        return
+    ys = [y * scale for y in ys]
+    rels = data.draw(st.lists(st.floats(min_value=0, max_value=1),
+                              min_size=len(ys), max_size=len(ys)))
+    phi = relevance.from_points(list(zip(ys, rels)))
+    # every control point, points just beside each, and targets inside and
+    # up to twice the span beyond either end
+    span = ys[-1] - ys[0]
+    fracs = data.draw(st.lists(st.floats(min_value=-2, max_value=3), max_size=30))
+    xs = np.concatenate([
+        ys, np.nextafter(ys, np.inf), np.nextafter(ys, -np.inf),
+        np.linspace(ys[0] - 2 * span, ys[-1] + 2 * span, 200),
+        ys[0] + np.array(fracs, dtype=float) * span,
+    ])
+    got = relevance.evaluate(phi, xs)
+    assert np.array_equal(got.view(np.uint64), four_term_hermite(phi, xs).view(np.uint64))
 
 
 def test_save_and_load_round_trip(tmp_path, rng):
