@@ -36,9 +36,10 @@ from .relevance import RelevanceFunction
 
 @dataclass(frozen=True)
 class ApproxParams:
+    """Kernel width and grid step; every curve keeps both grid ends."""
+
     sigma: float = 1e-2        # Gaussian bandwidth, in relevance units
     grid_step: float = 1e-3    # resampling step for derivative estimation
-    min_points: int = 2        # floor on retained points per curve
 
     def __post_init__(self):
         if not 0.0 < self.sigma < np.inf:  # NaN fails this comparison too
@@ -46,8 +47,6 @@ class ApproxParams:
         # smoothing costs about quadratically more as the step shrinks
         if not 1e-4 <= self.grid_step < 1.0:
             raise ParameterError(f"grid_step must be in [1e-4, 1), got {self.grid_step!r}")
-        if self.min_points < 2:
-            raise ParameterError("min_points must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,6 @@ class SimplifyGrid:
         self.grid = np.linspace(0.0, 1.0, n_grid)
         self.kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
         self.edge = np.convolve(np.ones(n_grid), self.kernel, mode="same")
-        self.min_points = params.min_points
-        self.floor_points = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
         bp, count = layout.breakpoints, layout.count
         self.interval = _grid_intervals(bp, self.grid)
         # F_g(bp[k]): the integral of dt / |D^t_g| from 0, zero on empty
@@ -142,8 +139,8 @@ class SimplifyGrid:
 
         ``norm`` is the normalized curve set, one row per group. A point is
         retained where the first or second derivative of the blurred curve
-        changes sign, at both ends, and, for a curve left with fewer than
-        ``min_points``, at ``min_points`` evenly spaced grid points.
+        changes sign, and at both ends, so every curve keeps at least two
+        points of a grid of at least three.
         """
         vals = norm[:, self.interval]
         smooth = np.stack([np.convolve(v, self.kernel, mode="same") for v in vals]) / self.edge
@@ -156,8 +153,6 @@ class SimplifyGrid:
         keep[:, [0, -1]] = True
         keep[:, :-1] |= _sign_changes(d1, 64.0 * eps * scale / h)
         keep[:, :-1] |= _sign_changes(d2, 64.0 * eps * scale / h**2)
-        short = keep.sum(axis=1) < self.min_points
-        keep[np.ix_(short, self.floor_points)] = True
         return vals, keep
 
     def sample_weights(self, curves: SerCurveSet):

@@ -222,16 +222,13 @@ def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
 def integrate_step(values, breakpoints) -> float:
     """Exact integral of a step function over its breakpoint span.
 
-    ``values[k]`` holds on [breakpoints[k], breakpoints[k+1]); a trailing
-    value aligned with the last breakpoint is accepted and ignored.
+    ``values[k]`` holds on [breakpoints[k], breakpoints[k+1]).
     """
     v = np.asarray(values, dtype=float)
     bp = np.asarray(breakpoints, dtype=float)
     if np.any(np.diff(bp) < 0):
         raise InternalError("breakpoints must be sorted ascending")
     widths = np.diff(bp)
-    if v.shape[0] == bp.shape[0]:
-        v = v[:-1]
     if v.shape[0] != widths.shape[0]:
         raise InternalError(
             f"step values ({v.shape[0]}) do not align with breakpoints ({bp.shape[0]})"

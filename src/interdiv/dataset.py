@@ -41,20 +41,18 @@ class DatasetSchema:
     """Column roles for a CSV file.
 
     ``privileged_values`` is aligned with ``protected_columns``; each entry
-    names the attribute value that binarizes to 1. ``feature_columns`` may be
-    left empty, in which case every remaining column becomes a feature.
+    names the attribute value that binarizes to 1. The features are every
+    column that is not the target, protected or in ``drop_columns``.
     """
 
     target_column: str
     protected_columns: tuple[str, ...]
     privileged_values: tuple[str, ...]
-    feature_columns: tuple[str, ...] = ()
     drop_columns: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "protected_columns", tuple(self.protected_columns))
         object.__setattr__(self, "privileged_values", tuple(str(v) for v in self.privileged_values))
-        object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
         object.__setattr__(self, "drop_columns", tuple(self.drop_columns))
         if not self.protected_columns:
             raise SchemaError("at least one protected column is required")
@@ -376,8 +374,7 @@ def _parse(data: bytes, path, schema: DatasetSchema):
             for i, name in enumerate(header):
                 if col_index.setdefault(name, i) != i:
                     raise SchemaError(f"duplicate column {name!r} in the header of {path}")
-            for col in (schema.target_column, *schema.protected_columns,
-                        *schema.feature_columns, *schema.drop_columns):
+            for col in (schema.target_column, *schema.protected_columns, *schema.drop_columns):
                 if col not in col_index:
                     raise SchemaError(f"column {col!r} not found in {path}")
         except SchemaError:
@@ -387,10 +384,7 @@ def _parse(data: bytes, path, schema: DatasetSchema):
             raise
 
         excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-        if schema.feature_columns:
-            feature_cols = list(schema.feature_columns)
-        else:
-            feature_cols = [c for c in header if c not in excluded]
+        feature_cols = [c for c in header if c not in excluded]
 
         width = len(header)
         target_at = col_index[schema.target_column]

@@ -8,7 +8,9 @@ Hessians: splits maximize the exact second-order gain
 over all (feature, threshold) pairs, and leaves carry the regularized Newton
 weight -G / (H + lambda). Objectives are recomputed on the full training
 predictions every round; there is no subsampling, so objectives that depend
-on global group structure see the whole picture.
+on global group structure see the whole picture. Objectives return their
+own Hessians, zero where the loss is flat or linear; ``fit`` floors them at
+``BoostParams.hess_floor``, and no other module floors a Hessian.
 
 Splits are enumerated from presorted rows, the exact greedy layout of
 XGBoost: ``fit`` stably argsorts each feature column once, and each split
@@ -44,10 +46,10 @@ import numpy as np
 
 from .dataset import GroupedDataset
 from .errors import DegenerateObjectiveError, InputError, ValidationError
-from .losses import DEFAULT_HESS_FLOOR
 
 FORMAT_NAME = "interdiv-ensemble"
 FORMAT_VERSION = 1
+DEFAULT_HESS_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)

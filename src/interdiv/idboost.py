@@ -127,7 +127,7 @@ def fit_ensemble(ds: GroupedDataset, phi: RelevanceFunction, params: gbt.BoostPa
                  objective: str, huber_delta: float = DEFAULT_HUBER_DELTA,
                  approx_params=None) -> gbt.TreeEnsemble:
     """The ensemble fitted on ``ds`` against the objective named ``objective``."""
-    obj = make_objective(objective, ds, phi, huber_delta, params.hess_floor, approx_params)
+    obj = make_objective(objective, ds, phi, huber_delta, approx_params)
     return gbt.fit(ds, obj, params)
 
 

@@ -2,10 +2,13 @@
 
 Every objective produces a per-sample gradient and Hessian of its loss with
 respect to the predictions, together with the loss value there, so a
-boosting round evaluates the loss once. The divergence loss integrates, over
-relevance cutoffs, the normalized squared error of every populated group
-except the best one at that cutoff; its derivative concentrates into a
-per-sample weight
+boosting round evaluates the loss once. Each returns its own second
+derivative, zero where the loss is flat or linear; ``gbt.fit`` alone floors
+the Hessians, at ``BoostParams.hess_floor``.
+
+The divergence loss integrates, over relevance cutoffs, the normalized
+squared error of every populated group except the best one at that cutoff;
+its derivative concentrates into a per-sample weight
 
     W_j = integral over t in [0, phi(y_j)] of
           [group(j) != best_group(t)] / |D^t_{group(j)}| dt
@@ -29,7 +32,6 @@ from .dataset import GroupedDataset
 from .errors import InputError, ValidationError
 from .relevance import RelevanceFunction
 
-DEFAULT_HESS_FLOOR = 1e-6
 DEFAULT_HUBER_DELTA = 1.0
 
 
@@ -95,14 +97,9 @@ def _sample_weights(curves: SerCurveSet, pattern: np.ndarray) -> np.ndarray:
     return cum[curves.sample_group, curves.layout.sample_interval]
 
 
-def idloss_gradhess(
-    ds: GroupedDataset,
-    preds,
-    phi: RelevanceFunction,
-    hess_floor: float = DEFAULT_HESS_FLOOR,
-) -> GradHess:
+def idloss_gradhess(ds: GroupedDataset, preds, phi: RelevanceFunction) -> GradHess:
     """Gradient and Hessian of the divergence loss at the current piece."""
-    return IdLossObjective(ds, phi, hess_floor=hess_floor).grad_hess(preds)
+    return IdLossObjective(ds, phi).grad_hess(preds)
 
 
 def sera_value(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
@@ -135,13 +132,11 @@ class MseObjective:
 class HuberObjective:
     name = "huber"
 
-    def __init__(self, ds: GroupedDataset, delta: float = DEFAULT_HUBER_DELTA,
-                 hess_floor: float = DEFAULT_HESS_FLOOR):
+    def __init__(self, ds: GroupedDataset, delta: float = DEFAULT_HUBER_DELTA):
         if not 0.0 < delta < np.inf:  # NaN fails this comparison too
             raise ValidationError(f"huber delta must be positive and finite, got {delta!r}")
         self._ds = ds
         self.delta = delta
-        self.hess_floor = hess_floor
 
     def _loss(self, r) -> float:
         # each branch only where it holds: the other can overflow
@@ -159,8 +154,7 @@ class HuberObjective:
         r = check_preds(self._ds, preds) - self._ds.targets
         quad = np.abs(r) <= self.delta
         grad = np.where(quad, r, self.delta * np.sign(r))
-        hess = np.where(quad, 1.0, self.hess_floor)
-        return GradHess(grad=grad, hess=hess, value=self._loss(r))
+        return GradHess(grad=grad, hess=quad.astype(float), value=self._loss(r))
 
 
 class SeraObjective:
@@ -195,16 +189,9 @@ class IdLossObjective:
 
     name = "idloss"
 
-    def __init__(
-        self,
-        ds: GroupedDataset,
-        phi: RelevanceFunction,
-        hess_floor: float = DEFAULT_HESS_FLOOR,
-        approx_params=None,
-    ):
+    def __init__(self, ds: GroupedDataset, phi: RelevanceFunction, approx_params=None):
         self._ds = ds
         self._layout = curves_mod.CurveLayout(ds, phi)
-        self.hess_floor = hess_floor
         self._sgrid = (
             SimplifyGrid(self._layout, approx_params) if approx_params is not None else None
         )
@@ -236,8 +223,7 @@ class IdLossObjective:
             self.eval_points += n_segments
             self._note_pattern(pattern)
         grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
-        hess = np.maximum(2.0 * w, self.hess_floor)
-        return GradHess(grad=grad, hess=hess, value=value)
+        return GradHess(grad=grad, hess=2.0 * w, value=value)
 
 
 OBJECTIVE_NAMES = ("mse", "huber", "sera", "idloss")
@@ -248,16 +234,15 @@ def make_objective(
     ds: GroupedDataset,
     phi: RelevanceFunction,
     huber_delta: float = DEFAULT_HUBER_DELTA,
-    hess_floor: float = DEFAULT_HESS_FLOOR,
     approx_params=None,
 ):
     """Objective factory keyed by the config/CLI name string."""
     if name == "mse":
         return MseObjective(ds)
     if name == "huber":
-        return HuberObjective(ds, delta=huber_delta, hess_floor=hess_floor)
+        return HuberObjective(ds, delta=huber_delta)
     if name == "sera":
         return SeraObjective(ds, phi)
     if name == "idloss":
-        return IdLossObjective(ds, phi, hess_floor=hess_floor, approx_params=approx_params)
+        return IdLossObjective(ds, phi, approx_params=approx_params)
     raise ValidationError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")

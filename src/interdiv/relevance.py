@@ -103,7 +103,9 @@ def evaluate(phi: RelevanceFunction, values):
         raise InputError("relevance evaluation requires finite target values")
     y, rel = phi.y, phi.rel
     k = np.clip(np.searchsorted(y, v, side="right") - 1, 0, len(y) - 2)
-    s = np.clip((v - y[k]) / (y[k + 1] - y[k]), 0.0, 1.0)
+    # far outside a narrow segment the ratio overflows to ±inf, which the clip takes
+    with np.errstate(over="ignore"):
+        s = np.clip((v - y[k]) / (y[k + 1] - y[k]), 0.0, 1.0)
     s2 = s * s
     s3 = s2 * s
     out = (2.0 * s3 - 3.0 * s2 + 1.0) * rel[k] + (-2.0 * s3 + 3.0 * s2) * rel[k + 1]

@@ -34,8 +34,7 @@ from interdiv.errors import (
     SchemaError,
     UndefinedMetricError,
 )
-from interdiv.gbt import BoostParams, Tree
-from interdiv.losses import DEFAULT_HESS_FLOOR
+from interdiv.gbt import DEFAULT_HESS_FLOOR, BoostParams, Tree
 from interdiv.relevance import RelevanceFunction, evaluate
 
 log = logging.getLogger(__name__)
@@ -206,15 +205,12 @@ def rowwise_load_csv(path, schema: DatasetSchema) -> GroupedDataset:
         rows = [r for r in reader if r]
 
     col_index = {name: i for i, name in enumerate(header)}
-    for col in (schema.target_column, *schema.protected_columns, *schema.feature_columns):
+    for col in (schema.target_column, *schema.protected_columns):
         if col not in col_index:
             raise SchemaError(f"column {col!r} not found in {path}")
 
     excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-    if schema.feature_columns:
-        feature_cols = list(schema.feature_columns)
-    else:
-        feature_cols = [c for c in header if c not in excluded]
+    feature_cols = [c for c in header if c not in excluded]
 
     t_idx = col_index[schema.target_column]
     p_idx = [col_index[c] for c in schema.protected_columns]
@@ -633,9 +629,6 @@ def parent_simplify(curves, params: ApproxParams) -> SimplifiedCurveSet:
         keep = {0, n_grid - 1}
         keep.update(int(i) for i in parent_sign_changes(d1, 64.0 * eps * scale / h))
         keep.update(int(i) for i in parent_sign_changes(d2, 64.0 * eps * scale / h**2))
-        if len(keep) < params.min_points:
-            extra = np.linspace(0, n_grid - 1, params.min_points).round().astype(int)
-            keep.update(int(i) for i in extra)
         idx = np.array(sorted(keep), dtype=int)
         out.append(SimplifiedCurve(t=grid[idx], value=vals[idx]))
     return SimplifiedCurveSet(curves=tuple(out), grid_size=n_grid)

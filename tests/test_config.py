@@ -204,7 +204,7 @@ class TestDefaultsStatedOnce:
             "runs": 1, "train_ratio": 0.8, "seed": 3,
             "metrics": list(harness.DEFAULT_METRICS),
             "boost": {"rounds": 2, "eta": 0.5, "depth": 2, "min_child_hessian": 0.0,
-                      "lambda": 1.0, "hess_floor": losses.DEFAULT_HESS_FLOOR},
+                      "lambda": 1.0, "hess_floor": gbt.DEFAULT_HESS_FLOOR},
             "huber_delta": losses.DEFAULT_HUBER_DELTA, "fast": False,
             "stratify_groups": False, "relevance_file": None,
         }

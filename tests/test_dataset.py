@@ -224,11 +224,9 @@ def _csv_case(draw):
     protected = ["a", "b"][: draw(st.integers(1, 2))]
     privileged = [draw(_ATTR) for _ in protected]
     header = draw(st.permutations(["y", *protected, *features, "junk"]))
-    feature_columns = ()
-    if draw(st.booleans()):
-        feature_columns = tuple(draw(st.permutations(features))[: draw(st.integers(1, len(features)))])
+    dropped = draw(st.permutations(features))[: draw(st.integers(0, len(features)))]
     schema = DatasetSchema("y", tuple(protected), tuple(privileged),
-                           feature_columns=feature_columns, drop_columns=("junk",))
+                           drop_columns=("junk", *dropped))
 
     lines = [",".join(_cell(draw, draw(_padded(st.just(h)))) for h in header)]
     # the first row is kept and privileged; most often the second is kept

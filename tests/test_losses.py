@@ -67,8 +67,9 @@ class TestIdLossGradHess:
         gh = losses.idloss_gradhess(ds, np.array([1.2, 2.2, 3.3, 3.9]), phi)
         # samples 0,1 sit in the group that is best at every cutoff
         assert gh.grad[0] == 0.0 and gh.grad[1] == 0.0
-        assert gh.hess[0] == losses.DEFAULT_HESS_FLOOR
-        assert gh.hess[1] == losses.DEFAULT_HESS_FLOOR
+        # the loss's own Hessian; only gbt.fit floors it
+        assert gh.hess[0] == 0.0
+        assert gh.hess[1] == 0.0
 
     def test_closed_form_flat_relevance(self):
         # with flat relevance the weight is 1/group size for the worse group
@@ -270,7 +271,7 @@ class TestMseHuber:
         preds = ds.targets + 50.0
         gh = losses.HuberObjective(ds, delta=0.5).grad_hess(preds)
         assert np.allclose(np.abs(gh.grad), 0.5)
-        assert np.all(gh.hess == losses.DEFAULT_HESS_FLOOR)
+        assert np.all(gh.hess == 0.0)
 
     def test_finite_difference(self, rng):
         ds, _, preds = make_instance(rng, n=40)

@@ -92,6 +92,14 @@ class TestEvaluate:
         with pytest.raises(InputError):
             phi(np.array([0.5, np.inf]))
 
+    @pytest.mark.parametrize("points, v, want", [
+        ([(-1e308, 1.0), (0.0, 0.0)], 1.7e308, 0.0),
+        ([(0.0, 1.0), (5e-324, 0.0), (1.0, 1.0)], -2.0, 1.0),
+    ], ids=["difference-overflows", "ratio-overflows"])
+    def test_far_from_a_narrow_segment_without_warning(self, points, v, want):
+        # tier-1 turns numpy's overflow RuntimeWarning into an error
+        assert relevance.from_points(points)(v) == want
+
     def test_vectorized_matches_dense_scalar_sweep(self, rng):
         # refactoring oracle: per-point scalar evaluation on the right segment
         pts = [(-2.0, 1.0), (0.0, 0.1), (1.5, 0.4), (4.0, 1.0)]
