@@ -79,10 +79,12 @@ def cmd_train(args) -> int:
     ds = _load_dataset(args)
     phi = relevance.from_file_or_boxplot(args.relevance_file, ds.targets)
     params = gbt.BoostParams(**{name: getattr(args, name) for name, _ in BOOST_FLAGS.values()})
-    model = harness.fit_model(
-        ds, phi, params, args.objective, args.w if args.model == "idboost" else None,
-        args.huber_delta, args.fast,
-    )
+    approx_params = approx_mod.ApproxParams() if args.fast else None
+    if args.model == "idboost":
+        model = idboost.fit(ds, phi, params, args.w, approx_params=approx_params)
+    else:
+        model = idboost.fit_ensemble(ds, phi, params, args.objective, args.huber_delta,
+                                     approx_params)
     model.to_json(args.out)
     _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {args.out}", file=sys.stderr)

@@ -104,10 +104,10 @@ class GroupedDataset:
         """Row subset that keeps the parent catalog (absent groups count 0)."""
         ids = np.asarray(ids, dtype=int)
         return GroupedDataset(
-            features=self.features[ids].copy(),
-            targets=self.targets[ids].copy(),
-            protected=self.protected[ids].copy(),
-            group_of=self.group_of[ids].copy(),
+            features=self.features[ids],
+            targets=self.targets[ids],
+            protected=self.protected[ids],
+            group_of=self.group_of[ids],
             group_catalog=self.group_catalog,
             feature_names=self.feature_names,
             protected_names=self.protected_names,
@@ -201,14 +201,6 @@ def _float_or_nan(token: str) -> float:
         return np.nan
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
-
-
 def parse_floats(tokens) -> tuple[np.ndarray, np.ndarray]:
     """Parse a sequence of string tokens as float64 in one pass.
 
@@ -278,7 +270,7 @@ class _FeatureColumn:
         if bad.size:
             uniq, codes = _factorize([col[i] for i in bad])
             present = ~_missing(uniq)
-            if not all(_is_number(t) for t, p in zip(uniq, present) if p):
+            if not all(relevance.is_number(t) for t, p in zip(uniq, present) if p):
                 self.categorical = True
                 self.parts = []
                 return

@@ -3,17 +3,19 @@
 An experiment fits every configured model on ``runs`` independent
 train/test splits (seeded ``base_seed + run``), scores each test prediction
 with the full fairness report, and aggregates per-metric ranks across runs.
-Within a run each objective's ensemble is fitted and predicted once, an
-``idboost_<w>`` model mixes the test predictions of ``idloss`` and ``sera``,
-and every model is scored on one curve layout of the run's test rows.
-The objectives to fit are read from the config once per experiment, so a
-run fits ``idloss`` and ``sera`` for an ``idboost_<w>`` model even where
-``idboost.check`` then fails that model on the run's training rows.
+A model is the objectives it fits and its weight: ``mse`` fits ``("mse",)``
+with no weight, and ``idboost_<w>`` fits ``idboost.OBJECTIVES`` and mixes
+their test predictions with weight ``w``. The model names are parsed once
+per experiment. Within a run each objective's ensemble is fitted and
+predicted once, where it is fitted, and every model is scored on one curve
+layout of the run's test rows. So a run fits ``idloss`` and ``sera`` for an
+``idboost_<w>`` model even where ``idboost.check`` then fails that model on
+the run's training rows.
 The run's fits are independent, so :func:`parallel.fork_map` runs them in up
 to N processes, N being the CPUs in the affinity mask (``taskset -c 0``
-runs them in one). Workers only fit, each in its own copy of memory; every
-predict, score and output file is the calling process's, and the outputs
-are byte-identical for every N.
+runs them in one). Workers fit and predict, each in its own copy of memory;
+the calling process still scores every model and writes every output file,
+and the outputs are byte-identical for every N.
 A model that raises an ``InterdivError`` during a run is recorded as failed
 and ranked last for every metric of that run rather than aborting the
 experiment. Any other exception is a fault of the program, not of the
@@ -63,10 +65,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValidationError("n_runs must be >= 1")
-        if len(set(self.models)) != len(self.models):
-            raise ValidationError("model names must be unique")
-        if not self.models:
-            raise ValidationError("at least one model is required")
+        for what, names in (("model", self.models), ("metric", self.metric_names)):
+            if not names:
+                raise ValidationError(f"at least one {what} is required")
+            if len(set(names)) != len(names):
+                raise ValidationError(f"{what} names must be unique")
         for name in self.models:
             _parse_model_name(name)  # typos abort here, not mid-experiment
         for name in self.metric_names:
@@ -93,12 +96,13 @@ def config_from_file(path) -> ExperimentConfig:
 
 
 def _parse_model_name(name: str):
-    """Model spec: an objective name, or ``idboost_<w>`` with w in [0, 1]."""
+    """``(objectives, w)``: ``((objective,), None)`` for an objective name, or
+    ``(idboost.OBJECTIVES, w)`` for ``idboost_<w>`` with w in [0, 1]."""
     low = name.lower()
     if low.startswith("xgb_"):
         low = low[4:]
     if low in OBJECTIVE_NAMES:
-        return ("ensemble", low, None)
+        return (low,), None
     if low.startswith("idboost"):
         tail = low[len("idboost"):].lstrip("_")
         try:
@@ -107,59 +111,22 @@ def _parse_model_name(name: str):
             raise ValidationError(f"unknown model name {name!r}") from None
         if not 0.0 <= w <= 1.0:
             raise ValidationError(f"idboost weight out of range in {name!r}")
-        return ("idboost", "idloss+sera", w)
+        return idboost.OBJECTIVES, w
     raise ValidationError(f"unknown model name {name!r}")
 
 
-def fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
-              huber_delta: float, fast: bool):
-    """Fit one model: the dual ensemble for a fairness weight ``w``, else a
-    single ensemble on ``objective``.
-
-    ``fast`` makes the divergence objective sweep simplified curves.
-    """
-    approx_params = ApproxParams() if fast else None
-    if w is not None:
-        return idboost.fit(ds, phi, params, w, approx_params=approx_params)
-    return idboost.fit_ensemble(ds, phi, params, objective, huber_delta, approx_params)
-
-
-def _objectives(cfg: ExperimentConfig) -> list:
-    """Each objective the config's models name, once, in the order first
-    named; an ``idboost_<w>`` model names ``idloss`` and ``sera``."""
-    named = {}
-    for name in cfg.models:  # split an idboost_<w> model's "idloss+sera"
-        named.update(dict.fromkeys(_parse_model_name(name)[1].split("+")))
-    return list(named)
-
-
 def _fit(split, cfg: ExperimentConfig, objective: str):
-    """The run's ensemble for ``objective``, or the ``InterdivError`` its fit raised.
+    """The run's ensemble for ``objective`` and its predictions on the test
+    rows, or the ``InterdivError`` that its fit or predict raised.
 
     ``split`` is the run's ``(train, test, phi)``."""
-    train, _, phi = split
+    train, test, phi = split
     try:
-        return fit_model(train, phi, cfg.boost, objective, None, cfg.huber_delta, cfg.fast)
+        ensemble = idboost.fit_ensemble(train, phi, cfg.boost, objective, cfg.huber_delta,
+                                        ApproxParams() if cfg.fast else None)
+        return ensemble, ensemble.predict(test.features)
     except InterdivError as exc:
         return exc
-
-
-def _ensemble(fitted: dict, test, objective: str):
-    """The pair of the run's ensemble for ``objective`` and its predictions on ``test``.
-
-    ``fitted`` maps each objective of the run to what :func:`_fit` returned,
-    then to that pair once predicted, or to the ``InterdivError`` its fit or
-    predict raised, which is raised again for every model that needs it."""
-    found = fitted[objective]
-    if isinstance(found, gbt.TreeEnsemble):
-        try:
-            found = (found, found.predict(test.features))
-        except InterdivError as exc:
-            found = exc
-        fitted[objective] = found
-    if isinstance(found, InterdivError):
-        raise found
-    return found
 
 
 def _split(ds, cfg: ExperimentConfig, r: int):
@@ -214,7 +181,9 @@ def _report_metric(report: metrics.FairnessReport, name: str) -> float:
 def run(cfg: ExperimentConfig):
     """Execute the experiment; returns (RankTable, raw metric rows)."""
     ds = dataset_mod.load_csv(cfg.data, cfg.schema)
-    objectives = _objectives(cfg)
+    models = [_parse_model_name(name) for name in cfg.models]
+    # each objective the models fit, once, in the order first named
+    objectives = list(dict.fromkeys(o for needs, _ in models for o in needs))
     n_models = len(cfg.models)
     n_metrics = len(cfg.metric_names)
     raw_rows = []
@@ -225,17 +194,22 @@ def run(cfg: ExperimentConfig):
         run_dir = os.path.join(cfg.out_dir, f"run_{r}")
         os.makedirs(run_dir, exist_ok=True)
         fits = parallel.fork_map(functools.partial(_fit, split, cfg), objectives)
-        ensemble = functools.partial(_ensemble, dict(zip(objectives, fits)), test)
-        for m, name in enumerate(cfg.models):
+        fitted = dict(zip(objectives, fits))
+        for m, (name, (needs, w)) in enumerate(zip(cfg.models, models)):
             status = "ok"
             try:
-                kind, objective, w = _parse_model_name(name)
-                if kind == "idboost":
+                if w is not None:
                     w = idboost.check(train, w)
-                    model = idboost.IdBoostModel(ensemble("idloss")[0], ensemble("sera")[0], w)
-                    preds = model.mix(ensemble("idloss")[1], ensemble("sera")[1])
+                found = [fitted[o] for o in needs]
+                for f in found:  # the first failed fit, in the order of needs
+                    if isinstance(f, InterdivError):
+                        raise f
+                if w is None:
+                    model, preds = found[0]
                 else:
-                    model, preds = ensemble(objective)
+                    ensembles, preds = zip(*found)
+                    model = idboost.IdBoostModel(*ensembles, w)
+                    preds = model.mix(*preds)
                 report = metrics.layout_report(layout, preds)
                 for k, metric in enumerate(cfg.metric_names):
                     values[r, m, k] = _report_metric(report, metric)

@@ -29,6 +29,8 @@ from .relevance import RelevanceFunction
 
 FORMAT_NAME = "interdiv-idboost"
 FORMAT_VERSION = 1
+# the objectives of the divergence and the error ensemble, in that order
+OBJECTIVES = ("idloss", "sera")
 
 
 @dataclass
@@ -74,6 +76,7 @@ class IdBoostModel:
         version = d.get("version")
         if type(version) is not int or version != FORMAT_VERSION:
             raise InputError(f"unsupported idboost version {version!r}")
+        # TreeEnsemble.from_dict and json_float check each value they read
         try:
             model = IdBoostModel(
                 id_ensemble=gbt.TreeEnsemble.from_dict(d["id_ensemble"]),
@@ -82,8 +85,6 @@ class IdBoostModel:
             )
         except KeyError as exc:
             raise InputError(f"idboost file lacks the key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed idboost file: {exc}") from None
         # NaN fails this comparison too
         if not 0.0 <= model.w <= 1.0:
             raise InputError(f"idboost weight w must be in [0, 1], got {model.w!r}")
@@ -142,4 +143,4 @@ def fit(
     side in two processes where :func:`parallel.cpus` allows two."""
     w = check(ds, w)
     fit_one = functools.partial(fit_ensemble, ds, phi, params, approx_params=approx_params)
-    return IdBoostModel(*parallel.fork_map(fit_one, ("idloss", "sera")), w=w)
+    return IdBoostModel(*parallel.fork_map(fit_one, OBJECTIVES), w=w)

@@ -118,7 +118,8 @@ def from_file_or_boxplot(path, targets) -> RelevanceFunction:
     return load_points(path) if path else from_boxplot(targets)
 
 
-def _is_number(cell) -> bool:
+def is_number(cell) -> bool:
+    """Whether ``float`` reads ``cell`` as a number."""
     try:
         float(cell)
     except ValueError:
@@ -136,7 +137,7 @@ def load_points(path) -> RelevanceFunction:
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"empty relevance file: {path}")
-        if len(header) != 2 or all(map(_is_number, header)):
+        if len(header) != 2 or all(map(is_number, header)):
             raise ValidationError(
                 f"bad relevance header {header!r} in {path}: "
                 "expected two column names, such as y,relevance"

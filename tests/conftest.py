@@ -21,7 +21,7 @@ import pytest
 from hypothesis import strategies as st
 
 from interdiv import curves as curves_mod
-from interdiv import dataset, harness, metrics, relevance
+from interdiv import dataset, gbt, harness, idboost, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
 from interdiv.curves import SerCurveSet, argmin_pattern, normalize
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
@@ -745,7 +745,22 @@ def parent_tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
 # is fitted on its own (a dual ensemble through ``idboost.fit``) and every
 # model x run splits the data and builds its curves again. Kept verbatim
 # (renamed, with the harness helpers they call qualified) as the reference
-# for the differential test. Nothing under src/ imports them.
+# for the differential test, with ``harness.fit_model`` as it stood before
+# ``harness.run`` and ``train`` called ``idboost`` directly. Nothing under
+# src/ imports them.
+def parent_fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
+                     huber_delta: float, fast: bool):
+    """Fit one model: the dual ensemble for a fairness weight ``w``, else a
+    single ensemble on ``objective``.
+
+    ``fast`` makes the divergence objective sweep simplified curves.
+    """
+    approx_params = ApproxParams() if fast else None
+    if w is not None:
+        return idboost.fit(ds, phi, params, w, approx_params=approx_params)
+    return idboost.fit_ensemble(ds, phi, params, objective, huber_delta, approx_params)
+
+
 def parent_run(cfg):
     """Execute the experiment; returns (RankTable, raw metric rows)."""
     ds = dataset.load_csv(cfg.data, cfg.schema)
@@ -761,9 +776,9 @@ def parent_run(cfg):
         for m, name in enumerate(cfg.models):
             status = "ok"
             try:
-                _, objective, w = harness._parse_model_name(name)
-                model = harness.fit_model(train, phi, cfg.boost, objective, w,
-                                          cfg.huber_delta, cfg.fast)
+                objectives, w = harness._parse_model_name(name)
+                model = parent_fit_model(train, phi, cfg.boost, objectives[0], w,
+                                         cfg.huber_delta, cfg.fast)
                 preds = model.predict(test.features)
                 report = metrics.full_report(test, preds, phi)
                 for k, metric in enumerate(cfg.metric_names):

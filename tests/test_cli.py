@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from interdiv import cli, config, dataset, parallel, relevance
+from interdiv import cli, config, dataset, gbt, metrics, parallel, relevance
 from interdiv.errors import ConfigError, InputError, SchemaError, ValidationError
+from interdiv.losses import DEFAULT_HUBER_DELTA
+
+from conftest import parent_fit_model
 
 
 def run_cli(*argv):
@@ -148,6 +151,24 @@ class TestTrainPredictAudit:
             ) == 0
             written.append(model.read_bytes())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("flags, objective, w, huber_delta, fast", [
+        (["--objective", "huber", "--huber-delta", "0.7"], "huber", None, 0.7, False),
+        (["--objective", "idloss", "--fast"], "idloss", None, DEFAULT_HUBER_DELTA, True),
+        (["--model", "idboost", "--w", "0.3", "--fast"], "mse", 0.3, DEFAULT_HUBER_DELTA, True),
+    ], ids=["huber", "idloss-fast", "idboost-fast"])
+    def test_model_bytes_equal_parent_fit_model(
+        self, biased_dir, tmp_path, flags, objective, w, huber_delta, fast
+    ):
+        data, schema = str(biased_dir / "data.csv"), str(biased_dir / "schema.cfg")
+        model, want = tmp_path / "model.json", tmp_path / "want.json"
+        assert run_cli("train", "--data", data, "--config", schema, "--rounds", "2",
+                       "--depth", "2", *flags, "--out", str(model)) == 0
+        ds = dataset.load_csv(data, config.load_schema(schema))
+        parent_fit_model(ds, relevance.from_boxplot(ds.targets),
+                         gbt.BoostParams(n_rounds=2, max_depth=2), objective, w,
+                         huber_delta, fast).to_json(want)
+        assert model.read_bytes() == want.read_bytes()
 
     def test_fast_training_flag(self, biased_dir, tmp_path):
         model = tmp_path / "fast.json"
@@ -541,9 +562,10 @@ class TestEndToEndFairnessGain:
 
 
 class TestAuditDeltaTable:
-    def test_fixture_reproduces_known_delta_column(self, tmp_path, capsys):
-        # weighted-cell fixture whose All-row MAEs are exactly 0.275/0.320;
-        # the audit's conditioned delta column must read -14.1/-16.3/-12.8
+    @staticmethod
+    def audit_args(tmp_path):
+        """``audit`` on a weighted-cell fixture whose All-row MAEs are exactly
+        0.275/0.320, so the conditioned delta column reads -14.1/-16.3/-12.8."""
         rows = ["race,sex,y,x0"]
         cells = {
             ("W", "M"): (17, 0.287), ("W", "F"): (12, 0.258),
@@ -562,11 +584,11 @@ class TestAuditDeltaTable:
         cfg.write_text("target = y\nprotected = race, sex\nprivileged = W, M\n")
         rel = tmp_path / "rel.csv"
         rel.write_text("y,relevance\n-1,1\n1,1\n")
-        code = run_cli(
-            "audit", "--data", str(data), "--config", str(cfg),
-            "--preds", str(pred_path), "--relevance-file", str(rel), "--json",
-        )
-        assert code == 0
+        return ["audit", "--data", str(data), "--config", str(cfg),
+                "--preds", str(pred_path), "--relevance-file", str(rel)]
+
+    def test_fixture_reproduces_known_delta_column(self, tmp_path, capsys):
+        assert run_cli(*self.audit_args(tmp_path), "--json") == 0
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         table = next(
             t for t in doc["mae_delta_tables"]
@@ -574,6 +596,35 @@ class TestAuditDeltaTable:
         )
         deltas = [round(r["delta_pct"], 1) for r in table["rows"]]
         assert deltas == [-14.1, -16.3, -12.8]
+
+    def test_human_report_prints_both_tables(self, tmp_path, capsys):
+        assert run_cli(*self.audit_args(tmp_path)) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[3:] == [
+            "-- MAE delta for race conditioned on sex:",
+            "   all: priv=0.275 unpriv=0.32 delta=-14.1%",
+            "   sex=privileged: priv=0.287 unpriv=0.343 delta=-16.3% [increase]",
+            "   sex=unprivileged: priv=0.258 unpriv=0.296 delta=-12.8% [decrease]",
+            "-- MAE delta for sex conditioned on race:",
+            "   all: priv=0.3198 unpriv=0.283 delta=+13.0%",
+            "   race=privileged: priv=0.287 unpriv=0.258 delta=+11.2% [decrease]",
+            "   race=unprivileged: priv=0.343 unpriv=0.296 delta=+15.9% [increase]",
+        ]
+
+    def test_human_report_prints_notes(self, capsys):
+        # loading a CSV refuses a one-sided protected column, so build the
+        # data in memory: a1 is 1 on every row, so its measures are notes
+        ds = dataset.from_arrays(
+            np.zeros((4, 1)), [0.0, 1.0, 2.0, 3.0], [[0, 1], [1, 1], [0, 1], [1, 1]]
+        )
+        report = metrics.full_report(ds, np.array([0.5, 1.0, 2.0, 2.5]),
+                                     relevance.from_points([(0.0, 1.0), (3.0, 1.0)]))
+        cli._print_human_report(report)
+        err = capsys.readouterr().err.splitlines()
+        one_sided = "attribute 1 is one-sided; measure undefined"
+        assert err[-3:] == [f"note: delta_bgl[a1]: {one_sided}", f"note: sp[a1]: {one_sided}",
+                            f"note: mae_delta[a1|a0]: {one_sided}"]
+        assert "-- MAE delta for a0 conditioned on a1:" in err
 
 
 class TestCurvesCommand:
@@ -649,10 +700,13 @@ out = {tmp_path / 'expout'}
         assert out.out == f"curves[mse] -> {tmp_path / 'both' / 'curves' / 'mse.csv'}\n"
         assert (tmp_path / "both" / "curves" / "mse.csv").read_bytes() == mse
         assert not (tmp_path / "both" / "curves" / "huber.csv").exists()
+
     @pytest.mark.parametrize("extra, message", [
         ("train_ratio = 1.5", "train_ratio must be in (0, 1)"),
         ("relevance_file = missing.csv", "missing.csv"),
-    ], ids=["train-ratio", "missing-relevance-file"])
+        ("metrics = mse, mse, id", "metric names must be unique"),
+        ("metrics =", "at least one metric is required"),
+    ], ids=["train-ratio", "missing-relevance-file", "repeated-metric", "no-metric"])
     def test_bad_input_leaves_no_output_directory(
         self, biased_dir, tmp_path, capsys, extra, message
     ):

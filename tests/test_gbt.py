@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -418,6 +420,18 @@ class TestLoadValidation:
     def test_malformed_tree_rejected(self, changes):
         with pytest.raises(InputError):
             gbt.TreeEnsemble.from_dict(one_split_doc(**changes))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([one_split_doc()], "an ensemble must be a JSON object, not list"),
+        ({**one_split_doc(), "format": idboost.FORMAT_NAME},
+         f"not an ensemble file (format='{idboost.FORMAT_NAME}')"),
+        ({**one_split_doc(), "version": gbt.FORMAT_VERSION + 1},
+         f"unsupported ensemble version {gbt.FORMAT_VERSION + 1}"),
+        ({**one_split_doc(), "version": True}, "unsupported ensemble version True"),
+    ], ids=["not-an-object", "idboost-format", "next-version", "version-bool"])
+    def test_document_that_is_not_an_ensemble(self, doc, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            gbt.TreeEnsemble.from_dict(doc)
 
     def test_child_before_parent_rejected(self):
         doc = one_split_doc(feature=[-1, 0, -1], left=[-1, 0, -1], right=[-1, 2, -1])

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from interdiv import curves, dataset, gbt, harness, parallel
+from interdiv import curves, dataset, gbt, harness, idboost, parallel
 from interdiv.errors import InputError, UndefinedMetricError, ValidationError
 
 from conftest import parent_export_id_curves, parent_run
@@ -148,7 +148,7 @@ class TestRun:
         def broken_fit(*args, **kwargs):
             raise RuntimeError("fault in the program")
 
-        monkeypatch.setattr(harness, "fit_model", broken_fit)
+        monkeypatch.setattr(idboost, "fit_ensemble", broken_fit)
         with pytest.raises(RuntimeError, match="fault in the program"):
             harness.run(cfg)
         assert not os.path.exists(os.path.join(cfg.out_dir, "ranks.csv"))
@@ -200,14 +200,14 @@ class TestSharedEnsembles:
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=2, models="mse, idloss, sera, idboost_0.3, idboost_0.7"
         ))
-        fit = harness.fit_model
+        fit = idboost.fit_ensemble
         log = tmp_path / "fits.log"
 
         def counted(*args, **kwargs):
             log_line(log, args[3])
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_model", counted)
+        monkeypatch.setattr(idboost, "fit_ensemble", counted)
         _, rows = harness.run(cfg)
         objectives = log.read_text().split()
         assert all(r["status"] == "ok" for r in rows)
@@ -222,7 +222,8 @@ class TestSharedEnsembles:
         split = dataset.split
         predict = gbt.TreeEnsemble.predict
         post_init = curves.CurveLayout.__post_init__
-        test_sets, walked, laid_out = [], [], []
+        test_sets, laid_out = [], []
+        log = tmp_path / "predicts.log"
 
         def recording_split(*args, **kwargs):
             train, test = split(*args, **kwargs)
@@ -230,7 +231,7 @@ class TestSharedEnsembles:
             return train, test
 
         def counted_predict(self, X):
-            walked.append(self)
+            log_line(log, self.objective_name)
             return predict(self, X)
 
         def recording_post_init(self, phi):
@@ -243,7 +244,9 @@ class TestSharedEnsembles:
         _, rows = harness.run(cfg)
         assert all(r["status"] == "ok" for r in rows)
         # the mse, idloss and sera ensembles of each run, once each
-        assert len(walked) == 6
+        predicted = log.read_text().split()
+        assert len(predicted) == 6
+        assert sorted(predicted) == ["idloss", "idloss", "mse", "mse", "sera", "sera"]
         assert sum(any(ds is t for t in test_sets) for ds in laid_out) == 2
 
     @pytest.mark.parametrize("fast", ["false", "true"])
@@ -316,7 +319,7 @@ class TestSharedEnsembles:
             log_line(log, objective)
             raise UndefinedMetricError(f"{objective} broke")
 
-        monkeypatch.setattr(harness, "fit_model", failing_fit)
+        monkeypatch.setattr(idboost, "fit_ensemble", failing_fit)
         _, rows = harness.run(cfg)
         objectives = log.read_text().split()
         assert {r["model"]: r["status"] for r in rows} == {
@@ -348,14 +351,14 @@ class TestWorkerFaults:
         self, tmp_path, monkeypatch, capfd, broken
     ):
         cfg = harness.config_from_file(write_experiment(tmp_path, models="mse, idloss, sera"))
-        fit = harness.fit_model
+        fit = idboost.fit_ensemble
 
         def broken_fit(ds, phi, params, objective, *args, **kwargs):
             if objective == broken:
                 raise RuntimeError(f"fault in the program ({objective})")
             return fit(ds, phi, params, objective, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_model", broken_fit)
+        monkeypatch.setattr(idboost, "fit_ensemble", broken_fit)
         with pytest.raises(RuntimeError, match=rf"fault in the program \({broken}\)"):
             harness.run(cfg)
         self.assert_not_ranked(cfg)
@@ -368,14 +371,14 @@ class TestWorkerFaults:
     ], ids=["sigkill", "os-exit"])
     def test_dead_worker_is_an_error_naming_it(self, tmp_path, monkeypatch, die, named):
         cfg = harness.config_from_file(write_experiment(tmp_path, models="mse, idboost_0.5"))
-        fit = harness.fit_model
+        fit = idboost.fit_ensemble
 
         def dying_fit(*args, **kwargs):
             if in_worker():
                 die()
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "fit_model", dying_fit)
+        monkeypatch.setattr(idboost, "fit_ensemble", dying_fit)
         with pytest.raises(ChildProcessError, match=named):
             harness.run(cfg)
         self.assert_not_ranked(cfg)
@@ -392,7 +395,7 @@ class TestWorkerFaults:
                 time.sleep(0.01)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(harness, "fit_model", interrupted_fit)
+        monkeypatch.setattr(idboost, "fit_ensemble", interrupted_fit)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             harness.run(cfg)
@@ -425,6 +428,16 @@ class TestConfigChecks:
         with pytest.raises(ValidationError, match="bogus"):
             harness.config_from_file(cfg_path)
 
+    @pytest.mark.parametrize("runs, models, message", [
+        (0, "mse", "n_runs must be >= 1"),
+        (2, "mse, sera, mse", "model names must be unique"),
+        (2, "", "at least one model is required"),
+    ], ids=["no-runs", "repeated-model", "no-model"])
+    def test_run_plan_rejected_before_any_fit(self, tmp_path, runs, models, message):
+        cfg_path = write_experiment(tmp_path, runs=runs, models=models)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            harness.config_from_file(cfg_path)
+
     def test_every_metric_name_accepted(self, tmp_path):
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=1, models="mse", extra="metrics = " + ", ".join(harness.METRIC_NAMES)
@@ -450,11 +463,10 @@ class TestConfigChecks:
 
 class TestModelNameParsing:
     def test_accepted_spellings(self):
-        assert harness._parse_model_name("mse") == ("ensemble", "mse", None)
-        assert harness._parse_model_name("XGB_SERA") == ("ensemble", "sera", None)
-        kind, _, w = harness._parse_model_name("idboost_0.5")
-        assert kind == "idboost" and w == 0.5
-        assert harness._parse_model_name("idboost")[2] == 0.5
+        assert harness._parse_model_name("mse") == (("mse",), None)
+        assert harness._parse_model_name("XGB_SERA") == (("sera",), None)
+        assert harness._parse_model_name("idboost_0.25") == (("idloss", "sera"), 0.25)
+        assert harness._parse_model_name("idboost") == (idboost.OBJECTIVES, 0.5)
 
     @pytest.mark.parametrize("name", ["idboostx", "idboost_0.5.1"])
     def test_malformed_weight_is_unknown_name(self, tmp_path, name):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,20 @@ class TestAssemble:
             idboost.check(one_group, 0.5)
         with pytest.raises(UndefinedMetricError, match="at least 2 populated groups"):
             idboost.fit(one_group, phi, params, 0.5)
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.pop("w"), "idboost file lacks the key 'w'"),
+        (lambda d: d.pop("sera_ensemble"), "idboost file lacks the key 'sera_ensemble'"),
+        (lambda d: d.update(w="0.5"), "idboost weight w must be a JSON number, got '0.5'"),
+        (lambda d: d.update(id_ensemble=[]), "an ensemble must be a JSON object, not list"),
+    ], ids=["no-w", "no-sera-ensemble", "w-string", "ensemble-list"])
+    def test_malformed_document_is_an_input_error(self, trained, change, message):
+        doc = trained[3].to_dict()
+        change(doc)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            idboost.IdBoostModel.from_dict(doc)
 
 
 class TestLoad:
