@@ -14,12 +14,14 @@ import os
 import sys
 from operator import attrgetter
 
+import numpy as np
+
 from . import __version__
 from . import approx as approx_mod
 from . import config as config_mod
 from . import curves as curves_mod
 from . import dataset as dataset_mod
-from . import gbt, harness, idboost, losses, metrics, relevance
+from . import gbt, harness, idboost, losses, metrics, parallel, relevance
 from .errors import InputError, InterdivError
 
 
@@ -94,7 +96,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ds = _load_dataset(args)
     model = idboost.load(args.model)
-    preds = model.predict(ds.features)
+    # checked whole, so that an error names the row of the file; each row is
+    # predicted alone, so blocks of rows predict side by side to the same bits
+    X = model.check(ds.features)
+    n_blocks = max(1, min(parallel.cpus(), len(X) // dataset_mod.BLOCK_ROWS))
+    preds = np.concatenate(parallel.fork_map(model.predict, np.array_split(X, n_blocks)))
     dataset_mod.write_preds(args.out, preds)
     _write_manifest(args.out, args.command, _recorded(args))
     print(f"wrote {args.out}", file=sys.stderr)

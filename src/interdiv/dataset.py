@@ -12,8 +12,8 @@ proxies the remaining columns carry.
 """
 from __future__ import annotations
 
+import codecs
 import collections
-import contextlib
 import csv
 import io
 import itertools
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import relevance
+from . import parallel, relevance
 from .errors import (
     DegenerateAttributeError,
     EmptyDataError,
@@ -279,6 +279,15 @@ class _FeatureColumn:
                 self.non_finite = (col[k].strip(), int(row_no[k]))
         self.parts.append(values)
 
+    def extend(self, later: "_FeatureColumn", rows_before: int) -> None:
+        """Append ``later``, the column parsed from the data rows after
+        ``rows_before`` rows, as if :meth:`add` had parsed them here."""
+        if self.non_finite is None and later.non_finite is not None:
+            token, row = later.non_finite
+            self.non_finite = token, rows_before + row
+        self.categorical |= later.categorical
+        self.parts = [] if self.categorical else self.parts + later.parts
+
     def numeric(self, path) -> np.ndarray:
         """The values as one column; missing entries take the median."""
         if self.non_finite is not None:
@@ -297,9 +306,26 @@ class _FeatureColumn:
         return values.reshape(-1, 1)
 
 
-def _text(data: bytes):
-    """``data`` decoded as UTF-8 lines, a leading BOM dropped."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+def _text(data: bytes, at: int = 0):
+    """``data`` decoded as UTF-8 lines from byte ``at``, a leading BOM of
+    the file dropped."""
+    raw = io.BytesIO(data)
+    raw.seek(at)
+    return io.TextIOWrapper(raw, encoding="utf-8" if at else "utf-8-sig", newline="")
+
+
+def _utf8(data: bytes) -> bool:
+    """Whether ``data`` decodes as UTF-8, checked a slice at a time."""
+    if data.isascii():
+        return True
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for at in range(0, len(data), _SCAN_BYTES):
+            decoder.decode(data[at:at + _SCAN_BYTES])
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
@@ -309,36 +335,55 @@ def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
     return list(itertools.compress((r[i] for r in records if len(r) == width), keep))
 
 
-def _blocks(data: bytes, text, records, watch, width: int, numeric_at, protected_at):
-    """Each block of ``BLOCK_ROWS`` records after the header as columns,
-    leaving out records not ``width`` long, and the mask of the records kept.
-
-    A file with a quote, CR or NUL byte is read by ``csv``. In any other, a
-    line is a record, and numpy's reader reads a block into floats, parsed
-    as ``float()`` parses a stripped token, for ``numeric_at`` and tokens,
-    padding kept, for ``protected_at``. ``csv`` reads the first block with
-    a blank, ragged or overlong line, or a number numpy cannot parse or finds
-    not finite (``1_0``, non-ASCII digits, a word, NA, inf), and every later one.
-    """
-    plain = not any(c in data for c in (b'"', b"\r", b"\0"))
-    rows, lines_before = text if plain else filter(None, records), records.line_num
+def _numpy_reader(width: int, numeric_at, protected_at):
+    """A function from a block of a plain file's lines to its columns as
+    numpy's reader parses them: floats, parsed as ``float()`` parses a
+    stripped token, for ``numeric_at`` and tokens, padding kept, for
+    ``protected_at``. It gives None for a block whose values could differ
+    from ``csv``'s: one with a blank, ragged or overlong line, or a number
+    numpy cannot parse or finds not finite (``1_0``, non-ASCII digits, a
+    word, NA, inf)."""
     used = sorted([*numeric_at, *protected_at])
     fields = np.dtype([(str(i), object if i in protected_at else float) for i in used])
+
+    def read(batch):
+        if set(map(str.count, batch, itertools.repeat(","))) != {width - 1} or max(
+                map(len, batch)) > csv.field_size_limit():
+            return None
+        try:
+            values = np.loadtxt(batch, fields, delimiter=",", usecols=used, comments=None,
+                                ndmin=1)
+        except ValueError:  # a token numpy does not parse
+            return None
+        if not all(np.isfinite(values[str(i)]).all() for i in numeric_at):
+            return None
+        # copies, so that no float column keeps the block's tokens alive
+        return {i: values[str(i)].tolist() if i in protected_at else values[str(i)].copy()
+                for i in used}
+
+    return read
+
+
+def _blocks(text, watch, lines_before: int, width: int, read_numpy):
+    """Each block of ``BLOCK_ROWS`` records in ``text``, which follows
+    ``lines_before`` lines of the file, as columns, leaving out records not
+    ``width`` long, and the mask of the records kept.
+
+    ``read_numpy`` is given for a plain file, one with no quote, CR or NUL
+    byte, where a line is a record: it reads each block of lines until the
+    first it gives None for. ``csv`` reads that block and every later one,
+    and every block of any other file.
+    """
+    rows = text if read_numpy else filter(None, watch(csv.reader(text), lines_before))
     while batch := list(itertools.islice(rows, BLOCK_ROWS)):
-        n_lines, values = len(batch), None
-        if plain and set(map(str.count, batch, itertools.repeat(","))) == {width - 1} and max(
-                map(len, batch)) <= csv.field_size_limit():
-            with contextlib.suppress(ValueError):  # a token numpy does not parse
-                values = np.loadtxt(batch, fields, delimiter=",", usecols=used, comments=None,
-                                    ndmin=1)
-        if values is not None and all(np.isfinite(values[str(i)]).all() for i in numeric_at):
-            # copies, so that no float column keeps the block's tokens alive
-            yield {i: values[str(i)].tolist() if i in protected_at else values[str(i)].copy()
-                   for i in used}, np.ones(n_lines, dtype=bool)
+        n_lines, columns = len(batch), read_numpy and read_numpy(batch)
+        if columns is not None:
+            yield columns, np.ones(n_lines, dtype=bool)
         else:
-            if plain:  # and csv reads the rest of the file straight from the text
+            if read_numpy:  # and csv reads the rest of the file straight from the text
                 batch = list(filter(None, watch(csv.reader(batch), lines_before)))
-                rows, plain = filter(None, watch(csv.reader(text), lines_before + n_lines)), False
+                rows = filter(None, watch(csv.reader(text), lines_before + n_lines))
+                read_numpy = None
             whole = np.fromiter(map(len, batch), np.intp, len(batch)) == width
             if not whole.all():
                 batch = list(itertools.compress(batch, whole))
@@ -346,13 +391,127 @@ def _blocks(data: bytes, text, records, watch, width: int, numeric_at, protected
         lines_before += n_lines
 
 
+class _Reduced:
+    """Blocks of records reduced as they are read: per block, the mask of
+    the records kept, and the kept records' targets and protected bits;
+    each feature's parts gather in its :class:`_FeatureColumn`.
+    ``n_records`` counts the records added."""
+
+    def __init__(self, target_at: int, protected, features):
+        self.target_at = target_at
+        self.protected = protected  # (column, privileged value) pairs
+        self.features = features    # (column, _FeatureColumn) pairs
+        self.kept, self.targets, self.bits = [], [], []
+        self.n_records = 0
+
+    def empty(self) -> "_Reduced":
+        """A reduction of the same columns with no block yet."""
+        return _Reduced(self.target_at, self.protected,
+                        [(i, _FeatureColumn(f.name)) for i, f in self.features])
+
+    def add(self, columns, whole) -> None:
+        y, _ = parse_floats(columns[self.target_at])
+        keep = np.isfinite(y)
+        bits = np.empty((len(y), len(self.protected)), dtype=np.uint8)
+        for j, (i, privileged) in enumerate(self.protected):
+            uniq, codes = _factorize(columns[i])
+            keep &= ~_missing(uniq)[codes]
+            bits[:, j] = (np.array(uniq, dtype=str) == privileged)[codes]
+        row_no = (np.flatnonzero(whole) + self.n_records + 1)[keep]
+        self.n_records += len(whole)
+        self.kept.append(keep)
+        self.targets.append(y[keep])
+        self.bits.append(bits[keep])
+        if row_no.size:
+            for i, f in self.features:
+                col = columns[i]
+                if row_no.size < len(keep):
+                    col = list(itertools.compress(col, keep))
+                f.add(col, row_no)
+
+    def extend(self, later: "_Reduced") -> None:
+        """Append the blocks of ``later``, reduced from the records after
+        these, as if they had been added here."""
+        self.kept += later.kept
+        self.targets += later.targets
+        self.bits += later.bits
+        for (_, f), (_, g) in zip(self.features, later.features):
+            f.extend(g, self.n_records)
+        self.n_records += later.n_records
+
+
+# bytes of a file scanned at a time for newlines or for UTF-8
+_SCAN_BYTES = 1 << 18
+
+
+def _cuts(data: bytes, start: int, parts: int) -> list:
+    """``(offset, line)`` pairs, from ``(start, 0)``, that cut ``data[start:]``
+    into at most ``parts`` ranges of whole blocks. Cut ``k`` is the first
+    boundary of a block of ``BLOCK_ROWS`` lines at or past ``k / parts`` of
+    the bytes that has a line after it. Newlines are found a slice at a
+    time, so no temporary is the size of the file."""
+    buf = np.frombuffer(data, np.uint8)
+    cuts, lines = [(start, 0)], 0  # lines: the newlines before this slice
+    for at in range(start, len(data), _SCAN_BYTES):
+        is_end = buf[at:at + _SCAN_BYTES] == 10
+        if at + _SCAN_BYTES < start + (len(data) - start) * len(cuts) // parts:
+            lines += int(np.count_nonzero(is_end))  # every line ends short of the next cut
+            continue
+        ends = np.flatnonzero(is_end) + (at + 1)
+        # the ends of the lines numbered a multiple of BLOCK_ROWS, and those numbers
+        first = -(lines + 1) % BLOCK_ROWS
+        for end, line in zip(ends[first::BLOCK_ROWS].tolist(),
+                             itertools.count(lines + first + 1, BLOCK_ROWS)):
+            if end >= len(data) or len(cuts) == parts:
+                return cuts
+            if end >= start + (len(data) - start) * len(cuts) // parts:
+                cuts.append((end, line))
+        lines += len(ends)
+    return cuts
+
+
+def _read_ranges(data: bytes, path, lines_before: int, width: int, reduced: _Reduced,
+                 read_numpy) -> bool:
+    """Read the blocks after the header of a plain UTF-8 file into
+    ``reduced``, in ranges of whole blocks, one per CPU, through
+    :func:`parallel.fork_map`; False, and nothing read, for a file of one
+    range.
+
+    Each range is read by :func:`_blocks` as if it were the rest of the
+    file: numpy reads its blocks up to the first it misses, and ``csv`` that
+    block and the range's later ones. A range's first malformed record is an
+    error naming its line of the file, and that of the first range with one
+    is raised. The ranges are merged in file order.
+    """
+    start = data.find(b"\n") + 1
+    cuts = _cuts(data, start, parallel.cpus()) if start else []
+    if len(cuts) < 2:
+        return False
+
+    def read_range(k):
+        at, line = cuts[k]
+        n_lines = cuts[k + 1][1] - line if k + 1 < len(cuts) else None
+        part = reduced.empty()
+        with read_errors_as(InputError, path) as watch:
+            for columns, whole in _blocks(itertools.islice(_text(data, at), n_lines), watch,
+                                          lines_before + line, width, read_numpy):
+                part.add(columns, whole)
+        return part
+
+    for part in parallel.fork_map(read_range, range(len(cuts))):
+        reduced.extend(part)
+    return True
+
+
 def _parse(data: bytes, path, schema: DatasetSchema):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
 
     Each block of records from :func:`_blocks`, numpy's or ``csv``'s, is
     reduced to float parts, protected bits and notes of bad tokens before
-    the next is read. Every check runs only after the last record, so an
-    undecodable byte or malformed record anywhere is reported first.
+    the next is read; with more than one CPU, a plain UTF-8 file's blocks
+    are read in ranges side by side (:func:`_read_ranges`). Every check runs
+    only after the last record, so an undecodable byte or malformed record
+    anywhere is reported first.
     """
     with read_errors_as(InputError, path) as watch:
         text = _text(data)
@@ -376,45 +535,29 @@ def _parse(data: bytes, path, schema: DatasetSchema):
             raise
 
         excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-        feature_cols = [c for c in header if c not in excluded]
-
         width = len(header)
         target_at = col_index[schema.target_column]
         protected_at = [col_index[c] for c in schema.protected_columns]
-        features = [_FeatureColumn(c) for c in feature_cols]
-        numeric_at = sorted({target_at, *(col_index[f.name] for f in features)}
-                            - set(protected_at))
-        kept, targets, protected = [], [], []
-        n_records = 0
-        for columns, whole in _blocks(data, text, records, watch, width, numeric_at,
-                                      protected_at):
-            y, _ = parse_floats(columns[target_at])
-            keep = np.isfinite(y)
-            bits = np.empty((len(y), len(protected_at)), dtype=np.uint8)
-            for j, (i, privileged) in enumerate(zip(protected_at, schema.privileged_values)):
-                uniq, codes = _factorize(columns[i])
-                keep &= ~_missing(uniq)[codes]
-                bits[:, j] = (np.array(uniq, dtype=str) == privileged)[codes]
-            row_no = (np.flatnonzero(whole) + n_records + 1)[keep]
-            n_records += len(whole)
-            kept.append(keep)
-            targets.append(y[keep])
-            protected.append(bits[keep])
-            if row_no.size:
-                for f in features:
-                    col = columns[col_index[f.name]]
-                    if row_no.size < len(keep):
-                        col = list(itertools.compress(col, keep))
-                    f.add(col, row_no)
+        reduced = _Reduced(target_at, list(zip(protected_at, schema.privileged_values)),
+                           [(col_index[c], _FeatureColumn(c)) for c in header
+                            if c not in excluded])
+        numeric_at = sorted({target_at, *(i for i, _ in reduced.features)})
+        lines_before = records.line_num
+        read_numpy = (_numpy_reader(width, numeric_at, protected_at)
+                      if not any(c in data for c in (b'"', b"\r", b"\0")) else None)
+        if not (read_numpy and parallel.cpus() > 1 and _utf8(data) and _read_ranges(
+                data, path, lines_before, width, reduced, read_numpy)):
+            for columns, whole in _blocks(text, watch, lines_before, width, read_numpy):
+                reduced.add(columns, whole)
 
-    targets = np.concatenate(targets) if targets else np.zeros(0)
+    targets = np.concatenate(reduced.targets) if reduced.targets else np.zeros(0)
     n = len(targets)
     if n == 0:
         raise EmptyDataError(f"zero usable rows in {path}")
-    n_dropped = n_records - n
+    n_dropped = reduced.n_records - n
     if n_dropped:
         log.info("dropped %d unusable rows while loading %s", n_dropped, path)
-    protected = np.concatenate(protected)
+    protected = np.concatenate(reduced.bits)
     for j, cname in enumerate(schema.protected_columns):
         if np.unique(protected[:, j]).size < 2:
             raise DegenerateAttributeError(
@@ -424,10 +567,10 @@ def _parse(data: bytes, path, schema: DatasetSchema):
 
     blocks = []
     names = []
-    keep = np.concatenate(kept)
-    for f in features:
+    keep = np.concatenate(reduced.kept)
+    for i, f in reduced.features:
         if f.categorical:
-            tokens = _kept_tokens(data, col_index[f.name], width, keep)
+            tokens = _kept_tokens(data, i, width, keep)
             block, block_names = _one_hot(f.name, tokens)
         else:
             block, block_names = f.numeric(path), [f.name]
@@ -447,7 +590,10 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     median. The file is read once, as bytes, and parsed in blocks of
     ``BLOCK_ROWS`` records, by numpy's C reader where it gives the values
     ``csv`` would (see :func:`_blocks`); a categorical column is parsed
-    again from those bytes.
+    again from those bytes. A file with no quote, CR or NUL byte that is
+    UTF-8 is cut at block boundaries into up to :func:`parallel.cpus`
+    ranges, which forked workers parse side by side; the arrays, and the
+    line or data row an error names, are those of a parse in one process.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -195,7 +195,10 @@ def json_float(value, what: str) -> float:
     ``float``, and not a ``bool`` or a string."""
     if type(value) not in _NUMBER:
         raise InputError(f"{what} must be a JSON number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise InputError(f"{what} does not fit a float: {exc}") from None
 
 
 def _safe_score(G, H, lam):
@@ -324,7 +327,9 @@ class TreeEnsemble:
     region_switches: int | None = None
     eval_points: int | None = None
 
-    def predict(self, X) -> np.ndarray:
+    def check(self, X) -> np.ndarray:
+        """``X`` as a float matrix, once it has this ensemble's width and
+        finite entries; an ``InputError`` names the first row that does not."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
@@ -335,6 +340,10 @@ class TreeEnsemble:
         bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
         if bad.size:
             raise InputError(f"non-finite feature in row {int(bad[0])}")
+        return X
+
+    def predict(self, X) -> np.ndarray:
+        X = self.check(X)
         out = np.full(X.shape[0], self.base_score)
         for tree in self.trees:
             out += self.params.learning_rate * tree.predict(X)
@@ -395,7 +404,7 @@ class TreeEnsemble:
             )
         except KeyError as exc:
             raise InputError(f"ensemble file lacks the key {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed ensemble file: {exc}") from None
 
 

@@ -39,6 +39,14 @@ class IdBoostModel:
     sera_ensemble: gbt.TreeEnsemble
     w: float
 
+    def check(self, X) -> np.ndarray:
+        """``X`` checked as :meth:`predict` checks it, by each ensemble it reads."""
+        if self.w != 0.0:
+            X = self.id_ensemble.check(X)
+        if self.w != 1.0:
+            X = self.sera_ensemble.check(X)
+        return X
+
     def predict(self, X) -> np.ndarray:
         return self.mix(
             None if self.w == 0.0 else self.id_ensemble.predict(X),
@@ -95,24 +103,27 @@ def load(path):
     """Read a model file: a ``TreeEnsemble`` or an ``IdBoostModel``, by its ``format``.
 
     A file that is not UTF-8 JSON, not a JSON object, of an unknown format,
-    nested too deeply to parse or holding a number too large to convert
-    raises ``InputError`` naming ``path``.
+    nested too deeply to parse or holding a malformed model raises
+    ``InputError`` naming ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh, read_errors_as(InputError, path):
             doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InputError(f"model file {path} must hold a JSON object")
-        fmt = doc.get("format")
-        if fmt == gbt.FORMAT_NAME:
-            return gbt.TreeEnsemble.from_dict(doc)
-        if fmt == FORMAT_NAME:
-            return IdBoostModel.from_dict(doc)
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not JSON: {exc}") from None
-    except (RecursionError, OverflowError) as exc:
+    except RecursionError as exc:
         raise InputError(f"model file {path} cannot be read: {exc}") from None
-    raise InputError(f"unrecognized model format {fmt!r} in {path}")
+    if not isinstance(doc, dict):
+        raise InputError(f"model file {path} must hold a JSON object")
+    fmt = doc.get("format")
+    from_dict = {gbt.FORMAT_NAME: gbt.TreeEnsemble.from_dict,
+                 FORMAT_NAME: IdBoostModel.from_dict}.get(fmt)
+    if from_dict is None:
+        raise InputError(f"unrecognized model format {fmt!r} in {path}")
+    try:
+        return from_dict(doc)
+    except InputError as exc:
+        raise InputError(f"model file {path} is malformed: {exc}") from None
 
 
 def check(ds: GroupedDataset, w: float) -> float:

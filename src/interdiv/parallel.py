@@ -1,13 +1,16 @@
-"""Independent fits shared out over forked worker processes.
+"""Independent jobs shared out over forked worker processes.
 
 :func:`fork_map` runs ``[fn(job) for job in jobs]`` on up to :func:`cpus`
 processes: the calling process works through its own share of the jobs,
-and each forked worker sends back one pickled ``(ok, value-or-exception)``
-per job of its share through a pipe. With one process the same loop runs
-every job in process. Workers inherit the caller's memory, so ``fn`` and
-the jobs are never pickled, only the results; what a worker changes in its
-own memory (a counter, a cache, a traced span) stays there. The results
-are bit-identical to the serial loop's.
+and each forked worker keeps one pickled ``(ok, value-or-exception)`` per
+job of its share and sends them all through a pipe when its share is done.
+With one process the same loop runs every job in process. Workers inherit
+the caller's memory, so ``fn`` and the jobs are never pickled, only the
+results; what a worker changes in its own memory (a counter, a cache, a
+traced span) stays there. The results are bit-identical to the serial
+loop's. The jobs are the fits of an ensemble, ranges of a CSV file's
+blocks and blocks of rows to predict; a ``fork_map`` inside a worker runs
+in process, so no worker forks another.
 """
 from __future__ import annotations
 
@@ -19,13 +22,16 @@ import traceback
 
 from .errors import InterdivError
 
+# set in a forked worker, whose jobs then run every fork_map in process
+_in_worker = False
+
 
 def cpus() -> int:
     """The processes :func:`fork_map` may use: the CPUs of this process's
-    affinity mask, or 1 where ``os.sched_getaffinity`` is missing or other
-    Python threads run (a forked child holds only the forking thread, so a
-    lock another thread held would stay locked in it)."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    affinity mask; or 1 in a forked worker, without ``os.sched_getaffinity``
+    or while other Python threads run (a forked child holds only the
+    forking thread, so a lock another thread held would stay locked in it)."""
+    if _in_worker or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -38,25 +44,32 @@ def _call(fn, job):
 
 
 def _work(fn, jobs, fd) -> None:
-    """A worker's life: send the result of each job through ``fd``, then
-    leave through ``os._exit``, so that no ``atexit`` hook, buffered output
-    or test teardown inherited from the parent runs a second time."""
+    """A worker's life: run every job, then send their results through
+    ``fd`` at once, and leave through ``os._exit``, so that no ``atexit``
+    hook, buffered output or test teardown inherited from the parent runs a
+    second time. The caller reads only after its own share, so a result
+    written before the next job ran could fill the pipe and hold that job
+    back."""
+    global _in_worker
+    _in_worker = True
     code = 1
     try:
+        sent = []
+        for job in jobs:
+            ok, value = result = _call(fn, job)
+            if not (ok or isinstance(value, InterdivError)):
+                os.write(2, "".join(traceback.format_exception(value)).encode())
+            try:
+                data = pickle.dumps(result)
+                if not ok:
+                    pickle.loads(data)  # an exception class may not rebuild from its args
+            except Exception as exc:
+                data = pickle.dumps((False, RuntimeError(
+                    f"{type(value).__name__}: {value} (not sent from the worker: {exc!r})"
+                )))
+            sent.append(data)
         with open(fd, "wb") as fh:
-            for job in jobs:
-                ok, value = result = _call(fn, job)
-                if not (ok or isinstance(value, InterdivError)):
-                    os.write(2, "".join(traceback.format_exception(value)).encode())
-                try:
-                    data = pickle.dumps(result)
-                    if not ok:
-                        pickle.loads(data)  # an exception class may not rebuild from its args
-                except Exception as exc:
-                    data = pickle.dumps((False, RuntimeError(
-                        f"{type(value).__name__}: {value} (not sent from the worker: {exc!r})"
-                    )))
-                fh.write(data)
+            fh.writelines(sent)
         code = 0
     finally:
         os._exit(code)

@@ -217,6 +217,53 @@ class TestTrainPredictAudit:
         assert "non-finite prediction at sample index 17" in capsys.readouterr().err
 
 
+class TestPredictInBlocks:
+    """``predict`` shares rows out over the CPUs in blocks of at least
+    ``BLOCK_ROWS`` rows, here 100 of the 300."""
+
+    @pytest.fixture
+    def model(self, biased_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "BLOCK_ROWS", 100)
+        model = tmp_path / "idb.json"
+        assert run_cli(
+            "train", "--data", str(biased_dir / "data.csv"),
+            "--config", str(biased_dir / "schema.cfg"), "--model", "idboost", "--w", "0.3",
+            "--rounds", "3", "--depth", "3", "--out", str(model),
+        ) == 0
+        return str(model)
+
+    def test_same_bytes_on_one_two_and_three_cpus(self, biased_dir, tmp_path, monkeypatch,
+                                                  model):
+        written = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(parallel, "cpus", lambda: cpus)
+            preds = tmp_path / f"preds_{cpus}.csv"
+            assert run_cli(
+                "predict", "--data", str(biased_dir / "data.csv"),
+                "--config", str(biased_dir / "schema.cfg"), "--model", model,
+                "--out", str(preds),
+            ) == 0
+            written.append(preds.read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    def test_non_finite_feature_names_the_row_of_the_matrix(self, biased_dir, tmp_path,
+                                                            monkeypatch, capsys, model):
+        # a dataset file cannot hold one, so the loaded matrix is replaced
+        ds = dataset.load_csv(biased_dir / "data.csv",
+                              config.load_schema(biased_dir / "schema.cfg"))
+        X = ds.features.copy()
+        X[-1, 0] = np.inf
+        monkeypatch.setattr(cli, "_load_dataset", lambda args: dataset.from_arrays(
+            X, ds.targets, ds.protected))
+        monkeypatch.setattr(parallel, "cpus", lambda: 3)
+        capsys.readouterr()
+        assert run_cli(
+            "predict", "--data", "unread.csv", "--config", "unread.cfg", "--model", model,
+            "--out", str(tmp_path / "preds.csv"),
+        ) == 1
+        assert capsys.readouterr().err == f"error: non-finite feature in row {ds.n - 1}\n"
+
+
 class TestMalformedModelFile:
     """``predict`` on a broken model file exits 1 with ``error:``, not a traceback."""
 

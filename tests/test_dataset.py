@@ -3,15 +3,16 @@ import csv
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rowwise_load_csv
-from interdiv import curves, dataset, metrics, relevance
+from interdiv import curves, dataset, metrics, parallel, relevance
 from interdiv.dataset import DatasetSchema
 from interdiv.errors import (
     DegenerateAttributeError,
@@ -308,11 +309,25 @@ class TestSmallBlocks:
     @settings(max_examples=50, deadline=None)
     @given(case=_csv_case(), leading=_LEADING)
     def test_bit_identical_to_rowwise(self, tmp_path_factory, case, leading, block_rows):
+        self.check(tmp_path_factory, case, leading, block_rows, cpus=1)
+
+    # with 2 or 3 CPUs, a file with no quote, CR or NUL byte is read in ranges
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @settings(max_examples=50, deadline=None)
+    @given(case=_csv_case(), leading=_LEADING)
+    def test_bit_identical_to_rowwise_in_ranges(self, tmp_path_factory, case, leading,
+                                                block_rows, cpus):
+        self.check(tmp_path_factory, case, leading, block_rows, cpus)
+
+    @staticmethod
+    def check(tmp_path_factory, case, leading, block_rows, cpus):
         text, schema = case
         path = tmp_path_factory.mktemp("blocks") / "d.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(_with_leading_drops(text, leading))
-        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows):
+        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(parallel, "cpus", lambda: cpus):
             new = _load(dataset.load_csv, path, schema)
         old = _load(rowwise_load_csv, path, schema)
         if isinstance(old, tuple) or isinstance(new, tuple):
@@ -415,6 +430,16 @@ class TestNumpyReader:
     @settings(max_examples=80, deadline=None)
     @given(case=_plain_csv_case())
     def test_bit_identical_to_rowwise(self, tmp_path_factory, case, block_rows):
+        self.check(tmp_path_factory, case, block_rows, cpus=1)
+
+    # in three ranges, each read by a process of its own; this one reads the first
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    @settings(max_examples=80, deadline=None)
+    @given(case=_plain_csv_case())
+    def test_bit_identical_to_rowwise_in_ranges(self, tmp_path_factory, case, block_rows):
+        self.check(tmp_path_factory, case, block_rows, cpus=3)
+
+    def check(self, tmp_path_factory, case, block_rows, cpus):
         text, schema = case
         path = tmp_path_factory.mktemp("plain") / "d.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -431,6 +456,7 @@ class TestNumpyReader:
             return read[-1]
 
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(parallel, "cpus", lambda: cpus), \
                 mock.patch.object(np, "loadtxt", wraps=loadtxt):
             new = _load(dataset.load_csv, path, schema)
         assert read
@@ -497,6 +523,100 @@ class TestNumpyReader:
                     [1, 1], [0, 0], [0, 1], [1, 0]]
                 assert got.features.tobytes() == want.features.tobytes()
         assert not loadtxt.called
+
+
+class TestRanges:
+    """``load_csv`` of plain files whose blocks are read in ranges, one per
+    CPU, against the row-at-a-time loader and the load in one process."""
+
+    ROWS = [f"{'MF'[i % 2]},{'WB'[i % 3 > 0]},{i}.5,{i},{2 * i}" for i in range(12)]
+    HEADER = "sex,race,y,x1,x2"
+
+    @staticmethod
+    def load(path, cpus, block_rows=2):
+        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(parallel, "cpus", lambda: cpus):
+            data = Path(path).read_bytes()
+            cuts = dataset._cuts(data, data.find(b"\n") + 1, cpus)
+            return _load(dataset.load_csv, path, SCHEMA), [line for _, line in cuts]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 40), max_size=40), last_newline=st.booleans(),
+           parts=st.integers(1, 4), block_rows=st.integers(1, 3), scan=st.integers(1, 64))
+    # a cut right at the end of a scanned slice
+    @example(lengths=[0, 0, 0], last_newline=False, parts=2, block_rows=1, scan=1)
+    def test_cuts_fall_on_block_boundaries(self, lengths, last_newline, parts, block_rows,
+                                           scan):
+        data = b"h\n" + b"".join(b"x" * n + b"\n" for n in lengths)
+        if lengths and not last_newline:
+            data = data[:-1]
+        # newlines are found scan bytes at a time
+        with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(dataset, "_SCAN_BYTES", scan):
+            cuts = dataset._cuts(data, 2, parts)
+        # cut k: the first block boundary, with a line after it, at or past
+        # k / parts of the bytes after the header
+        want = [(2, 0)]
+        for line in range(block_rows, len(lengths) + 1, block_rows):
+            at = 2 + sum(n + 1 for n in lengths[:line])
+            if len(want) == parts or at >= len(data):
+                break
+            if at >= 2 + (len(data) - 2) * len(want) // parts:
+                want.append((at, line))
+        assert cuts == want
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("at", range(12))
+    @pytest.mark.parametrize("kind", ["NA", "word", "inf", "ragged", "blank"])
+    def test_bad_line_in_any_range(self, tmp_path, cpus, at, kind):
+        rows = list(self.ROWS)
+        sex, race, y, x1, x2 = rows[at].split(",")
+        rows[at:at + 1] = {
+            "NA": [f"{sex},{race},NA,{x1},{x2}"],      # a dropped row
+            "word": [f"{sex},{race},{y},red,{x2}"],    # x1 becomes categorical
+            "inf": [f"{sex},{race},{y},{x1},inf"],     # an error naming its data row
+            "ragged": [f"{sex},{race},{y}"],           # a dropped row
+            "blank": ["", rows[at]],                   # not a data row
+        }[kind]
+        path = write_csv(tmp_path / "d.csv", self.HEADER, rows)
+        new, cuts = self.load(path, cpus)
+        assert len(cuts) == cpus  # every case spans all the ranges
+        TestNumpyReader.assert_same(new, self.load(path, 1)[0])
+        if kind == "inf":  # which the row-at-a-time loader took for a category
+            assert new == (InputError, "non-finite value 'inf' in numeric feature column "
+                                       f"'x2' at data row {at + 1} of {path}")
+        else:
+            TestNumpyReader.assert_same(new, _load(rowwise_load_csv, path, SCHEMA))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_rows_are_counted_across_ranges(self, tmp_path, cpus):
+        # a blank line and a ragged row in the first range, a dropped row in
+        # the middle, and the first non-finite number in the last range
+        rows = list(self.ROWS)
+        rows[1:2] = ["", "F,B,1.5"]
+        rows[6] = "M,W,NA,6,12"
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",-inf"
+        path = write_csv(tmp_path / "d.csv", self.HEADER, rows)
+        new, cuts = self.load(path, cpus)
+        assert len(cuts) == cpus
+        assert new == self.load(path, 1)[0] == (
+            InputError,
+            f"non-finite value '-inf' in numeric feature column 'x2' at data row 12 of {path}")
+
+    def test_error_in_the_second_range_names_its_file_line(self, tmp_path):
+        rows = list(self.ROWS)
+        rows[9] = "F,B,9.5," + "7" * 30 + ",18"
+        rows.insert(2, "")
+        path = write_csv(tmp_path / "d.csv", self.HEADER, rows)
+        limit = csv.field_size_limit(20)
+        try:
+            new, cuts = self.load(path, 2)
+            assert new == self.load(path, 1)[0]
+        finally:
+            csv.field_size_limit(limit)
+        # the long field is on line 12 of the file, in the second range
+        assert cuts[1] <= 10
+        assert new == (InputError, f"{path}, line 12: field larger than field limit (20)")
 
 
 # Traced peak of loading a numeric CSV with word-valued protected columns,

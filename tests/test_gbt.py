@@ -443,3 +443,13 @@ class TestLoadValidation:
         doc["base_score"] = float("nan")
         with pytest.raises(InputError):
             gbt.TreeEnsemble.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**one_split_doc(), "base_score": 10 ** 400},
+         "ensemble base_score does not fit a float: int too large to convert to float"),
+        (one_split_doc(left=[2 ** 70, -1, -1]),
+         "malformed ensemble file: Python int too large to convert to C long"),
+    ], ids=["base-score", "child-index"])
+    def test_integer_too_large_to_convert(self, doc, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            gbt.TreeEnsemble.from_dict(doc)

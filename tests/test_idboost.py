@@ -174,7 +174,9 @@ class TestFromDict:
         (lambda d: d.pop("sera_ensemble"), "idboost file lacks the key 'sera_ensemble'"),
         (lambda d: d.update(w="0.5"), "idboost weight w must be a JSON number, got '0.5'"),
         (lambda d: d.update(id_ensemble=[]), "an ensemble must be a JSON object, not list"),
-    ], ids=["no-w", "no-sera-ensemble", "w-string", "ensemble-list"])
+        (lambda d: d.update(w=10 ** 400),
+         "idboost weight w does not fit a float: int too large to convert to float"),
+    ], ids=["no-w", "no-sera-ensemble", "w-string", "ensemble-list", "w-too-large"])
     def test_malformed_document_is_an_input_error(self, trained, change, message):
         doc = trained[3].to_dict()
         change(doc)
