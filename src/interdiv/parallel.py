@@ -9,8 +9,7 @@ the caller's memory, so ``fn`` and the jobs are never pickled, only the
 results; what a worker changes in its own memory (a counter, a cache, a
 traced span) stays there. The results are bit-identical to the serial
 loop's. The jobs are the fits of an ensemble, ranges of a CSV file's
-blocks and blocks of rows to predict; a ``fork_map`` inside a worker runs
-in process, so no worker forks another.
+blocks and blocks of rows to predict; none of them calls ``fork_map``.
 """
 from __future__ import annotations
 
@@ -22,16 +21,13 @@ import traceback
 
 from .errors import InterdivError
 
-# set in a forked worker, whose jobs then run every fork_map in process
-_in_worker = False
-
 
 def cpus() -> int:
     """The processes :func:`fork_map` may use: the CPUs of this process's
-    affinity mask; or 1 in a forked worker, without ``os.sched_getaffinity``
-    or while other Python threads run (a forked child holds only the
-    forking thread, so a lock another thread held would stay locked in it)."""
-    if _in_worker or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+    affinity mask, or 1 where ``os.sched_getaffinity`` is missing or other
+    Python threads run (a forked child holds only the forking thread, so a
+    lock another thread held would stay locked in it)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -50,8 +46,6 @@ def _work(fn, jobs, fd) -> None:
     second time. The caller reads only after its own share, so a result
     written before the next job ran could fill the pipe and hold that job
     back."""
-    global _in_worker
-    _in_worker = True
     code = 1
     try:
         sent = []

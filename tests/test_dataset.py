@@ -482,12 +482,35 @@ class TestNumpyReader:
         rows = [f"{'MF'[i % 2]},{'WB'[i % 3 > 0]},{i}.5,{i}" for i in range(12)]
         rows[5] = rows[5].rsplit(",", 1)[0] + "," + token
         path = write_csv(tmp_path / "d.csv", "sex,race,y,x1", rows)
+        # one process, so that every block is read where the mock counts it
         with mock.patch.object(dataset, "BLOCK_ROWS", 4), \
+                mock.patch.object(parallel, "cpus", lambda: 1), \
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             new = dataset.load_csv(path, SCHEMA)
         # numpy reads the first block and no block after the second, which
         # holds the token; the ragged line's block it does not try
         assert loadtxt.call_count == (1 if "," in token else 2)
+        self.assert_same(new, rowwise_load_csv(path, SCHEMA))
+
+    @pytest.mark.parametrize("token", ["NA", "red", "nan", "1_0", "7,8"])
+    def test_csv_reads_every_block_of_its_range_from_the_first_numpy_leaves(self, tmp_path,
+                                                                           token):
+        rows = [f"{'MF'[i % 2]},{'WB'[i % 3 > 0]},{i}.5,{i}" for i in range(24)]
+        rows[5] = rows[5].rsplit(",", 1)[0] + "," + token
+        path = write_csv(tmp_path / "d.csv", "sex,race,y,x1", rows)
+        data = Path(path).read_bytes()
+        # two ranges, both read in this process, so that the mock counts
+        # every block numpy reads
+        with mock.patch.object(dataset, "BLOCK_ROWS", 4), \
+                mock.patch.object(parallel, "cpus", lambda: 2), \
+                mock.patch.object(parallel, "fork_map", lambda fn, jobs: [fn(j) for j in jobs]), \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert [line for _, line in dataset._cuts(data, data.find(b"\n") + 1, 2)] == [0, 16]
+            new = dataset.load_csv(path, SCHEMA)
+        # in the first range of four blocks numpy reads the first and no block
+        # after the second, which holds the token; the second range's two it
+        # reads whole
+        assert loadtxt.call_count == (1 if "," in token else 2) + 2
         self.assert_same(new, rowwise_load_csv(path, SCHEMA))
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3, dataset.BLOCK_ROWS])
@@ -499,7 +522,9 @@ class TestNumpyReader:
             rows[missing_target_at] = "M,W,NA,1"
         rows[5] = "F,B,1.5," + "7" * (csv.field_size_limit() + 1)
         path = write_csv(tmp_path / "d.csv", "sex,race,y,x1", rows)
+        # one process, as in the test above; TestRanges names a line in a later range
         with mock.patch.object(dataset, "BLOCK_ROWS", block_rows), \
+                mock.patch.object(parallel, "cpus", lambda: 1), \
                 mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             with pytest.raises(InputError, match=r", line 7: field larger than field limit"):
                 dataset.load_csv(path, SCHEMA)
@@ -622,27 +647,48 @@ class TestRanges:
 # Traced peak of loading a numeric CSV with word-valued protected columns,
 # per byte of the file. Measured at 1.65 for the 50k-row file below (1.71
 # for the loader that read every block with csv), and at 2.87 for a loader
-# whose float columns kept each block of numpy-read tokens alive.
+# whose float columns kept each block of numpy-read tokens alive. With its
+# three ranges read in one process, 1.54.
 WORD_TOKENS_PEAK_PER_FILE_BYTE = 2.2
 
 
-def test_numpy_read_blocks_leave_no_tokens_behind(tmp_path):
+def _traced_load(path, schema, cpus, forked=True):
+    """``load_csv`` of ``path`` with ``cpus`` processes, and the traced peak
+    of this process. tracemalloc sees only this process, so ``forked=False``
+    reads every range here, one after another, to trace them all."""
+    fork_map = parallel.fork_map if forked else lambda fn, jobs: [fn(job) for job in jobs]
+    with mock.patch.object(parallel, "cpus", lambda: cpus), \
+            mock.patch.object(parallel, "fork_map", fork_map):
+        tracemalloc.start()
+        try:
+            return dataset.load_csv(path, schema), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def _word_tokens_csv(path):
     rng = np.random.default_rng(3)
     n = 50_000
-    path = tmp_path / "d.csv"
     words = [rng.choice(["Female", "Male"], n), rng.choice(["White", "Other"], n)]
     cells = [["%.17g" % v for v in rng.normal(size=n)], *words,
              *(["%.17g" % v for v in col] for col in rng.normal(size=(5, n)))]
     path.write_text("y,a0,a1,x0,x1,x2,x3,x4\n" + "".join(",".join(r) + "\n" for r in zip(*cells)))
-    schema = DatasetSchema("y", ("a0", "a1"), ("Male", "White"))
-    tracemalloc.start()
-    try:
-        ds = dataset.load_csv(path, schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return n, DatasetSchema("y", ("a0", "a1"), ("Male", "White"))
+
+
+def test_numpy_read_blocks_leave_no_tokens_behind(tmp_path):
+    n, schema = _word_tokens_csv(tmp_path / "d.csv")
+    ds, peak = _traced_load(tmp_path / "d.csv", schema, cpus=1)
     assert ds.n == n
-    assert peak < WORD_TOKENS_PEAK_PER_FILE_BYTE * path.stat().st_size
+    assert peak < WORD_TOKENS_PEAK_PER_FILE_BYTE * (tmp_path / "d.csv").stat().st_size
+
+
+def test_numpy_read_blocks_leave_no_tokens_behind_in_ranges(tmp_path):
+    # each range's reduced blocks are kept until the last range is read
+    n, schema = _word_tokens_csv(tmp_path / "d.csv")
+    ds, peak = _traced_load(tmp_path / "d.csv", schema, cpus=3, forked=False)
+    assert ds.n == n
+    assert peak < WORD_TOKENS_PEAK_PER_FILE_BYTE * (tmp_path / "d.csv").stat().st_size
 
 
 class TestReadOnce:
@@ -679,29 +725,40 @@ class TestReadOnce:
 # Traced peak of loading a numeric CSV, per byte of the file: the bytes
 # themselves, one block of parsed records and the loaded arrays. Measured at
 # 1.6 for the 50k-row file below, and at 5.3 for a loader that held every
-# row's parsed cells at once.
+# row's parsed cells at once. In two or three ranges: 1.57 read in one
+# process; 1.63 and 1.70 for a caller that forks, which also holds each
+# worker's pickled result while it unpickles it.
 PEAK_PER_FILE_BYTE = 3.0
 
 
 class TestLoadMemory:
-    def test_traced_peak_is_a_small_multiple_of_the_file(self, tmp_path):
+    N = 50_000
+    SCHEMA = DatasetSchema("y", ("a0", "a1"), ("1", "1"))
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
         # a numeric file shaped like the benchmark's score-50k data: a
         # target, two 0/1 attributes and five features, all %.17g
         rng = np.random.default_rng(3)
-        n = 50_000
-        table = np.column_stack([rng.normal(size=n), rng.random((n, 2)) < 0.5,
-                                 rng.normal(size=(n, 5))])
-        path = tmp_path / "d.csv"
+        table = np.column_stack([rng.normal(size=self.N), rng.random((self.N, 2)) < 0.5,
+                                 rng.normal(size=(self.N, 5))])
+        path = tmp_path_factory.mktemp("memory") / "d.csv"
         np.savetxt(path, table, fmt=["%.17g", "%d", "%d"] + ["%.17g"] * 5, delimiter=",",
                    header="y,a0,a1,x0,x1,x2,x3,x4", comments="")
-        schema = DatasetSchema("y", ("a0", "a1"), ("1", "1"))
-        tracemalloc.start()
-        try:
-            ds = dataset.load_csv(path, schema)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ds.n == n
+        return path
+
+    def test_traced_peak_is_a_small_multiple_of_the_file(self, path):
+        ds, peak = _traced_load(path, self.SCHEMA, cpus=1)
+        assert ds.n == self.N
+        assert peak < PEAK_PER_FILE_BYTE * path.stat().st_size
+
+    # forked: the caller's range and the other ranges' results, received and
+    # merged; in process: every range read here
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_traced_peak_in_ranges(self, path, cpus, forked):
+        ds, peak = _traced_load(path, self.SCHEMA, cpus, forked)
+        assert ds.n == self.N
         assert peak < PEAK_PER_FILE_BYTE * path.stat().st_size
 
 

@@ -156,18 +156,6 @@ class TestForkMap:
 
         assert parallel.fork_map(fit, range(4)) == [True, bytes(1 << 20), 2, 3]
 
-    def test_no_worker_forks(self, monkeypatch):
-        # two CPUs in the mask: the caller forks one worker, and a fork_map
-        # inside the worker's job runs every job in that worker
-        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0, 1})
-
-        def fit(job):
-            return os.getpid(), parallel.cpus(), parallel.fork_map(lambda j: os.getpid(), [0, 1])
-
-        (caller, cpus0, pids0), (worker, cpus1, pids1) = parallel.fork_map(fit, [0, 1])
-        assert caller == PARENT != worker and (cpus0, cpus1) == (2, 1)
-        assert pids0[0] == PARENT != pids0[1] and pids1 == [worker, worker]
-
     @pytest.mark.parametrize("raised", [KeyboardInterrupt, RuntimeError])
     def test_every_worker_reaped_when_the_caller_raises(self, monkeypatch, tmp_path, raised):
         monkeypatch.setattr(parallel, "cpus", lambda: 3)
