@@ -151,8 +151,6 @@ def _print_human_report(report: metrics.FairnessReport) -> None:
                 f"unpriv={_fmt4(row['mae_unprivileged'])} delta={delta}{flag}",
                 file=err,
             )
-    for note in report.notes:
-        print(f"note: {note}", file=err)
 
 
 def cmd_experiment(args) -> int:

@@ -12,9 +12,9 @@ proxies the remaining columns carry.
 """
 from __future__ import annotations
 
-import codecs
 import collections
 import csv
+import functools
 import io
 import itertools
 import logging
@@ -314,20 +314,6 @@ def _text(data: bytes, at: int = 0):
     return io.TextIOWrapper(raw, encoding="utf-8" if at else "utf-8-sig", newline="")
 
 
-def _utf8(data: bytes) -> bool:
-    """Whether ``data`` decodes as UTF-8, checked a slice at a time."""
-    if data.isascii():
-        return True
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        for at in range(0, len(data), _SCAN_BYTES):
-            decoder.decode(data[at:at + _SCAN_BYTES])
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
 def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
     """Column ``i`` of the kept rows, parsed again from ``data``."""
     records = csv.reader(_text(data))
@@ -365,9 +351,10 @@ def _numpy_reader(width: int, numeric_at, protected_at):
 
 
 def _blocks(text, watch, lines_before: int, width: int, read_numpy):
-    """Each block of ``BLOCK_ROWS`` records in ``text``, which follows
-    ``lines_before`` lines of the file, as columns, leaving out records not
-    ``width`` long, and the mask of the records kept.
+    """Each block of ``BLOCK_ROWS`` records in ``text``, the lines of a
+    range of the file that follows ``lines_before`` lines, as columns,
+    leaving out records not ``width`` long, and the mask of the records
+    kept.
 
     ``read_numpy`` is given for a plain file, one with no quote, CR or NUL
     byte, where a line is a record: it reads each block of lines until the
@@ -400,14 +387,9 @@ class _Reduced:
     def __init__(self, target_at: int, protected, features):
         self.target_at = target_at
         self.protected = protected  # (column, privileged value) pairs
-        self.features = features    # (column, _FeatureColumn) pairs
+        self.features = [(i, _FeatureColumn(name)) for i, name in features]
         self.kept, self.targets, self.bits = [], [], []
         self.n_records = 0
-
-    def empty(self) -> "_Reduced":
-        """A reduction of the same columns with no block yet."""
-        return _Reduced(self.target_at, self.protected,
-                        [(i, _FeatureColumn(f.name)) for i, f in self.features])
 
     def add(self, columns, whole) -> None:
         y, _ = parse_floats(columns[self.target_at])
@@ -429,19 +411,41 @@ class _Reduced:
                     col = list(itertools.compress(col, keep))
                 f.add(col, row_no)
 
-    def extend(self, later: "_Reduced") -> None:
+    def extend(self, later: "_Reduced") -> "_Reduced":
         """Append the blocks of ``later``, reduced from the records after
-        these, as if they had been added here."""
+        these, as if they had been added here; ``self``, for
+        :func:`functools.reduce`."""
         self.kept += later.kept
         self.targets += later.targets
         self.bits += later.bits
         for (_, f), (_, g) in zip(self.features, later.features):
             f.extend(g, self.n_records)
         self.n_records += later.n_records
+        return self
 
 
 # bytes of a file scanned at a time for newlines or for UTF-8
 _SCAN_BYTES = 1 << 18
+
+
+def _check_utf8(data: bytes, path) -> None:
+    """Raise ``InputError`` for the first byte of ``data`` that is not
+    UTF-8, naming its offset and line in the file. The bytes are decoded a
+    slice at a time, each ending on a newline, a byte no UTF-8 character
+    holds but its own."""
+    if data.isascii():
+        return
+    at = 0
+    while at < len(data):
+        end = data.find(b"\n", at + _SCAN_BYTES) + 1 or len(data)
+        try:
+            data[at:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = at + exc.start
+            line = data.count(b"\n", 0, bad) + 1
+            raise InputError(f"{path} is not UTF-8 text: byte {data[bad]:#04x} at offset "
+                             f"{bad} (line {line}): {exc.reason}") from None
+        at = end
 
 
 def _cuts(data: bytes, start: int, parts: int) -> list:
@@ -450,8 +454,10 @@ def _cuts(data: bytes, start: int, parts: int) -> list:
     boundary of a block of ``BLOCK_ROWS`` lines at or past ``k / parts`` of
     the bytes that has a line after it. Newlines are found a slice at a
     time, so no temporary is the size of the file."""
-    buf = np.frombuffer(data, np.uint8)
     cuts, lines = [(start, 0)], 0  # lines: the newlines before this slice
+    if parts == 1:
+        return cuts
+    buf = np.frombuffer(data, np.uint8)
     for at in range(start, len(data), _SCAN_BYTES):
         is_end = buf[at:at + _SCAN_BYTES] == 10
         if at + _SCAN_BYTES < start + (len(data) - start) * len(cuts) // parts:
@@ -470,49 +476,22 @@ def _cuts(data: bytes, start: int, parts: int) -> list:
     return cuts
 
 
-def _read_ranges(data: bytes, path, lines_before: int, width: int, reduced: _Reduced,
-                 read_numpy) -> bool:
-    """Read the blocks after the header of a plain UTF-8 file into
-    ``reduced``, in ranges of whole blocks, one per CPU, through
-    :func:`parallel.fork_map`; False, and nothing read, for a file of one
-    range.
-
-    Each range is read by :func:`_blocks` as if it were the rest of the
-    file: numpy reads its blocks up to the first it misses, and ``csv`` that
-    block and the range's later ones. A range's first malformed record is an
-    error naming its line of the file, and that of the first range with one
-    is raised. The ranges are merged in file order.
-    """
-    start = data.find(b"\n") + 1
-    cuts = _cuts(data, start, parallel.cpus()) if start else []
-    if len(cuts) < 2:
-        return False
-
-    def read_range(k):
-        at, line = cuts[k]
-        n_lines = cuts[k + 1][1] - line if k + 1 < len(cuts) else None
-        part = reduced.empty()
-        with read_errors_as(InputError, path) as watch:
-            for columns, whole in _blocks(itertools.islice(_text(data, at), n_lines), watch,
-                                          lines_before + line, width, read_numpy):
-                part.add(columns, whole)
-        return part
-
-    for part in parallel.fork_map(read_range, range(len(cuts))):
-        reduced.extend(part)
-    return True
-
-
 def _parse(data: bytes, path, schema: DatasetSchema):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
 
-    Each block of records from :func:`_blocks`, numpy's or ``csv``'s, is
+    ``data`` is checked to be UTF-8 first, so its first bad byte is
+    reported before any malformed record or schema error, and no decode
+    can fail later. A plain file, one with no quote, CR or NUL byte, is cut
+    at block boundaries into up to :func:`parallel.cpus` ranges (one for
+    any other file), and :func:`parallel.fork_map` reads each with
+    :func:`_blocks`, as if it were the rest of the file. Each block is
     reduced to float parts, protected bits and notes of bad tokens before
-    the next is read; with more than one CPU, a plain UTF-8 file's blocks
-    are read in ranges side by side (:func:`_read_ranges`). Every check runs
-    only after the last record, so an undecodable byte or malformed record
-    anywhere is reported first.
+    the next is read, and the ranges are merged in file order. A range's
+    first malformed record is an error naming its line of the file, and
+    that of the first range with one is raised. Every other check runs only
+    after the last record.
     """
+    _check_utf8(data, path)
     with read_errors_as(InputError, path) as watch:
         text = _text(data)
         records = watch(csv.reader(text))
@@ -529,26 +508,37 @@ def _parse(data: bytes, path, schema: DatasetSchema):
                 if col not in col_index:
                     raise SchemaError(f"column {col!r} not found in {path}")
         except SchemaError:
-            # an undecodable byte or malformed record further on is reported
-            # first, as it was when the whole file was parsed before any check
+            # a malformed record further on is reported first, as it was
+            # when the whole file was parsed before any check
             collections.deque(records, maxlen=0)
             raise
 
-        excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
-        width = len(header)
-        target_at = col_index[schema.target_column]
-        protected_at = [col_index[c] for c in schema.protected_columns]
-        reduced = _Reduced(target_at, list(zip(protected_at, schema.privileged_values)),
-                           [(col_index[c], _FeatureColumn(c)) for c in header
-                            if c not in excluded])
-        numeric_at = sorted({target_at, *(i for i, _ in reduced.features)})
-        lines_before = records.line_num
-        read_numpy = (_numpy_reader(width, numeric_at, protected_at)
-                      if not any(c in data for c in (b'"', b"\r", b"\0")) else None)
-        if not (read_numpy and parallel.cpus() > 1 and _utf8(data) and _read_ranges(
-                data, path, lines_before, width, reduced, read_numpy)):
-            for columns, whole in _blocks(text, watch, lines_before, width, read_numpy):
-                reduced.add(columns, whole)
+    excluded = {schema.target_column, *schema.protected_columns, *schema.drop_columns}
+    width = len(header)
+    target_at = col_index[schema.target_column]
+    privileged = [(col_index[c], v) for c, v in zip(schema.protected_columns,
+                                                    schema.privileged_values)]
+    features = [(col_index[c], c) for c in header if c not in excluded]
+    lines_before = records.line_num
+    read_numpy = None
+    if not any(c in data for c in (b'"', b"\r", b"\0")):
+        read_numpy = _numpy_reader(width, sorted({target_at, *(i for i, _ in features)}),
+                                   [i for i, _ in privileged])
+    cuts = _cuts(data, data.find(b"\n") + 1, parallel.cpus() if read_numpy else 1)
+
+    def read_range(k):
+        at, line = cuts[k]
+        n_lines = cuts[k + 1][1] - line if k + 1 < len(cuts) else None
+        lines = itertools.islice(_text(data, at) if k else text, n_lines)
+        part = _Reduced(target_at, privileged, features)
+        with read_errors_as(InputError, path) as watch:
+            for columns, whole in _blocks(lines, watch, lines_before + line, width, read_numpy):
+                part.add(columns, whole)
+        return part
+
+    # no range's reduction is kept under a name of its own: the feature
+    # parts of a later range would then outlive the merge
+    reduced = functools.reduce(_Reduced.extend, parallel.fork_map(read_range, range(len(cuts))))
 
     targets = np.concatenate(reduced.targets) if reduced.targets else np.zeros(0)
     n = len(targets)
@@ -587,11 +577,12 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     logged). Feature columns that fail to parse as numbers are treated as
     categorical and one-hot encoded in lexicographic category order;
     missing values in numeric feature columns are imputed with the column
-    median. The file is read once, as bytes, and parsed in blocks of
-    ``BLOCK_ROWS`` records, by numpy's C reader where it gives the values
-    ``csv`` would (see :func:`_blocks`); a categorical column is parsed
-    again from those bytes. A file with no quote, CR or NUL byte that is
-    UTF-8 is cut at block boundaries into up to :func:`parallel.cpus`
+    median. The file is read once, as bytes, checked to be UTF-8 (the
+    first bad byte is an ``InputError`` naming its offset and line), and
+    parsed in blocks of ``BLOCK_ROWS`` records, by numpy's C reader where
+    it gives the values ``csv`` would (see :func:`_blocks`); a categorical
+    column is parsed again from those bytes. A file with no quote, CR or
+    NUL byte is cut at block boundaries into up to :func:`parallel.cpus`
     ranges, which forked workers parse side by side; the arrays, and the
     line or data row an error names, are those of a parse in one process.
     """

@@ -404,7 +404,7 @@ class TreeEnsemble:
             )
         except KeyError as exc:
             raise InputError(f"ensemble file lacks the key {exc.args[0]!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise InputError(f"malformed ensemble file: {exc}") from None
 
 

@@ -111,7 +111,7 @@ def load(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not JSON: {exc}") from None
-    except RecursionError as exc:
+    except (RecursionError, ValueError) as exc:  # ValueError: an int of too many digits
         raise InputError(f"model file {path} cannot be read: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"model file {path} must hold a JSON object")

@@ -658,21 +658,6 @@ class TestAuditDeltaTable:
             "   race=unprivileged: priv=0.343 unpriv=0.296 delta=+15.9% [increase]",
         ]
 
-    def test_human_report_prints_notes(self, capsys):
-        # loading a CSV refuses a one-sided protected column, so build the
-        # data in memory: a1 is 1 on every row, so its measures are notes
-        ds = dataset.from_arrays(
-            np.zeros((4, 1)), [0.0, 1.0, 2.0, 3.0], [[0, 1], [1, 1], [0, 1], [1, 1]]
-        )
-        report = metrics.full_report(ds, np.array([0.5, 1.0, 2.0, 2.5]),
-                                     relevance.from_points([(0.0, 1.0), (3.0, 1.0)]))
-        cli._print_human_report(report)
-        err = capsys.readouterr().err.splitlines()
-        one_sided = "attribute 1 is one-sided; measure undefined"
-        assert err[-3:] == [f"note: delta_bgl[a1]: {one_sided}", f"note: sp[a1]: {one_sided}",
-                            f"note: mae_delta[a1|a0]: {one_sided}"]
-        assert "-- MAE delta for a0 conditioned on a1:" in err
-
 
 class TestCurvesCommand:
     def test_export(self, scenario_dir, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -197,3 +198,28 @@ class TestLoad:
         with pytest.raises(InputError, match=message) as exc:
             idboost.load(path)
         assert str(path) in str(exc.value)
+
+    # values that BoostParams refuses, in the params of the error ensemble
+    @pytest.mark.parametrize("name, value, message", [
+        ("learning_rate", 0, "learning_rate must be in (0, 1]"),
+        ("max_depth", 0, "max_depth must be >= 1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("l2_lambda", float("nan"), "l2_lambda must be >= 0 and finite, got nan"),
+    ], ids=["learning_rate", "max_depth", "seed", "l2_lambda"])
+    def test_refused_param_names_the_file(self, trained, tmp_path, name, value, message):
+        doc = trained[3].to_dict()
+        doc["sera_ensemble"]["params"][name] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        want = f"model file {path} is malformed: malformed ensemble file: {message}"
+        with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+            idboost.load(path)
+
+    def test_integer_of_too_many_digits_names_the_file(self, trained, tmp_path):
+        # json raises Python's limit on digits of an int as a bare ValueError
+        doc = dict(trained[3].to_dict(), w="w")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"w": "w"', '"w": ' + "1" * 5000))
+        want = f"model file {path} cannot be read: Exceeds the limit (4300 digits)"
+        with pytest.raises(InputError, match=f"^{re.escape(want)}"):
+            idboost.load(path)
