@@ -238,12 +238,9 @@ def cmd_bench_approx(args) -> int:
     )
     doc = report.to_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("metric,exact,fast,delta_pct\n")
-            for row, stem, delta in BENCH_ROWS:
-                fh.write("%s,%.17g,%.17g,%.17g\n" % (
-                    row, doc[f"{stem}_exact"], doc[f"{stem}_fast"], doc[f"{stem}_{delta}"]
-                ))
+        dataset_mod.write_rows(args.out, ["metric", "exact", "fast", "delta_pct"], (
+            [row, *(doc[f"{stem}_{k}"] for k in ("exact", "fast", delta))]
+            for row, stem, delta in BENCH_ROWS))
         _write_manifest(args.out, args.command, _recorded(args))
     print(json.dumps(doc, sort_keys=True))
     return 0

@@ -18,6 +18,7 @@ import functools
 import io
 import itertools
 import logging
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -605,12 +606,17 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
 def read_preds(path) -> np.ndarray:
     """The first column of a predictions CSV; a header line is optional.
 
-    Blank lines are skipped. Non-finite values are read as they are, for
-    the caller to reject; a row that is not a number is an ``InputError``.
+    Lines end in ``\\r\\n``, ``\\r`` or ``\\n``, and blank ones are skipped.
+    Non-finite values are read as they are, for the caller to reject; a row
+    that is not a number is an ``InputError``, and so is a byte that is not
+    UTF-8, named by its offset and line in the file.
     """
-    with open(path, encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
-        first = fh.readline().strip()
-        rows = [line.strip() for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_utf8(data, path)
+    lines = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    first = lines[0].strip()
+    rows = [line.strip() for line in lines[1:] if line.strip()]
     try:
         float(first.split(",")[0])
     except ValueError:
@@ -633,20 +639,30 @@ def write_preds(path, preds) -> None:
         fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
 
 
+def write_rows(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as a CSV file with ``\\n`` line ends.
+
+    A float cell is written as ``%.17g``, any other as ``str`` gives it, and
+    a cell is quoted only where it holds a comma, a double quote or a line
+    break.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        # csv.writer quotes a cell holding CR or LF only if its line end holds
+        # it: so rows end in "\r\n", and each, written in one call, as "\n"
+        out = csv.writer(types.SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")))
+        out.writerow(header)
+        out.writerows(["%.17g" % c if isinstance(c, float) else c for c in row] for row in rows)
+
+
 def write_csv(path, ds: GroupedDataset) -> None:
     """Write ``ds`` as a dataset CSV that :func:`load_csv` reads back.
 
     Columns are the target, the protected attributes as their 0/1 bits
     (1 is privileged) and the features; numbers are ``%.17g``.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = [ds.target_name, *ds.protected_names, *ds.feature_names]
-        fh.write(",".join(cols) + "\n")
-        for i in range(ds.n):
-            cells = [f"{ds.targets[i]:.17g}"]
-            cells += [str(int(v)) for v in ds.protected[i]]
-            cells += [f"{v:.17g}" for v in ds.features[i]]
-            fh.write(",".join(cells) + "\n")
+    write_rows(path, [ds.target_name, *ds.protected_names, *ds.feature_names],
+               ([t, *a, *x] for t, a, x in zip(ds.targets.tolist(), ds.protected.tolist(),
+                                               ds.features.tolist())))
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -316,6 +316,15 @@ def _grow_tree(XT, g, h, presorted, params: BoostParams) -> tuple[Tree, np.ndarr
     ), update
 
 
+def _check_finite(X: np.ndarray) -> np.ndarray:
+    """``X``, once its entries are finite; an ``InputError`` names the first
+    row that holds one that is not."""
+    bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
+    if bad.size:
+        raise InputError(f"non-finite feature in row {int(bad[0])}")
+    return X
+
+
 @dataclass
 class TreeEnsemble:
     base_score: float
@@ -337,10 +346,7 @@ class TreeEnsemble:
             raise InputError(
                 f"feature dimension {X.shape[1]} does not match training ({self.n_features})"
             )
-        bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
-        if bad.size:
-            raise InputError(f"non-finite feature in row {int(bad[0])}")
-        return X
+        return _check_finite(X)
 
     def predict(self, X) -> np.ndarray:
         X = self.check(X)
@@ -411,14 +417,15 @@ class TreeEnsemble:
 def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     """Boost ``params.n_rounds`` trees against the objective's grad/hess.
 
-    The base score is the target mean; the training trace stores the
+    Non-finite features are refused as :meth:`TreeEnsemble.predict` refuses
+    them. The base score is the target mean; the training trace stores the
     objective value at the base prediction and after every round. Each
     round's ``grad_hess`` returns the value at the predictions it starts
     from, so ``objective.value`` runs once, after the last round.
     """
     if ds.n < 2:
         raise InputError("need at least 2 samples to fit")
-    XT = np.ascontiguousarray(ds.features.T)
+    XT = np.ascontiguousarray(_check_finite(ds.features).T)
     base = float(np.mean(ds.targets))
     preds = np.full(ds.n, base)
     presorted = np.argsort(XT, axis=1, kind="stable")

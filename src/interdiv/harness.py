@@ -161,16 +161,11 @@ class RankTable:
     ranks: np.ndarray  # (n_runs, n_models, n_metrics)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            cols = ["model"]
-            for m in self.metric_names:
-                cols += [f"{m}_mean_rank", f"{m}_std_rank"]
-            fh.write(",".join(cols) + "\n")
-            for i, model in enumerate(self.models):
-                row = [model]
-                for j in range(len(self.metric_names)):
-                    row += [f"{self.mean[i, j]:.17g}", f"{self.std[i, j]:.17g}"]
-                fh.write(",".join(row) + "\n")
+        header = ["model", *(f"{m}_{s}_rank" for m in self.metric_names for s in ("mean", "std"))]
+        # each model's row: the mean and std rank of each metric in turn
+        cells = np.stack([self.mean, self.std], axis=2).reshape(len(self.models), -1)
+        dataset_mod.write_rows(path, header, ([model, *row]
+                                              for model, row in zip(self.models, cells.tolist())))
 
 
 def _report_metric(report: metrics.FairnessReport, name: str) -> float:
@@ -247,17 +242,10 @@ def run(cfg: ExperimentConfig):
 
 def _write_raw_csv(path, cfg: ExperimentConfig, rows) -> None:
     cols = ["run", "seed", "model", "status", *cfg.metric_names]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                if isinstance(v, float):
-                    cells.append(f"{v:.17g}")
-                else:
-                    cells.append(str(v).replace(",", ";"))
-            fh.write(",".join(cells) + "\n")
+    # a comma in a cell that is not a number is written as ';', so that
+    # failed_runs can split a row on commas
+    dataset_mod.write_rows(path, cols, ([v if isinstance(v, float) else str(v).replace(",", ";")
+                                         for v in map(row.get, cols)] for row in rows))
 
 
 def failed_runs(cfg: ExperimentConfig) -> dict:

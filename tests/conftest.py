@@ -8,8 +8,9 @@ curves and divergence-loss gradients from the per-call curve build that the
 curve layout replaced, curve simplification from the per-group loop that the
 per-layout grid replaced, trees from the per-node sorting growth that the
 presorted one replaced, experiment outputs from the per-model fits and
-curve builds that the shared ensembles and layouts replaced, and curve files
-from the row-at-a-time writer that the run-sharing one replaced.
+curve builds that the shared ensembles and layouts replaced, curve files
+from the row-at-a-time writer that the run-sharing one replaced, and CSV
+tables from the per-table loops that ``dataset.write_rows`` replaced.
 """
 import csv
 import logging
@@ -744,8 +745,9 @@ def parent_tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
 # ``harness.export_id_curves`` built each run's test layout once: every model
 # is fitted on its own (a dual ensemble through ``idboost.fit``) and every
 # model x run splits the data and builds its curves again. Kept verbatim
-# (renamed, with the harness helpers they call qualified) as the reference
-# for the differential test, with ``harness.fit_model`` as it stood before
+# (renamed, with the harness helpers they call qualified and the table
+# writers they call as they stood, below) as the reference for the
+# differential test, with ``harness.fit_model`` as it stood before
 # ``harness.run`` and ``train`` called ``idboost`` directly. Nothing under
 # src/ imports them.
 def parent_fit_model(ds, phi, params: gbt.BoostParams, objective: str, w,
@@ -816,9 +818,54 @@ def parent_run(cfg):
         std=ranks.std(axis=0, ddof=1) if cfg.n_runs > 1 else np.zeros((n_models, n_metrics)),
         ranks=ranks,
     )
-    harness._write_raw_csv(os.path.join(cfg.out_dir, "raw_metrics.csv"), cfg, raw_rows)
-    table.to_csv(os.path.join(cfg.out_dir, "ranks.csv"))
+    parent_write_raw_csv(os.path.join(cfg.out_dir, "raw_metrics.csv"), cfg, raw_rows)
+    parent_ranks_to_csv(table, os.path.join(cfg.out_dir, "ranks.csv"))
     return table, raw_rows
+
+
+# The CSV table writers as they stood before ``dataset.write_rows`` wrote
+# them all: ``dataset.write_csv``, ``harness.RankTable.to_csv`` and
+# ``harness._write_raw_csv``, kept verbatim (renamed, ``to_csv`` as a function
+# of the table) as the reference for the byte tests. None quotes a cell.
+# Nothing under src/ imports them.
+def parent_write_csv(path, ds: GroupedDataset) -> None:
+    """Write ``ds`` as a dataset CSV that :func:`load_csv` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        cols = [ds.target_name, *ds.protected_names, *ds.feature_names]
+        fh.write(",".join(cols) + "\n")
+        for i in range(ds.n):
+            cells = [f"{ds.targets[i]:.17g}"]
+            cells += [str(int(v)) for v in ds.protected[i]]
+            cells += [f"{v:.17g}" for v in ds.features[i]]
+            fh.write(",".join(cells) + "\n")
+
+
+def parent_ranks_to_csv(table, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        cols = ["model"]
+        for m in table.metric_names:
+            cols += [f"{m}_mean_rank", f"{m}_std_rank"]
+        fh.write(",".join(cols) + "\n")
+        for i, model in enumerate(table.models):
+            row = [model]
+            for j in range(len(table.metric_names)):
+                row += [f"{table.mean[i, j]:.17g}", f"{table.std[i, j]:.17g}"]
+            fh.write(",".join(row) + "\n")
+
+
+def parent_write_raw_csv(path, cfg, rows) -> None:
+    cols = ["run", "seed", "model", "status", *cfg.metric_names]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            cells = []
+            for c in cols:
+                v = row[c]
+                if isinstance(v, float):
+                    cells.append(f"{v:.17g}")
+                else:
+                    cells.append(str(v).replace(",", ";"))
+            fh.write(",".join(cells) + "\n")
 
 
 def parent_export_id_curves(cfg) -> dict:

@@ -9,7 +9,7 @@ from interdiv import cli, config, dataset, gbt, metrics, parallel, relevance
 from interdiv.errors import ConfigError, InputError, SchemaError, ValidationError
 from interdiv.losses import DEFAULT_HUBER_DELTA
 
-from conftest import parent_fit_model
+from conftest import parent_fit_model, parent_write_csv
 
 
 def run_cli(*argv):
@@ -537,6 +537,19 @@ class TestManifests:
         ]
 
 
+class TestSynthData:
+    @pytest.mark.parametrize("kind, make", [
+        ("scenario", lambda: dataset.synth_imbalanced_scenario(200, 1.0, 3)[0]),
+        ("biased", lambda: dataset.synth_biased(200, 3, n_protected=2)),
+    ])
+    def test_data_keeps_the_parent_bytes(self, tmp_path, kind, make):
+        out = tmp_path / "s"
+        assert run_cli("synth", "--kind", kind, "--n", "200", "--seed", "3",
+                       "--out", str(out)) == 0
+        parent_write_csv(tmp_path / "want.csv", make())
+        assert (out / "data.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestRejectedSynth:
     @pytest.mark.parametrize("flags", [["--n", "5"], ["--seed", "-1"], ["--divergence", "inf"]])
     def test_leaves_no_directory(self, tmp_path, capsys, flags):
@@ -556,6 +569,14 @@ class TestReadPreds:
             vals = dataset.read_preds(str(path))
             assert vals.tolist() == [1.5, 0.0, 2000.0]
             assert np.signbit(vals[1])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_line_ends(self, tmp_path, end, bom):
+        path = tmp_path / "p.csv"
+        lines = ["pred", "1.5", "", " -2 ", "3e-1,x", "", ""]
+        path.write_bytes((bom + end.join(lines)).encode("utf-8"))
+        assert dataset.read_preds(str(path)).tolist() == [1.5, -2.0, 0.3]
 
     def test_non_finite_values_are_read(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -830,6 +851,27 @@ class TestUndecodableInput:
         assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text: ")
         with pytest.raises(error, match="is not UTF-8 text"):
             read(bad)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_prediction_byte_named_at_its_file_offset(self, tmp_path, capsys, bom):
+        out = tmp_path / "s"
+        assert run_cli("synth", "--kind", "scenario", "--n", "3000", "--out", str(out)) == 0
+        preds = out / "preds.csv"
+        data = bytearray(bom + preds.read_bytes())
+        at = data.rindex(b"\n", 0, len(data) - 1) + 2  # inside the last line
+        assert at > 8192
+        data[at] = 0xFF
+        preds.write_bytes(data)
+        line = data.count(b"\n", 0, at) + 1
+        assert line == 6001  # the header and 6000 rows
+        message = f"{preds} is not UTF-8 text: byte 0xff at offset {at} (line {line}): "
+        capsys.readouterr()
+        assert run_cli("audit", "--data", str(out / "data.csv"), "--config",
+                       str(out / "schema.cfg"), "--preds", str(preds)) == 1
+        assert capsys.readouterr().err == f"error: {message}invalid start byte\n"
+        with pytest.raises(InputError) as exc:
+            dataset.read_preds(preds)
+        assert str(exc.value) == message + "invalid start byte"
 
 
 class TestOverlongCsvField:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rowwise_load_csv
+from conftest import parent_write_csv, rowwise_load_csv
 from interdiv import curves, dataset, metrics, parallel, relevance
 from interdiv.dataset import DatasetSchema
 from interdiv.errors import (
@@ -870,6 +870,51 @@ class TestWriteCsv:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.protected, ds.protected)
         assert np.array_equal(back.group_of, ds.group_of)
+
+    def test_one_hot_names_that_need_quotes_read_back(self, tmp_path):
+        colours = ["red, dark", 'blue "navy"', "green\r\nlight", "grey\rsilver", "plain"]
+        src = tmp_path / "src.csv"
+        with open(src, "w", newline="", encoding="utf-8") as fh:
+            out = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+            out.writerow(["sex", "race", "y", "colour", "x1"])
+            out.writerows([["M" if i % 2 else "F", "W" if i % 3 else "B", i * 0.5,
+                            colours[i % len(colours)], i / 7] for i in range(30)])
+        ds = dataset.load_csv(src, SCHEMA)
+        assert ds.n == 30
+        assert ds.feature_names == (*sorted(f"colour={c}" for c in colours), "x1")
+        path = tmp_path / "data.csv"
+        dataset.write_csv(path, ds)
+        back = dataset.load_csv(path, DatasetSchema("y", ("sex", "race"), ("1", "1")))
+        assert back.feature_names == ds.feature_names
+        assert np.array_equal(back.targets, ds.targets)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.protected, ds.protected)
+
+    def test_keeps_the_parent_bytes(self, tmp_path):
+        # synth's files are checked in test_cli; these are the edge values
+        ds = dataset.from_arrays([[-0.0, 1e-300], [np.nan, np.inf], [0.1, -np.inf]],
+                                 [1 / 3, -2.0, 1e17], [[0, 1], [1, 0], [1, 1]])
+        dataset.write_csv(tmp_path / "got.csv", ds)
+        parent_write_csv(tmp_path / "want.csv", ds)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestWriteRows:
+    def test_cells_and_quotes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        dataset.write_rows(path, ["name", "a,b", "v"], [
+            ["x", 1, 0.1],
+            [np.float64(2.5), "say \"hi\"", -0.0],
+            ["line\nbreak", "carriage\rreturn", float("nan")],
+            [" pad ", "", 1e17],
+        ])
+        assert path.read_bytes() == (
+            b'name,"a,b",v\n'
+            b"x,1,0.10000000000000001\n"
+            b'2.5,"say ""hi""",-0\n'
+            b'"line\nbreak","carriage\rreturn",nan\n'
+            b" pad ,,1e+17\n"
+        )
 
 
 class TestFromArrays:

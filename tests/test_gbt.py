@@ -362,6 +362,21 @@ class TestPredict:
         with pytest.raises(InputError, match="row 4"):
             ens.predict(X)
 
+    @pytest.mark.parametrize("objective", ["mse", "idloss", "sera"])
+    def test_fit_refuses_non_finite_features_in_predict_words(self, rng, objective):
+        ds, phi, _ = make_instance(rng, n=30)
+        X = ds.features.copy()
+        X[5, 1] = np.inf
+        X[9, 0] = np.nan
+        bad = dataset.from_arrays(X, ds.targets, ds.protected)
+        params = gbt.BoostParams(n_rounds=3)
+        with pytest.raises(InputError) as fitting:
+            idboost.fit_ensemble(bad, phi, params, objective)
+        ens = idboost.fit_ensemble(ds, phi, params, objective)
+        with pytest.raises(InputError) as predicting:
+            ens.predict(X)
+        assert str(fitting.value) == str(predicting.value) == "non-finite feature in row 5"
+
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')

@@ -14,7 +14,8 @@ import pytest
 from interdiv import curves, dataset, gbt, harness, idboost, parallel
 from interdiv.errors import InputError, UndefinedMetricError, ValidationError
 
-from conftest import parent_export_id_curves, parent_run
+from conftest import (parent_export_id_curves, parent_ranks_to_csv, parent_run,
+                      parent_write_raw_csv)
 from test_parallel import buffered_env, in_worker, no_fd_left_open, two_cpus  # noqa: F401 (fixtures)
 
 
@@ -141,6 +142,22 @@ class TestRun:
         assert statuses["huber"].startswith("failed")
         hub = table.models.index("huber")
         assert np.allclose(table.mean[hub], 2.0)  # last of two, every run
+
+    def test_tables_keep_the_parent_bytes(self, tmp_path):
+        # the failed model's reason holds a comma, which the status writes as ';'
+        cfg = harness.config_from_file(write_experiment(
+            tmp_path, runs=3, models="mse, huber, idboost_0.5", extra="huber_delta = -1"))
+        table, rows = harness.run(cfg)
+        assert [r["status"] for r in rows[:3]] == [
+            "ok", "failed: huber delta must be positive and finite, got -1.0", "ok"]
+        raw = Path(cfg.out_dir, "raw_metrics.csv").read_bytes()
+        assert b",failed: huber delta must be positive and finite; got -1.0," in raw
+        parent_write_raw_csv(tmp_path / "raw.csv", cfg, rows)
+        parent_ranks_to_csv(table, tmp_path / "ranks.csv")
+        assert raw == (tmp_path / "raw.csv").read_bytes()
+        assert (Path(cfg.out_dir, "ranks.csv").read_bytes()
+                == (tmp_path / "ranks.csv").read_bytes())
+        assert harness.failed_runs(cfg) == {"huber": ["run_0", "run_1", "run_2"]}
 
     def test_non_interdiv_error_propagates(self, tmp_path, monkeypatch):
         cfg = harness.config_from_file(write_experiment(tmp_path, models="mse"))
