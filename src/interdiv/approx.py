@@ -14,10 +14,11 @@ curve layout and parameters and a part that changes with the predictions.
 :class:`SimplifyGrid` holds the fixed part: the grid, the kernel, the
 breakpoint interval of each grid point and the count integrals the
 simplified sweep reads at grid points and sample relevances, which it
-computes from the layout's count step functions. Its
+sums from the layout's weight steps. Its
 :meth:`~SimplifyGrid.marks` marks the retained points of all groups at once
 in a boolean (groups, grid) array, and its simplified sweep
-:meth:`~SimplifyGrid.sample_weights` runs over their union. The divergence
+:meth:`~SimplifyGrid.sample_weights` runs over their union, with each
+segment's best group read from the curves' envelope. The divergence
 objective builds one grid per fit. Training never calls :func:`simplify`,
 the one-shot form for a single curve set; the benchmark's tracer times it.
 """
@@ -29,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import curves as curves_mod
-from .curves import CurveLayout, SerCurveSet, best_group
+from .curves import CurveLayout, SerCurveSet
 from .errors import ParameterError
 from .relevance import RelevanceFunction
 
@@ -122,27 +123,26 @@ class SimplifyGrid:
         self.grid = np.linspace(0.0, 1.0, n_grid)
         self.kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
         self.edge = np.convolve(np.ones(n_grid), self.kernel, mode="same")
-        bp, count = layout.breakpoints, layout.count
+        bp = layout.breakpoints
         self.interval = _grid_intervals(bp, self.grid)
         # F_g(bp[k]): the integral of dt / |D^t_g| from 0, zero on empty
         # stretches, so F_g is piecewise linear between breakpoints
-        integrand = np.where(count > 0, np.diff(bp) / np.maximum(count, 1), 0.0)
-        f = np.concatenate([np.zeros((len(count), 1)), np.cumsum(integrand, axis=1)], axis=1)
+        f = np.pad(np.cumsum(layout.weight_steps(), axis=1), ((0, 0), (1, 0)))
         self.count_at_grid = np.stack([np.interp(self.grid, bp, fg) for fg in f])
         self.sample_cell = np.clip(
             np.searchsorted(self.grid, layout.relevance, side="right") - 1, 0, n_grid - 2
         )
         self.count_at_sample = f[layout.ds.group_of, layout.sample_interval]
 
-    def marks(self, norm: np.ndarray):
+    def marks(self, curves: SerCurveSet):
         """Resampled curves and the (groups, grid) mask of their retained points.
 
-        ``norm`` is the normalized curve set, one row per group. A point is
-        retained where the first or second derivative of the blurred curve
-        changes sign, and at both ends, so every curve keeps at least two
-        points of a grid of at least three.
+        Each group's normalized curve is taken at the grid, one row per
+        group. A point is retained where the first or second derivative of
+        the blurred curve changes sign, and at both ends, so every curve
+        keeps at least two points of a grid of at least three.
         """
-        vals = norm[:, self.interval]
+        vals = curves_mod.normalize(curves.ser[:, self.interval], curves.count[:, self.interval])
         smooth = np.stack([np.convolve(v, self.kernel, mode="same") for v in vals]) / self.edge
         h = self.grid[1] - self.grid[0]
         eps = np.finfo(float).eps
@@ -164,22 +164,15 @@ class SimplifyGrid:
         integrals are exact. The only approximation left is the coarse
         pattern: it can change at segment boundaries, not inside.
         """
-        norm = curves.normalized()
-        _, keep = self.marks(norm)
+        _, keep = self.marks(curves)
         union = keep.any(axis=0)
         grid = self.grid[union]
         idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
-        cand = curves.count[:, idx] > 0
-        pattern = best_group(norm[:, idx], cand)
-        gids = np.arange(curves.n_groups)[:, None]
-        mask = cand & (pattern[None, :] != gids)
+        pattern, mask = curves.envelope.best[idx], curves.exposed(idx)
 
         f_at_grid = self.count_at_grid[:, union]
         df = np.diff(f_at_grid, axis=1)
-        cum = np.concatenate(
-            [np.zeros((curves.n_groups, 1)), np.cumsum(np.where(mask, df, 0.0), axis=1)],
-            axis=1,
-        )
+        cum = np.pad(np.cumsum(np.where(mask, df, 0.0), axis=1), ((0, 0), (1, 0)))
         # the union keeps grid point 0, so a sample's segment is the number
         # of union points at or below its cell, less one
         g = curves.sample_group
@@ -191,7 +184,7 @@ class SimplifyGrid:
 def simplify(curves: SerCurveSet, params: ApproxParams) -> SimplifiedCurveSet:
     """Reduce each group's normalized curve to its significant points."""
     sgrid = SimplifyGrid(curves.layout, params)
-    vals, keep = sgrid.marks(curves.normalized())
+    vals, keep = sgrid.marks(curves)
     return SimplifiedCurveSet(
         curves=tuple(
             SimplifiedCurve(t=sgrid.grid[k], value=v[k]) for v, k in zip(vals, keep)

@@ -21,11 +21,19 @@ part, one suffix sum of squared errors per group, so a training loop builds
 the layout once and pays O(n) per round. The
 divergence objective does so, and its ``grad_hess`` returns the loss value
 from the same curves, so a boosting round builds them once.
+
+Every reduction over groups goes through one :func:`envelope` per curve
+set: per interval, the number of populated groups, the best one, and their
+lowest, highest and summed normalized value. ID integrates highest minus
+lowest, the divergence loss sums minus lowest, and its gradient holds the
+best group fixed; the curve set keeps the envelope, so they all share it.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,14 +68,48 @@ def normalize(ser, count) -> np.ndarray:
         return np.where(count > 0, ser / np.maximum(count, 1), 0.0)
 
 
+class Envelope(NamedTuple):
+    """Per breakpoint interval, a reduction over the groups with samples there."""
+
+    populated: np.ndarray  # how many groups have samples
+    best: np.ndarray       # the group of lowest value, ties to the lowest id; -1 if none
+    low: np.ndarray        # the lowest, highest and summed value; 0 if none
+    high: np.ndarray
+    total: np.ndarray
+
+
+def envelope(ser, count) -> Envelope:
+    """The read-only :class:`Envelope` of the normalized curves ``ser / count``."""
+    # one buffer of ser / count; each reduction refills only the empty cells,
+    # with a value it skips, so no masked copy of the curves is made
+    empty = count == 0
+    populated = len(count) - empty.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        buf = ser / count
+    np.copyto(buf, -np.inf, where=empty)
+    high = buf.max(axis=0)
+    np.copyto(buf, np.inf, where=empty)
+    low = buf.min(axis=0)
+    # the first group at the minimum: argmin along axis 0 would copy the buffer
+    best = (buf == low).argmax(axis=0)
+    np.copyto(buf, 0.0, where=empty)
+    env = Envelope(populated, best, low, high, buf.sum(axis=0))
+    none = populated == 0
+    best[none], low[none], high[none] = -1, 0.0, 0.0
+    for a in env:
+        a.setflags(write=False)
+    return env
+
+
 @dataclass(frozen=True)
 class CurveLayout:
     """The prediction-independent part of the curves of one dataset.
 
     ``orders[g]`` lists group g's sample indices in stable relevance order;
     ``sample_interval[j]`` is the index of sample j's relevance among the
-    breakpoints. The counts' integrals over cutoffs are not held here:
-    :class:`~interdiv.approx.SimplifyGrid`, their one reader, computes them.
+    breakpoints. The steps of the counts' integrals over cutoffs are not
+    held here: kept, they raised a fit's peak memory, so
+    :meth:`weight_steps` computes them on each call.
     """
 
     ds: GroupedDataset
@@ -101,6 +143,10 @@ class CurveLayout:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "orders", tuple(orders))
+
+    def weight_steps(self) -> np.ndarray:
+        """dt / count per group and interval, 0 where empty; both W_j sweeps sum these."""
+        return np.where(self.count > 0, np.diff(self.breakpoints) / np.maximum(self.count, 1), 0.0)
 
     def curves(self, preds) -> "SerCurveSet":
         """The curves of one prediction vector: a suffix sum per group, O(n)."""
@@ -168,45 +214,20 @@ class SerCurveSet:
         pos = np.searchsorted(rel, ts, side="left")
         return suffix[pos], (len(rel) - pos).astype(np.int64)
 
-    def normalized(self):
-        """Per-interval normalized curves ser/count, 0 where a group is empty.
+    @cached_property
+    def envelope(self) -> Envelope:
+        """The curves' :func:`envelope`, kept: ID, IDLoss, the pattern and W_j all read it."""
+        return envelope(self.ser, self.count)
 
-        Computed on the first call and kept, read-only, so the loss value,
-        the best-group pattern and the sample weights of one boosting round
-        divide once.
-        """
-        out = self.__dict__.get("_normalized")
-        if out is None:
-            out = normalize(self.ser, self.count)
-            out.setflags(write=False)
-            object.__setattr__(self, "_normalized", out)
-        return out
+    def exposed(self, at=slice(None)) -> np.ndarray:
+        """Per group and interval ``at``: populated and not best, where W_j grows."""
+        gids = np.arange(self.n_groups)[:, None]
+        return (self.count[:, at] > 0) & (self.envelope.best[at] != gids)
 
 
 def build(ds: GroupedDataset, preds, phi: RelevanceFunction) -> SerCurveSet:
     """One-shot curves of one prediction vector, in O(n log n + |A| n)."""
     return CurveLayout(ds, phi).curves(preds)
-
-
-def best_group(values, populated) -> np.ndarray:
-    """Per column, the populated group (row) with the lowest value.
-
-    Ties go to the lowest group id; -1 where no group is populated.
-    """
-    best = np.argmin(np.where(populated, values, np.inf), axis=0)
-    best[~populated.any(axis=0)] = -1
-    return best.astype(np.int64)
-
-
-def divergence_gap(values, populated) -> np.ndarray:
-    """Per column, max minus min of ``values`` over the populated groups.
-
-    The gap is 0 where fewer than two groups are populated.
-    """
-    # one masked copy of ``values`` at a time: each is freed after its reduction
-    vmax = np.max(np.where(populated, values, -np.inf), axis=0)
-    vmin = np.min(np.where(populated, values, np.inf), axis=0)
-    return np.where(populated.sum(axis=0) >= 2, vmax - vmin, 0.0)
 
 
 def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
@@ -216,7 +237,7 @@ def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
     piece of the divergence loss the current predictions sit on, so two
     prediction vectors with equal patterns share one smooth loss piece.
     """
-    return best_group(curves.normalized(), curves.count > 0)
+    return curves.envelope.best
 
 
 def integrate_step(values, breakpoints) -> float:

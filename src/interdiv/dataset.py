@@ -303,7 +303,14 @@ class _FeatureColumn:
         if missing.all():
             values = np.zeros(len(values))
         elif missing.any():
-            values = np.where(missing, np.nanmedian(values), values)
+            with np.errstate(over="ignore"):
+                median = np.nanmedian(values)
+            if not np.isfinite(median):
+                # the two middle values' sum overflowed: halve each first,
+                # only here, so that every finite median keeps its bits
+                mid = np.sort(values[~missing])
+                median = 0.5 * mid[(len(mid) - 1) // 2] + 0.5 * mid[len(mid) // 2]
+            values = np.where(missing, median, values)
         return values.reshape(-1, 1)
 
 
@@ -431,9 +438,10 @@ _SCAN_BYTES = 1 << 18
 
 def _check_utf8(data: bytes, path) -> None:
     """Raise ``InputError`` for the first byte of ``data`` that is not
-    UTF-8, naming its offset and line in the file. The bytes are decoded a
-    slice at a time, each ending on a newline, a byte no UTF-8 character
-    holds but its own."""
+    UTF-8, naming its offset and line in the file; a line ends in LF, CRLF
+    or a bare CR, as the readers take it. The bytes are decoded a slice at a
+    time, each ending on a newline, a byte no UTF-8 character holds but its
+    own."""
     if data.isascii():
         return
     at = 0
@@ -443,7 +451,8 @@ def _check_utf8(data: bytes, path) -> None:
             data[at:end].decode("utf-8")
         except UnicodeDecodeError as exc:
             bad = at + exc.start
-            line = data.count(b"\n", 0, bad) + 1
+            ends = data.count(b"\n", 0, bad) + data.count(b"\r", 0, bad)
+            line = ends - data.count(b"\r\n", 0, bad) + 1
             raise InputError(f"{path} is not UTF-8 text: byte {data[bad]:#04x} at offset "
                              f"{bad} (line {line}): {exc.reason}") from None
         at = end

@@ -39,6 +39,7 @@ Two shortcuts skip work without changing a bit of the result:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -251,7 +252,11 @@ def _best_split(XT, g, h, idx, sorted_rows, params: BoostParams):
         i = int(np.argmax(gain))
         if gain[i] > best_gain:
             best_gain = float(gain[i])
-            best = (f, 0.5 * (xs[i] + xs[i + 1]))
+            a, b = float(xs[i]), float(xs[i + 1])
+            # halve each first only where the sum leaves the float range, so
+            # every finite midpoint keeps its bits
+            mid = 0.5 * (a + b)
+            best = (f, mid if math.isfinite(mid) else 0.5 * a + 0.5 * b)
     return best
 
 

@@ -18,6 +18,10 @@ identity per cutoff interval is held fixed at its value for the current
 predictions, i.e. the gradient is that of the analytic piece the predictions
 currently sit on; argmin ties break toward the lowest group id. The loss is
 non-convex because the best-group identity can switch between pieces.
+
+The loss value, the best group and both sweeps of W (exact and simplified)
+read the curves' envelope (:func:`interdiv.curves.envelope`), so a boosting
+round reduces over the groups once.
 """
 from __future__ import annotations
 
@@ -57,14 +61,8 @@ class GradHess:
 def idloss_from_curves(curves: SerCurveSet) -> float:
     """Exact sweep evaluation of the divergence loss from built curves."""
     curves_mod.require_two_groups(curves.layout.ds, "divergence loss")
-    norm = curves.normalized()
-    cand = curves.count > 0
-    vmin = np.min(np.where(cand, norm, np.inf), axis=0)
-    any_cand = cand.any(axis=0)
-    total = np.where(cand, norm, 0.0).sum(axis=0)
-    vmin_safe = np.where(any_cand, vmin, 0.0)
-    integrand = np.where(any_cand, total - vmin_safe, 0.0)
-    return float(np.sum(integrand * curves.interval_widths))
+    env = curves.envelope
+    return float(np.sum((env.total - env.low) * curves.interval_widths))
 
 
 def idloss_value(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
@@ -80,20 +78,8 @@ def idloss_sample_weights(curves: SerCurveSet) -> np.ndarray:
     best one, and each sample accumulates the contributions of the intervals
     its relevance reaches. Cost O(n + |A| * intervals).
     """
-    return _sample_weights(curves, argmin_pattern(curves))
-
-
-def _sample_weights(curves: SerCurveSet, pattern: np.ndarray) -> np.ndarray:
-    """``idloss_sample_weights`` for the curves' known best-group pattern."""
-    dt = curves.interval_widths
-    cand = curves.count > 0
-    gids = np.arange(curves.n_groups)[:, None]
-    w = np.where(
-        cand & (pattern[None, :] != gids),
-        dt[None, :] / np.maximum(curves.count, 1),
-        0.0,
-    )
-    cum = np.concatenate([np.zeros((curves.n_groups, 1)), np.cumsum(w, axis=1)], axis=1)
+    w = np.where(curves.exposed(), curves.layout.weight_steps(), 0.0)
+    cum = np.pad(np.cumsum(w, axis=1), ((0, 0), (1, 0)))
     return cum[curves.sample_group, curves.layout.sample_interval]
 
 
@@ -203,10 +189,7 @@ class IdLossObjective:
         return idloss_from_curves(self._layout.curves(preds))
 
     def _note_pattern(self, pattern: np.ndarray) -> None:
-        prev = self._last_pattern
-        if prev is not None and (
-            prev.shape != pattern.shape or np.any(prev != pattern)
-        ):
+        if self._last_pattern is not None and not np.array_equal(self._last_pattern, pattern):
             self.region_switches += 1
         self._last_pattern = pattern
 
@@ -216,12 +199,11 @@ class IdLossObjective:
         if self._sgrid is None:
             self.eval_points += len(cs.breakpoints) - 1
             pattern = argmin_pattern(cs)
-            self._note_pattern(pattern)
-            w = _sample_weights(cs, pattern)
+            w = idloss_sample_weights(cs)
         else:
             w, pattern, n_segments = self._sgrid.sample_weights(cs)
             self.eval_points += n_segments
-            self._note_pattern(pattern)
+        self._note_pattern(pattern)
         grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
         return GradHess(grad=grad, hess=2.0 * w, value=value)
 

@@ -31,7 +31,8 @@ def intersectional_divergence(curves: SerCurveSet) -> float:
     one normalized curve.
     """
     curves_mod.require_two_groups(curves.layout.ds, "intersectional divergence")
-    gap = curves_mod.divergence_gap(curves.normalized(), curves.count > 0)
+    env = curves.envelope
+    gap = np.where(env.populated >= 2, env.high - env.low, 0.0)
     return float(np.sum(gap * curves.interval_widths))
 
 

@@ -9,8 +9,10 @@ curve layout replaced, curve simplification from the per-group loop that the
 per-layout grid replaced, trees from the per-node sorting growth that the
 presorted one replaced, experiment outputs from the per-model fits and
 curve builds that the shared ensembles and layouts replaced, curve files
-from the row-at-a-time writer that the run-sharing one replaced, and CSV
-tables from the per-table loops that ``dataset.write_rows`` replaced.
+from the row-at-a-time writer that the run-sharing one replaced, CSV
+tables from the per-table loops that ``dataset.write_rows`` replaced, and
+the best group and divergence gap per interval from the masked reductions
+that ``curves.envelope`` replaced.
 """
 import csv
 import logging
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from interdiv import curves as curves_mod
 from interdiv import dataset, gbt, harness, idboost, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
-from interdiv.curves import SerCurveSet, argmin_pattern, normalize
+from interdiv.curves import SerCurveSet, normalize
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
 from interdiv.errors import (
     DegenerateAttributeError,
@@ -263,7 +265,14 @@ def rowwise_load_csv(path, schema: DatasetSchema) -> GroupedDataset:
             if np.all(np.isnan(vals)):
                 vals = np.zeros(n)
             elif np.any(np.isnan(vals)):
-                vals = np.where(np.isnan(vals), np.nanmedian(vals), vals)
+                with np.errstate(over="ignore"):
+                    med = np.nanmedian(vals)
+                if not np.isfinite(med):
+                    # the mean of the two middle values overflowed: halve each first
+                    present = sorted(v for v in vals.tolist() if v == v)
+                    k = len(present)
+                    med = 0.5 * present[(k - 1) // 2] + 0.5 * present[k // 2]
+                vals = np.where(np.isnan(vals), med, vals)
             blocks.append(vals.reshape(-1, 1))
             names.append(cname)
         else:
@@ -403,6 +412,30 @@ def _require_two_groups(curves: ParentSerCurveSet) -> None:
         )
 
 
+# ``curves.best_group`` and ``curves.divergence_gap`` as they stood before
+# ``curves.envelope`` replaced them, kept verbatim (renamed) as the reference
+# for the envelope and for the parent objective's best-group pattern.
+def parent_best_group(values, populated) -> np.ndarray:
+    """Per column, the populated group (row) with the lowest value.
+
+    Ties go to the lowest group id; -1 where no group is populated.
+    """
+    best = np.argmin(np.where(populated, values, np.inf), axis=0)
+    best[~populated.any(axis=0)] = -1
+    return best.astype(np.int64)
+
+
+def parent_divergence_gap(values, populated) -> np.ndarray:
+    """Per column, max minus min of ``values`` over the populated groups.
+
+    The gap is 0 where fewer than two groups are populated.
+    """
+    # one masked copy of ``values`` at a time: each is freed after its reduction
+    vmax = np.max(np.where(populated, values, -np.inf), axis=0)
+    vmin = np.min(np.where(populated, values, np.inf), axis=0)
+    return np.where(populated.sum(axis=0) >= 2, vmax - vmin, 0.0)
+
+
 def parent_idloss_from_curves(curves: ParentSerCurveSet) -> float:
     """Exact sweep evaluation of the divergence loss from built curves."""
     _require_two_groups(curves)
@@ -424,7 +457,7 @@ def parent_idloss_sample_weights(curves: ParentSerCurveSet) -> np.ndarray:
     best one, and each sample accumulates the contributions of the intervals
     its relevance reaches. Cost O(n + |A| * intervals).
     """
-    pattern = argmin_pattern(curves)
+    pattern = parent_best_group(curves.normalized(), curves.count > 0)
     dt = curves.interval_widths
     cand = curves.count > 0
     gids = np.arange(curves.n_groups)[:, None]
@@ -512,7 +545,7 @@ class ParentIdLossObjective:
         _require_two_groups(cs)
         if self.approx_params is None:
             self.eval_points += len(cs.breakpoints) - 1
-            self._note_pattern(argmin_pattern(cs))
+            self._note_pattern(parent_best_group(cs.normalized(), cs.count > 0))
             w = parent_idloss_sample_weights(cs)
         else:
             w, pattern, n_segments = _simplified_sample_weights(

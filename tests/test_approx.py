@@ -22,7 +22,8 @@ from conftest import (
 # neither, so they live here.
 def resample_step(curves: curves_mod.SerCurveSet, grid: np.ndarray) -> np.ndarray:
     """Normalized curve values (all groups) on the interval each grid point falls in."""
-    return curves.normalized()[:, _grid_intervals(curves.breakpoints, grid)]
+    idx = _grid_intervals(curves.breakpoints, grid)
+    return curves_mod.normalize(curves.ser[:, idx], curves.count[:, idx])
 
 
 def id_from_simplified(
@@ -38,11 +39,15 @@ def id_from_simplified(
     grid = np.unique(np.concatenate([c.t for c in simplified.curves]))
     mid = 0.5 * (grid[:-1] + grid[1:])
     seg_len = np.diff(grid)
-    cand = curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0
-    lo = np.stack([np.interp(grid[:-1], c.t, c.value) for c in simplified.curves])
-    hi = np.stack([np.interp(grid[1:], c.t, c.value) for c in simplified.curves])
-    gap = curves_mod.divergence_gap(lo, cand) + curves_mod.divergence_gap(hi, cand)
-    return float(np.sum(0.5 * gap * seg_len))
+    # a count of 1 where populated makes each value its own normalized curve
+    count = (curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0).astype(np.int64)
+
+    def gap(ts):
+        values = np.stack([np.interp(ts, c.t, c.value) for c in simplified.curves])
+        env = curves_mod.envelope(values, count)
+        return np.where(env.populated >= 2, env.high - env.low, 0.0)
+
+    return float(np.sum(0.5 * (gap(grid[:-1]) + gap(grid[1:])) * seg_len))
 
 
 def flat_relevance_instance(rng, n=40):

@@ -874,6 +874,47 @@ class TestUndecodableInput:
         assert str(exc.value) == message + "invalid start byte"
 
 
+    @pytest.mark.parametrize("name", ["preds.csv", "data.csv"])
+    def test_bare_cr_ends_a_line(self, tmp_path, name):
+        path = tmp_path / name
+        if name == "preds.csv":
+            path.write_bytes(b"pred\r1\r2\r\xff\r4\r")
+            read, at = dataset.read_preds, 9
+        else:
+            path.write_bytes(b"y,a\r1,M\r2,F\r\xff3,M\r4,F\r")
+            schema = dataset.DatasetSchema("y", ("a",), ("M",))
+            read, at = (lambda p: dataset.load_csv(p, schema)), 12
+        with pytest.raises(InputError) as exc:
+            read(path)
+        assert str(exc.value) == (f"{path} is not UTF-8 text: byte 0xff at offset {at} "
+                                  "(line 4): invalid start byte")
+
+
+class TestFeaturesNearTheFloatRange:
+    """Features near -1.8e308 train a model that ``predict`` reads back,
+    without a numpy warning: no midpoint or median leaves the float range."""
+
+    F0 = {
+        # a split between two neighbours whose sum leaves the float range
+        "six": ["-1.7976931348623157e+308", "", "-8.2135829049994676e+306", "0", "", "1"],
+        # and a median fill that averages those two values
+        "seven": ["-1.7976931348623157e+308", "", "-8.2135829049994676e+306", "", "", "", ""],
+    }
+
+    @pytest.mark.parametrize("rows", sorted(F0))
+    def test_train_then_predict(self, tmp_path, capsys, rows):
+        data, cfg, model = tmp_path / "d.csv", tmp_path / "schema.cfg", tmp_path / "m.json"
+        lines = [f"{i + 1},{'MF'[i % 2]},{f}" for i, f in enumerate(self.F0[rows])]
+        data.write_text("y,a,f0\n" + "\n".join(lines) + "\n")
+        cfg.write_text("target = y\nprotected = a\nprivileged = M\n")
+        args = ["--data", str(data), "--config", str(cfg)]
+        assert run_cli("train", *args, "--out", str(model)) == 0
+        assert "Infinity" not in model.read_text()
+        assert run_cli("predict", *args, "--model", str(model),
+                       "--out", str(tmp_path / "p.csv")) == 0
+        assert "Warning" not in capsys.readouterr().err
+
+
 class TestOverlongCsvField:
     """A CSV cell longer than the ``csv`` module's field limit fails as the
     reader's error, naming the file and the line, with no traceback."""

@@ -16,7 +16,9 @@ from conftest import (
     brute_ser,
     layout_cases,
     make_instance,
+    parent_best_group,
     parent_build,
+    parent_divergence_gap,
     parent_export_curves,
     parent_idloss_from_curves,
 )
@@ -51,10 +53,41 @@ class TestHelpers:
         other = [[4.0, 0.0, 7.0], [True, True, False]]
         values = np.array([values, other[0], values, values]).T
         populated = np.array([populated, other[1], populated, populated]).T
-        got_best = curves.best_group(values, populated)
-        assert got_best.dtype == np.int64
-        assert got_best.tolist() == [best, 1, best, best]
-        assert curves.divergence_gap(values, populated).tolist() == [gap, 4.0, gap, gap]
+        # a count of 1 makes each populated value its own normalized curve
+        env = curves.envelope(values, populated.astype(np.int64))
+        assert env.best.dtype == np.int64
+        assert env.best.tolist() == [best, 1, best, best]
+        assert env.populated.tolist() == populated.sum(axis=0).tolist()
+        got_gap = np.where(env.populated >= 2, env.high - env.low, 0.0)
+        assert got_gap.tolist() == [gap, 4.0, gap, gap]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=layout_cases(), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+    def test_envelope_of_columns_is_the_envelope_at_them(self, case, picks):
+        # SimplifyGrid reads the envelope at a subset of intervals, with
+        # repeats; both must agree with the masked reductions it replaced
+        ds, phi, preds = case
+        cs = curves.CurveLayout(ds, phi).curves(preds[0])
+        idx = np.array(picks) % cs.ser.shape[1]
+        sub = curves.envelope(cs.ser[:, idx], cs.count[:, idx])
+        # not ``total``: ``ser[:, idx]`` is column-major, and numpy adds the
+        # rows of a column-major array pairwise from 8 rows on, so its last
+        # bit can differ from the sum in the row-major ``ser``
+        for field in ("populated", "best", "low", "high"):
+            assert np.array_equal(getattr(sub, field), getattr(cs.envelope, field)[idx])
+        norm, cand = curves.normalize(cs.ser, cs.count)[:, idx], cs.count[:, idx] > 0
+        assert np.array_equal(sub.best, parent_best_group(norm, cand))
+        gap = np.where(sub.populated >= 2, sub.high - sub.low, 0.0)
+        assert np.array_equal(gap, parent_divergence_gap(norm, cand))
+        assert np.array_equal(sub.total, norm.sum(axis=0))
+
+    def test_envelope_is_read_only_and_kept(self, rng):
+        ds, phi, preds = make_instance(rng, n=30)
+        cs = curves.build(ds, preds, phi)
+        assert cs.envelope is cs.envelope
+        assert curves.argmin_pattern(cs) is cs.envelope.best
+        for field in cs.envelope:
+            assert not field.flags.writeable
 
 
 class TestBuild:

@@ -264,9 +264,32 @@ def _load(loader, path, schema):
         return type(exc), str(exc)
 
 
+class TestMedianFill:
+    def test_two_middle_values_past_the_float_range(self, tmp_path):
+        # their mean overflows as (a + b) / 2, so each is halved first
+        a, b = -1.7976931348623157e+308, -8.2135829049994676e+306
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,a,f0\n1,M,{a!r}\n2,F,\n3,M,{b!r}\n4,F,\n")
+        ds = dataset.load_csv(path, DatasetSchema("y", ("a",), ("M",)))
+        assert ds.features[:, 0].tolist() == [a, 0.5 * a + 0.5 * b, b, 0.5 * a + 0.5 * b]
+
+    def test_a_finite_mean_keeps_its_bits(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,a,f0\n1,M,0.1\n2,F,\n3,M,0.7\n4,F,0.2\n5,M,1e300\n")
+        ds = dataset.load_csv(path, DatasetSchema("y", ("a",), ("M",)))
+        assert ds.features[1, 0] == (0.2 + 0.7) / 2
+
+
 class TestAgainstRowwiseLoader:
     @settings(max_examples=200, deadline=None)
     @given(case=_csv_case())
+    # the median fill of f0 averages two values whose sum overflows
+    @example(case=(
+        'y,f0,junk,a\n0,-1.7976931348623157e+308,red,inf\n0,,red,M\n0,,red,M\n'
+        '0,0,red,M,extra\n0,-8.2135829049994676e+306,"a,b",M\n0,0,"a,b"\n0,0,red,\n'
+        '0,0,red,\n0,0,red\n0,0,red,\n0,0,red,\n0,0,red,\n',
+        DatasetSchema("y", ("a",), ("inf",), drop_columns=("junk",)),
+    ))
     def test_bit_identical(self, tmp_path_factory, case):
         text, schema = case
         path = tmp_path_factory.mktemp("diff") / "d.csv"
