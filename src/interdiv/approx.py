@@ -14,9 +14,11 @@ curve layout and parameters and a part that changes with the predictions.
 :class:`SimplifyGrid` holds the fixed part: the grid, the kernel, the
 breakpoint interval of each grid point and the count integrals the
 simplified sweep reads at grid points and sample relevances, which it
-sums from the layout's weight steps. Its
-:meth:`~SimplifyGrid.marks` marks the retained points of all groups at once
-in a boolean (groups, grid) array, and its simplified sweep
+sums one group's count row at a time. Its
+:meth:`~SimplifyGrid.marks` reads the curves at the grid points, whose
+suffix positions the layout's block sweep finds once, and marks the
+retained points of all groups at once in a boolean (groups, grid) array,
+and its simplified sweep
 :meth:`~SimplifyGrid.sample_weights` runs over their union, with each
 segment's best group read from the curves' envelope. The divergence
 objective builds one grid per fit. Training never calls :func:`simplify`,
@@ -92,11 +94,12 @@ class SimplifyGrid:
     """The part of curve simplification fixed per curve layout and parameters.
 
     Holds the uniform grid, the Gaussian kernel and its edge normalizer, the
-    breakpoint interval of every grid point, and, for the simplified sweep of
+    breakpoint interval of every grid point and each group's suffix position
+    there (:meth:`CurveLayout.positions`), and, for the simplified sweep of
     the divergence objective, each sample's grid cell and the count integral
     F_g at every grid point and at each sample's own relevance. F_g is
-    computed here from the layout's count step functions and is not kept:
-    it is exact at breakpoints and linear between them.
+    computed here from the layout's count rows, one group at a time, and is
+    not kept: it is exact at breakpoints and linear between them.
     Per prediction, :meth:`marks` and :meth:`sample_weights` then cost one
     convolution per group and array operations over all groups at once.
     """
@@ -126,13 +129,21 @@ class SimplifyGrid:
         bp = layout.breakpoints
         self.interval = _grid_intervals(bp, self.grid)
         # F_g(bp[k]): the integral of dt / |D^t_g| from 0, zero on empty
-        # stretches, so F_g is piecewise linear between breakpoints
-        f = np.pad(np.cumsum(layout.weight_steps(), axis=1), ((0, 0), (1, 0)))
-        self.count_at_grid = np.stack([np.interp(self.grid, bp, fg) for fg in f])
+        # stretches, so F_g is piecewise linear between breakpoints; one
+        # group's row at a time
+        dt = np.diff(bp)
+        self.count_at_grid = np.empty((len(layout.orders), n_grid))
+        self.count_at_sample = np.empty(len(layout.relevance))
+        for g, order in enumerate(layout.orders):
+            count = layout.group_count(g)
+            f = np.pad(np.cumsum(np.where(count > 0, dt / np.maximum(count, 1), 0.0)), (1, 0))
+            self.count_at_grid[g] = np.interp(self.grid, bp, f)
+            self.count_at_sample[order] = f[layout.sample_interval[order]]
         self.sample_cell = np.clip(
             np.searchsorted(self.grid, layout.relevance, side="right") - 1, 0, n_grid - 2
         )
-        self.count_at_sample = f[layout.ds.group_of, layout.sample_interval]
+        # each group's suffix position at every grid point, where marks reads the curves
+        self.grid_pos = layout.positions(self.interval)
 
     def marks(self, curves: SerCurveSet):
         """Resampled curves and the (groups, grid) mask of their retained points.
@@ -142,7 +153,8 @@ class SimplifyGrid:
         the blurred curve changes sign, and at both ends, so every curve
         keeps at least two points of a grid of at least three.
         """
-        vals = curves_mod.normalize(curves.ser[:, self.interval], curves.count[:, self.interval])
+        vals = curves_mod.normalize(curves.suffix[self.grid_pos],
+                                    curves.layout.ends[:, None] - self.grid_pos)
         smooth = np.stack([np.convolve(v, self.kernel, mode="same") for v in vals]) / self.edge
         h = self.grid[1] - self.grid[0]
         eps = np.finfo(float).eps
@@ -168,7 +180,8 @@ class SimplifyGrid:
         union = keep.any(axis=0)
         grid = self.grid[union]
         idx = _grid_intervals(curves.breakpoints, 0.5 * (grid[:-1] + grid[1:]))
-        pattern, mask = curves.envelope.best[idx], curves.exposed(idx)
+        pattern = curves.envelope.best[idx]
+        mask = curves_mod.exposed(pattern, curves.layout.count_at(idx))
 
         f_at_grid = self.count_at_grid[:, union]
         df = np.diff(f_at_grid, axis=1)

@@ -155,7 +155,7 @@ def _print_human_report(report: metrics.FairnessReport) -> None:
 
 def cmd_experiment(args) -> int:
     cfg = harness.config_from_file(args.config)
-    table, _ = harness.run(cfg)
+    table, _, ds = harness.run(cfg)
     # the run plan under its config keys, the boost.* ones nested under boost
     params = {"config": os.path.abspath(args.config), "boost": {}}
     for key, (_, target, *_) in config_mod.EXPERIMENT_KEYS.items():
@@ -170,15 +170,15 @@ def cmd_experiment(args) -> int:
         )
         print(f"{model}: {cells}")
     if args.curves:
-        _export_id_curves(cfg)
+        _export_id_curves(cfg, ds)
     return 0
 
 
-def _export_id_curves(cfg) -> None:
+def _export_id_curves(cfg, ds=None) -> None:
     for name, runs in harness.failed_runs(cfg).items():
         print(f"note: no curves for {name}, which failed in {', '.join(runs)}",
               file=sys.stderr)
-    for name, path in harness.export_id_curves(cfg).items():
+    for name, path in harness.export_id_curves(cfg, ds).items():
         print(f"curves[{name}] -> {path}")
 
 
@@ -187,6 +187,7 @@ def cmd_curves(args) -> int:
         _export_id_curves(harness.config_from_file(args.from_experiment))
         return 0
     ds, preds, phi = _load_scored(args)
+    curves_mod.check_error_sum(ds, curves_mod.check_preds(ds, preds), "the curves")
     cs = curves_mod.build(ds, preds, phi)
     curves_mod.export_curves(cs, args.out)
     _write_manifest(args.out, args.command, _recorded(args))

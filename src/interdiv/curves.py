@@ -7,26 +7,34 @@ at observed sample relevances, so every integral over ``t`` of a functional
 of these curves can be computed exactly by sweeping the breakpoints: no
 quadrature grid, no discretization error.
 
-The step functions are stored as interval values: ``ser[g, k]`` and
-``count[g, k]`` hold the group-g curve value on the open interval between
-``breakpoints[k]`` and ``breakpoints[k + 1]``. Pointwise evaluation at a
-cutoff ``t`` (inclusive, samples with relevance >= t) is provided separately
-for oracle-style comparisons and curve export.
+The step functions take interval values: ``ser[g, k]`` and ``count[g, k]``
+are the group-g curve value on the open interval between ``breakpoints[k]``
+and ``breakpoints[k + 1]``. Pointwise evaluation at a cutoff ``t``
+(inclusive, samples with relevance >= t) is provided separately for
+oracle-style comparisons and curve export.
 
 Everything except the squared errors depends on the targets alone. A
 :class:`CurveLayout` holds that fixed part for one dataset and relevance
 function: relevances, breakpoints, each group's relevance sort order and
-the count step functions. ``layout.curves(preds)`` adds the per-prediction
-part, one suffix sum of squared errors per group, so a training loop builds
-the layout once and pays O(n) per round. The
+the samples in interval order. ``layout.curves(preds)`` adds the
+per-prediction part, one suffix sum of squared errors per group, so a
+training loop builds the layout once and pays O(n) per round. The
 divergence objective does so, and its ``grad_hess`` returns the loss value
 from the same curves, so a boosting round builds them once.
 
-Every reduction over groups goes through one :func:`envelope` per curve
-set: per interval, the number of populated groups, the best one, and their
-lowest, highest and summed normalized value. ID integrates highest minus
-lowest, the divergence loss sums minus lowest, and its gradient holds the
-best group fixed; the curve set keeps the envelope, so they all share it.
+Neither keeps a (groups, intervals) table. :meth:`CurveLayout.sweep` runs
+over the intervals in blocks of at most :data:`SWEEP_CELLS` group-interval
+cells: a block's counts come from one ``bincount`` of the samples whose
+intervals it spans plus each group's count carried from the blocks before,
+and its curve values from a gather from the suffix sums. So a call needs
+O(rows + groups x block) memory. Every reduction over groups goes through
+one :func:`envelope` per block: per interval, the number of populated
+groups, the best one, and their lowest, highest and summed normalized
+value. ID integrates highest minus lowest, the divergence loss sums minus
+lowest, and its gradient holds the best group fixed; the curve set keeps
+the envelope's per-interval vectors, so they all share them. Dense
+``count`` and ``ser`` tables remain as properties for tests and the
+pooled-curve oracle :func:`sera_from_curves`.
 """
 from __future__ import annotations
 
@@ -56,6 +64,23 @@ def check_preds(ds: GroupedDataset, preds) -> np.ndarray:
     return preds
 
 
+def check_error_sum(ds: GroupedDataset, preds, undefined: str) -> None:
+    """Raise ``InputError`` unless the running sum of the squared errors of
+    the finite ``preds`` on ``ds``, in row order, stays finite.
+
+    The error names the measures that would be ``undefined`` and the first
+    sample index at which the sum overflows. Below that bound each squared
+    error is finite, and so are the error measures and curves that sum them.
+    """
+    with np.errstate(over="ignore"):
+        running = preds - ds.targets
+        np.cumsum(np.square(running, out=running), out=running)
+    at = int(np.searchsorted(running, np.inf))  # the sum never falls
+    if at < len(running):
+        raise InputError(f"{undefined} are undefined: the sum of squared errors "
+                         f"overflows at sample index {at}")
+
+
 def require_two_groups(ds: GroupedDataset, subject: str) -> None:
     """Raise ``UndefinedMetricError`` unless two groups of ``ds`` have samples."""
     if np.count_nonzero(ds.group_counts()) < 2:
@@ -80,25 +105,55 @@ class Envelope(NamedTuple):
 
 def envelope(ser, count) -> Envelope:
     """The read-only :class:`Envelope` of the normalized curves ``ser / count``."""
-    # one buffer of ser / count; each reduction refills only the empty cells,
-    # with a value it skips, so no masked copy of the curves is made
-    empty = count == 0
-    populated = len(count) - empty.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        buf = ser / count
-    np.copyto(buf, -np.inf, where=empty)
-    high = buf.max(axis=0)
-    np.copyto(buf, np.inf, where=empty)
-    low = buf.min(axis=0)
-    # the first group at the minimum: argmin along axis 0 would copy the buffer
-    best = (buf == low).argmax(axis=0)
-    np.copyto(buf, 0.0, where=empty)
-    env = Envelope(populated, best, low, high, buf.sum(axis=0))
-    none = populated == 0
-    best[none], low[none], high[none] = -1, 0.0, 0.0
+    env = _new_envelope(np.shape(ser)[1])
+    _fill_envelope(np.array(ser, dtype=float), count, env)
     for a in env:
         a.setflags(write=False)
     return env
+
+
+def _new_envelope(n: int) -> Envelope:
+    return Envelope(*(np.empty(n, t) for t in (np.int64, np.intp, float, float, float)))
+
+
+def _fill_envelope(buf, count, out: Envelope) -> None:
+    """Write into ``out`` the envelope of the curve values ``buf``, which it
+    divides by ``count`` in place."""
+    # one buffer of ser / count; each reduction refills only the empty cells,
+    # with a value it skips, so no masked copy of the curves is made
+    empty = count == 0
+    np.subtract(len(count), empty.sum(axis=0, out=out.populated), out=out.populated)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(buf, count, out=buf)
+    np.copyto(buf, -np.inf, where=empty)
+    buf.max(axis=0, out=out.high)
+    np.copyto(buf, np.inf, where=empty)
+    buf.min(axis=0, out=out.low)
+    # the first group at the minimum: argmin along axis 0 would copy the buffer
+    np.argmax(buf == out.low, axis=0, out=out.best)
+    np.copyto(buf, 0.0, where=empty)
+    buf.sum(axis=0, out=out.total)
+    none = out.populated == 0
+    out.best[none], out.low[none], out.high[none] = -1, 0.0, 0.0
+
+
+# The most group-interval cells a block of a sweep holds: 512 KB of float64.
+# On 20k rows, exact grad_hess ran as fast at 2**16 as at 2**17 and 2**18
+# for 4, 64 and 256 groups, and its traced peak was 0.15 MB lower at 4
+# groups and 6.5 MB lower at 256 than at 2**18. A block is at least two
+# intervals wide, whatever the group count: numpy sums the groups of a
+# one-interval block pairwise from 8 groups on, and those of a wider block
+# in sequence, as it does for the whole table, so every block's envelope
+# keeps the bits of the whole table's.
+SWEEP_CELLS = 2**16
+
+
+def exposed(best, count) -> np.ndarray:
+    """Per group and interval, where the groups have ``count`` samples and
+    ``best`` is the best group: populated and not best, where W_j grows."""
+    out = count > 0
+    out &= best != np.arange(len(count))[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,9 +162,14 @@ class CurveLayout:
 
     ``orders[g]`` lists group g's sample indices in stable relevance order;
     ``sample_interval[j]`` is the index of sample j's relevance among the
-    breakpoints. The steps of the counts' integrals over cutoffs are not
-    held here: kept, they raised a fit's peak memory, so
-    :meth:`weight_steps` computes them on each call.
+    breakpoints; ``by_interval`` lists every sample in stable interval
+    order, and ``sorted_interval`` and ``sorted_group`` their intervals and
+    groups. A curve set's suffix sums of group g sit at positions
+    ``starts[g]`` to ``ends[g]``, one per sample in ``orders[g]`` and a
+    closing 0.0. Each group's count on an interval is ``ends[g]`` less its
+    position past the samples at or below the interval, so :meth:`sweep`
+    derives the counts of a block of intervals from the samples in it, and
+    no count table is kept.
     """
 
     ds: GroupedDataset
@@ -117,46 +177,109 @@ class CurveLayout:
     relevance: np.ndarray = field(init=False)
     breakpoints: np.ndarray = field(init=False)      # ascending, first 0.0, last 1.0
     orders: tuple = field(init=False)
-    count: np.ndarray = field(init=False)            # (n_groups, n_intervals)
     sample_interval: np.ndarray = field(init=False)
+    by_interval: np.ndarray = field(init=False)
+    sorted_interval: np.ndarray = field(init=False)
+    sorted_group: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
+    ends: np.ndarray = field(init=False)
 
     def __post_init__(self, phi: RelevanceFunction):
         rel = np.asarray(evaluate(phi, self.ds.targets), dtype=float)
         bp, where = np.unique(np.concatenate([rel, [0.0, 1.0]]), return_inverse=True)
-        n_groups = self.ds.n_groups
-        count = np.zeros((n_groups, len(bp) - 1), dtype=np.int64)
+        where = where[: len(rel)]
         orders = []
-        for g in range(n_groups):
+        for g in range(self.ds.n_groups):
             members = np.nonzero(self.ds.group_of == g)[0]
             order = members[np.argsort(rel[members], kind="stable")]
-            # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
-            count[g] = len(order) - np.searchsorted(rel[order], bp[1:], side="left")
             order.setflags(write=False)
             orders.append(order)
+        by_interval = np.argsort(where, kind="stable")
+        ends = np.cumsum(self.ds.group_counts() + 1) - 1
         fixed = {
             "relevance": rel,
             "breakpoints": bp,
-            "count": count,
-            "sample_interval": where[: len(rel)],
+            "sample_interval": where,
+            "by_interval": by_interval,
+            "sorted_interval": where[by_interval],
+            "sorted_group": self.ds.group_of[by_interval],
+            "starts": ends - self.ds.group_counts(),
+            "ends": ends,
         }
         for name, arr in fixed.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "orders", tuple(orders))
 
-    def weight_steps(self) -> np.ndarray:
-        """dt / count per group and interval, 0 where empty; both W_j sweeps sum these."""
-        return np.where(self.count > 0, np.diff(self.breakpoints) / np.maximum(self.count, 1), 0.0)
+    def sweep(self, ks=None):
+        """Per block of the ascending interval indices ``ks``, or of all
+        intervals, each group's suffix position past its samples at or below
+        each of them.
+
+        Yields ``(cols, rows, pos)``: ``cols`` slices ``ks``, ``rows`` slices
+        :attr:`by_interval` to the samples whose intervals the block is the
+        first to reach, and ``pos[g, i]`` is ``starts[g]`` plus the number of
+        group g's samples whose interval is at most ``ks[cols][i]``: the
+        group's count on that interval is ``ends[g] - pos[g, i]``, and its
+        curve value the suffix sum at ``pos[g, i]``. A block holds at most
+        :data:`SWEEP_CELLS` cells or two intervals, and the last block one
+        interval more; its positions come from one ``bincount`` of its
+        samples and the positions carried from the block before.
+        """
+        n_groups = self.ds.n_groups
+        n_cols = len(self.breakpoints) - 1 if ks is None else len(ks)
+        width = max(2, SWEEP_CELLS // max(n_groups, 1))
+        firsts = range(0, max(n_cols - 1, 1), width)
+        carry = self.starts
+        lo = 0
+        for c0, c1 in zip(firsts, [*firsts[1:], n_cols]):
+            last = c1 - 1 if ks is None else ks[c1 - 1]
+            hi = int(np.searchsorted(self.sorted_interval, last, side="right"))
+            rows = slice(lo, hi)
+            if ks is None:
+                col = self.sorted_interval[rows] - c0
+            else:
+                col = np.searchsorted(ks[c0:c1], self.sorted_interval[rows], side="left")
+            col += self.sorted_group[rows] * (c1 - c0)
+            pos = np.bincount(col, minlength=n_groups * (c1 - c0)).reshape(n_groups, -1)
+            del col
+            np.cumsum(pos, axis=1, out=pos)
+            pos += carry[:, None]
+            carry = pos[:, -1].copy()
+            yield slice(c0, c1), rows, pos
+            lo = hi
+
+    def positions(self, ks) -> np.ndarray:
+        """The positions of :meth:`sweep` on the ascending intervals ``ks``, or
+        on all, in one (groups, len(ks)) array."""
+        return np.hstack([pos for _, _, pos in self.sweep(ks)])
+
+    def count_at(self, ks) -> np.ndarray:
+        """Each group's count on the ascending intervals ``ks``, or on all,
+        (groups, len(ks))."""
+        return self.ends[:, None] - self.positions(ks)
+
+    @property
+    def count(self) -> np.ndarray:
+        """The dense (groups, intervals) count table, for tests and oracles."""
+        return self.count_at(None)
+
+    def group_count(self, g: int) -> np.ndarray:
+        """Group g's count on every interval: one row of :attr:`count`."""
+        order = self.orders[g]
+        # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
+        return len(order) - np.searchsorted(self.relevance[order], self.breakpoints[1:],
+                                            side="left")
 
     def curves(self, preds) -> "SerCurveSet":
         """The curves of one prediction vector: a suffix sum per group, O(n)."""
-        err = (check_preds(self.ds, preds) - self.ds.targets) ** 2
-        ser = np.zeros(self.count.shape)
-        for g, order in enumerate(self.orders):
-            suffix = np.concatenate([np.cumsum(err[order][::-1])[::-1], [0.0]])
+        err = check_preds(self.ds, preds) - self.ds.targets
+        np.square(err, out=err)
+        suffix = np.zeros(len(err) + len(self.orders))
+        for start, order in zip(self.starts.tolist(), self.orders):
             # the samples at or above a cutoff are the last ``count`` of the order
-            ser[g] = suffix[len(order) - self.count[g]]
-        return SerCurveSet(layout=self, ser=ser, sample_sq_error=err)
+            suffix[start:start + len(order)] = np.cumsum(err[order][::-1])[::-1]
+        return SerCurveSet(layout=self, suffix=suffix)
 
     def sera(self, preds) -> float:
         """Relevance-weighted squared error via the closed form sum(phi * err^2).
@@ -170,15 +293,17 @@ class CurveLayout:
 
 @dataclass(frozen=True)
 class SerCurveSet:
-    """Step curves of cumulative squared error and sample count per group."""
+    """Step curves of cumulative squared error and sample count per group.
+
+    ``suffix`` holds each group's suffix sums of squared error in relevance
+    order, at the positions ``layout.starts[g]`` to ``layout.ends[g]``.
+    """
 
     layout: CurveLayout
-    ser: np.ndarray                # (n_groups, n_intervals)
-    sample_sq_error: np.ndarray
+    suffix: np.ndarray
 
     def __post_init__(self):
-        self.ser.setflags(write=False)
-        self.sample_sq_error.setflags(write=False)
+        self.suffix.setflags(write=False)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -187,6 +312,11 @@ class SerCurveSet:
     @property
     def count(self) -> np.ndarray:
         return self.layout.count
+
+    @property
+    def ser(self) -> np.ndarray:
+        """The dense (groups, intervals) curve table, for tests and oracles."""
+        return self.suffix[self.layout.positions(None)]
 
     @property
     def sample_group(self) -> np.ndarray:
@@ -198,7 +328,7 @@ class SerCurveSet:
 
     @property
     def n_groups(self) -> int:
-        return self.ser.shape[0]
+        return self.layout.ds.n_groups
 
     @property
     def interval_widths(self) -> np.ndarray:
@@ -208,21 +338,42 @@ class SerCurveSet:
         """Curve values (ser, count) at cutoffs ``ts``, inclusive semantics."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         order = self.layout.orders[group]
-        rel = self.sample_relevance[order]
-        err = self.sample_sq_error[order]
-        suffix = np.concatenate([np.cumsum(err[::-1])[::-1], [0.0]])
-        pos = np.searchsorted(rel, ts, side="left")
-        return suffix[pos], (len(rel) - pos).astype(np.int64)
+        pos = np.searchsorted(self.sample_relevance[order], ts, side="left")
+        return self.suffix[self.layout.starts[group] + pos], (len(order) - pos).astype(np.int64)
+
+    def sweep(self):
+        """Per block of all intervals, ``(cols, rows, count, best)``: ``cols``
+        and ``rows`` as in :meth:`CurveLayout.sweep`, each group's count on
+        the block's intervals and the best group on each.
+
+        The block's :func:`envelope` is taken on the way, and the whole
+        envelope is kept once the sweep ends, so it is computed once per
+        curve set whichever of ID, IDLoss and W_j reads it first.
+        """
+        env = kept = self.__dict__.get("envelope")
+        if kept is None:
+            env = _new_envelope(len(self.breakpoints) - 1)
+        ends = self.layout.ends[:, None]
+        for cols, rows, pos in self.layout.sweep():
+            # the positions become the counts, in place, once the values are read
+            if kept is None:
+                _fill_envelope(self.suffix[pos], np.subtract(ends, pos, out=pos),
+                               Envelope(*(a[cols] for a in env)))
+            else:
+                np.subtract(ends, pos, out=pos)
+            yield cols, rows, pos, env.best[cols]
+        if kept is None:
+            for a in env:
+                a.setflags(write=False)
+            self.__dict__["envelope"] = env
 
     @cached_property
     def envelope(self) -> Envelope:
-        """The curves' :func:`envelope`, kept: ID, IDLoss, the pattern and W_j all read it."""
-        return envelope(self.ser, self.count)
-
-    def exposed(self, at=slice(None)) -> np.ndarray:
-        """Per group and interval ``at``: populated and not best, where W_j grows."""
-        gids = np.arange(self.n_groups)[:, None]
-        return (self.count[:, at] > 0) & (self.envelope.best[at] != gids)
+        """The curves' :func:`envelope`, swept block by block and kept: ID,
+        IDLoss, the pattern and W_j all read it."""
+        for _ in self.sweep():
+            pass
+        return self.__dict__["envelope"]
 
 
 def build(ds: GroupedDataset, preds, phi: RelevanceFunction) -> SerCurveSet:

@@ -174,7 +174,8 @@ def _report_metric(report: metrics.FairnessReport, name: str) -> float:
 
 
 def run(cfg: ExperimentConfig):
-    """Execute the experiment; returns (RankTable, raw metric rows)."""
+    """Execute the experiment; returns (RankTable, raw metric rows, the
+    dataset it loaded)."""
     ds = dataset_mod.load_csv(cfg.data, cfg.schema)
     models = [_parse_model_name(name) for name in cfg.models]
     # each objective the models fit, once, in the order first named
@@ -237,7 +238,7 @@ def run(cfg: ExperimentConfig):
     )
     _write_raw_csv(os.path.join(cfg.out_dir, "raw_metrics.csv"), cfg, raw_rows)
     table.to_csv(os.path.join(cfg.out_dir, "ranks.csv"))
-    return table, raw_rows
+    return table, raw_rows, ds
 
 
 def _write_raw_csv(path, cfg: ExperimentConfig, rows) -> None:
@@ -266,16 +267,19 @@ def failed_runs(cfg: ExperimentConfig) -> dict:
     return failed
 
 
-def export_id_curves(cfg: ExperimentConfig) -> dict:
+def export_id_curves(cfg: ExperimentConfig, ds=None) -> dict:
     """Average each model's normalized group curves across completed runs.
 
-    A model that :func:`failed_runs` names is skipped. The others require
+    ``ds`` is the experiment's dataset, as :func:`run` returns it; without
+    it, the dataset is loaded from ``cfg.data``. A model that
+    :func:`failed_runs` names is skipped. The others require
     the per-run prediction files written by :func:`run`; a missing file is
     an explicit error naming the runs so a stale output directory is caught
     instead of silently averaging fewer runs. Returns each exported model's
     CSV path by name; :func:`curves.write_curve_rows` writes the files.
     """
-    ds = dataset_mod.load_csv(cfg.data, cfg.schema)
+    if ds is None:
+        ds = dataset_mod.load_csv(cfg.data, cfg.schema)
     failed = failed_runs(cfg)
     models = [name for name in cfg.models if name not in failed]
     missing = []

@@ -21,7 +21,9 @@ non-convex because the best-group identity can switch between pieces.
 
 The loss value, the best group and both sweeps of W (exact and simplified)
 read the curves' envelope (:func:`interdiv.curves.envelope`), so a boosting
-round reduces over the groups once.
+round reduces over the groups once. The envelope and the exact W sweep run
+over blocks of intervals, so an evaluation needs O(n + |A| * block)
+memory, not O(|A| * n), and gives the bits of one unblocked sweep.
 """
 from __future__ import annotations
 
@@ -76,11 +78,29 @@ def idloss_sample_weights(curves: SerCurveSet) -> np.ndarray:
     Computed with one sweep over breakpoint intervals: a group's per-interval
     contribution is dt / count whenever the group is populated and not the
     best one, and each sample accumulates the contributions of the intervals
-    its relevance reaches. Cost O(n + |A| * intervals).
+    its relevance reaches. The sweep runs in blocks of intervals
+    (:meth:`~interdiv.curves.SerCurveSet.sweep`, which takes the envelope on
+    the way), each group's running sum carried into the next block as its
+    leading column, so the sums add in the order of one sweep. Cost
+    O(n + |A| * intervals), memory O(n + |A| * block).
     """
-    w = np.where(curves.exposed(), curves.layout.weight_steps(), 0.0)
-    cum = np.pad(np.cumsum(w, axis=1), ((0, 0), (1, 0)))
-    return cum[curves.sample_group, curves.layout.sample_interval]
+    layout = curves.layout
+    dt = curves.interval_widths
+    w = np.empty(layout.ds.n)
+    run = np.zeros((curves.n_groups, 1))
+    for cols, rows, count, best in curves.sweep():
+        cum = np.zeros((curves.n_groups, 1 + count.shape[1]))
+        cum[:, :1] = run
+        np.divide(dt[cols], count, out=cum[:, 1:], where=curves_mod.exposed(best, count))
+        np.cumsum(cum, axis=1, out=cum)
+        run = cum[:, -1:].copy()
+        # the last block's last column holds the samples at relevance 1.0
+        if cols.stop == len(dt):
+            rows = slice(rows.start, None)
+        col = layout.sorted_interval[rows]  # a view: the first block needs no copy
+        w[layout.by_interval[rows]] = cum[layout.sorted_group[rows],
+                                          col - cols.start if cols.start else col]
+    return w
 
 
 def idloss_gradhess(ds: GroupedDataset, preds, phi: RelevanceFunction) -> GradHess:
@@ -195,14 +215,14 @@ class IdLossObjective:
 
     def grad_hess(self, preds) -> GradHess:
         cs = self._layout.curves(preds)
-        value = idloss_from_curves(cs)
+        # the weights first: the exact sweep takes the envelope the value reads
         if self._sgrid is None:
-            self.eval_points += len(cs.breakpoints) - 1
+            w, points = idloss_sample_weights(cs), len(cs.breakpoints) - 1
             pattern = argmin_pattern(cs)
-            w = idloss_sample_weights(cs)
         else:
-            w, pattern, n_segments = self._sgrid.sample_weights(cs)
-            self.eval_points += n_segments
+            w, pattern, points = self._sgrid.sample_weights(cs)
+        value = idloss_from_curves(cs)
+        self.eval_points += points
         self._note_pattern(pattern)
         grad = 2.0 * (np.asarray(preds, dtype=float) - self._ds.targets) * w
         return GradHess(grad=grad, hess=2.0 * w, value=value)

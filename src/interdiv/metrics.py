@@ -166,9 +166,13 @@ def full_report(ds: GroupedDataset, preds, phi: RelevanceFunction) -> FairnessRe
 
 def layout_report(layout: curves_mod.CurveLayout, preds) -> FairnessReport:
     """Assemble every measure of finite predictions on the rows of ``layout``,
-    which every prediction vector on them shares; failures become flagged fields."""
+    which every prediction vector on them shares; failures become flagged fields.
+
+    Predictions whose squared errors sum past the float range are refused
+    first, with :func:`curves.check_error_sum`."""
     ds = layout.ds
     preds = curves_mod.check_preds(ds, preds)
+    curves_mod.check_error_sum(ds, preds, "mse, sera and id")
     notes = []
     report_mse = mse(ds, preds)
     report_mae = mae(ds, preds)

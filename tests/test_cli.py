@@ -915,6 +915,49 @@ class TestFeaturesNearTheFloatRange:
         assert "Warning" not in capsys.readouterr().err
 
 
+class TestSquaredErrorOverflow:
+    """Predictions about 1e200 from their targets: ``audit`` and ``curves``
+    refuse squared errors whose sum leaves the float range, naming the
+    measures and the first sample at which it overflows, and never print
+    NaN or Infinity for finite input."""
+
+    def write(self, tmp_path, offset, small):
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=40) * 1e200
+        preds = y + offset
+        preds[::3] = y[::3] - offset
+        preds[:small] = y[:small] + 1.0
+        data, cfg, pred_file = tmp_path / "d.csv", tmp_path / "s.cfg", tmp_path / "p.csv"
+        data.write_text("y,a,f0\n" + "".join(f"{v!r},{'MF'[i % 2]},{i}\n"
+                                             for i, v in enumerate(y.tolist())))
+        cfg.write_text("target = y\nprotected = a\nprivileged = M\n")
+        dataset.write_preds(pred_file, preds)
+        return ["--data", str(data), "--config", str(cfg), "--preds", str(pred_file)]
+
+    @pytest.mark.parametrize("small", [0, 5])
+    @pytest.mark.parametrize("command, undefined", [
+        (["audit", "--json"], "mse, sera and id"),
+        (["curves", "--out", "c.csv"], "the curves"),
+    ])
+    def test_refused_at_the_first_overflow(self, tmp_path, capsys, monkeypatch, command,
+                                           undefined, small):
+        monkeypatch.chdir(tmp_path)
+        args = self.write(tmp_path, 1e200, small)
+        assert run_cli(*command, *args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Warning" not in err
+        assert err.splitlines() == [f"error: {undefined} are undefined: the sum of squared "
+                                    f"errors overflows at sample index {small}"]
+
+    def test_finite_sum_gives_finite_measures(self, tmp_path, capsys):
+        assert run_cli("audit", "--json", *self.write(tmp_path, 1e150, 0)) == 0
+        out, err = capsys.readouterr()
+        assert "NaN" not in out and "Infinity" not in out and "Warning" not in err
+        report = json.loads(out)
+        for key in ("mse", "mae", "sera", "id", "delta_bgl"):
+            assert np.isfinite(report[key])
+
+
 class TestOverlongCsvField:
     """A CSV cell longer than the ``csv`` module's field limit fails as the
     reader's error, naming the file and the line, with no traceback."""

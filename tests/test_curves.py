@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interdiv import curves, dataset, losses, relevance
-from interdiv.approx import ApproxParams
+from interdiv import curves, dataset, losses, metrics, relevance
+from interdiv.approx import ApproxParams, SimplifyGrid
 from interdiv.errors import InputError, InternalError, UndefinedMetricError
 from interdiv.gbt import DEFAULT_HESS_FLOOR
 
@@ -198,6 +198,110 @@ class TestAgainstPerCallBuild:
             assert obj.region_switches == oracle.region_switches
 
 
+def _sweep_results(ds, phi, preds_seq, out_dir):
+    """Every result that a sweep over intervals feeds, in one list: the
+    dense tables, the envelope, ID, both objectives' grad, hess, value and
+    counters, the simplified sweep and the exported curve bytes."""
+    layout = curves.CurveLayout(ds, phi)
+    sgrid = SimplifyGrid(layout, ApproxParams())
+    objs = [losses.IdLossObjective(ds, phi),
+            losses.IdLossObjective(ds, phi, approx_params=ApproxParams())]
+    got = []
+    for i, preds in enumerate(preds_seq):
+        cs = layout.curves(preds)
+        got += [cs.ser, cs.count, *cs.envelope, curves.argmin_pattern(cs),
+                *sgrid.sample_weights(cs)]
+        curves.export_curves(cs, out_dir / f"{i}.csv")
+        got.append((out_dir / f"{i}.csv").read_bytes())
+        try:
+            got.append(metrics.intersectional_divergence(cs))
+        except UndefinedMetricError:
+            got.append(None)
+        for obj in objs:
+            try:
+                gh = obj.grad_hess(preds)
+                got += [gh.grad, gh.hess, gh.value]
+            except UndefinedMetricError:
+                got.append(None)
+    return got + [n for obj in objs for n in (obj.eval_points, obj.region_switches)]
+
+
+class TestBlockedSweep:
+    """Sweeps over blocks of a few intervals against one block of all.
+
+    A block is at least two intervals wide (see ``curves.SWEEP_CELLS``), so a
+    budget of one interval per group gives blocks of two, and one of three
+    gives blocks of three; the last block takes up to one interval more."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=layout_cases(), width=st.sampled_from([1, 2, 3]))
+    def test_bit_identical_to_one_block(self, tmp_path_factory, case, width):
+        ds, phi, preds_seq = case
+        one = _sweep_results(ds, phi, preds_seq, tmp_path_factory.mktemp("one"))
+        with mock.patch.object(curves, "SWEEP_CELLS", width * ds.n_groups):
+            layout = curves.CurveLayout(ds, phi)
+            widths = [cols.stop - cols.start for cols, _, _ in layout.sweep()]
+            blocked = _sweep_results(ds, phi, preds_seq, tmp_path_factory.mktemp("blocks"))
+            for preds in preds_seq:
+                cs, ref = layout.curves(preds), parent_build(ds, preds, phi)
+                assert np.array_equal(cs.ser, ref.ser)
+                assert np.array_equal(cs.count, ref.count)
+        n_intervals = len(layout.breakpoints) - 1
+        assert sum(widths) == n_intervals
+        assert max(widths) <= max(2, width) + 1
+        assert len(widths) == max(1, (n_intervals - 1 + max(2, width) - 1) // max(2, width))
+        assert len(blocked) == len(one)
+        for a, b in zip(blocked, one):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert a == b
+
+    def test_tables_of_several_blocks_equal_one(self, rng):
+        ds, phi, preds = make_instance(rng, n=200)
+        cs = curves.build(ds, preds, phi)
+        ser, count = cs.ser, cs.count
+        with mock.patch.object(curves, "SWEEP_CELLS", 7 * ds.n_groups):
+            assert np.array_equal(cs.ser, ser)
+            assert np.array_equal(cs.count, count)
+            ks = np.array([0, 0, 3, 4, 4, 9, 30, len(cs.breakpoints) - 2])
+            pos = cs.layout.positions(ks)
+            assert np.array_equal(cs.suffix[pos], ser[:, ks])
+            assert np.array_equal(cs.layout.count_at(ks), count[:, ks])
+
+
+def _many_groups(n, attributes, seed=0):
+    """Balanced random bits: 2**attributes groups of about equal size."""
+    rng = np.random.default_rng(seed)
+    ds = dataset.from_arrays(rng.normal(size=(n, 1)), rng.normal(size=n),
+                             (rng.random((n, attributes)) < 0.5).astype(np.uint8))
+    return ds, relevance.from_boxplot(ds.targets), ds.targets + rng.normal(size=n)
+
+
+# Traced peak of one exact IDLoss grad_hess, and of one ID with its curve
+# build, at 256 groups and 20k rows. Measured at 3.4 MB and 2.6 MB; with the
+# dense (groups, intervals) tables that the block sweep replaced, at 156 MB
+# and 93 MB.
+SWEEP_PEAK = 16 * 2**20
+
+
+class TestSweepMemory:
+    def test_grad_hess_and_id_at_256_groups(self):
+        ds, phi, preds = _many_groups(20_000, 8)
+        assert ds.n_groups == 256
+        obj = losses.IdLossObjective(ds, phi)
+        layout = curves.CurveLayout(ds, phi)
+        for call in (lambda: obj.grad_hess(preds),
+                     lambda: metrics.intersectional_divergence(layout.curves(preds))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < SWEEP_PEAK
+
+
 class TestIntegrateStep:
     def test_constant(self):
         assert curves.integrate_step([3.5, 3.5], [0.0, 0.4, 1.0]) == pytest.approx(3.5)
@@ -371,11 +475,12 @@ def test_export_traced_peak_per_row(tmp_path):
 
 
 # Traced peak of building one layout, per row: the layout's own arrays
-# (relevances, breakpoints, orders, sample intervals and a groups x
-# breakpoints count table) plus the temporaries of building them. Measured
-# at 104 B per row for the 50k rows and 4 groups below, and at 157 B for a
-# layout that also held each group's running count integral.
-LAYOUT_PEAK_PER_ROW = 120
+# (relevances, breakpoints, orders, sample intervals and the samples'
+# interval order, intervals and groups) plus the temporaries of building
+# them. Measured at 66 B per row for the 50k rows and 4 groups below; at
+# 104 B for a layout that held a groups x breakpoints count table, and at
+# 157 B for one that also held each group's running count integral.
+LAYOUT_PEAK_PER_ROW = 90
 
 
 def test_layout_traced_peak_per_row():

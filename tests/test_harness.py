@@ -104,7 +104,7 @@ class TestRankAggregationDominance:
 class TestRun:
     def test_single_model_all_ranks_one(self, tmp_path):
         cfg = harness.config_from_file(write_experiment(tmp_path, models="mse"))
-        table, rows = harness.run(cfg)
+        table, rows, _ = harness.run(cfg)
         assert np.allclose(table.mean, 1.0)
         assert np.allclose(table.std, 0.0)
         assert all(r["status"] == "ok" for r in rows)
@@ -124,7 +124,7 @@ class TestRun:
         cfg = harness.config_from_file(
             write_experiment(tmp_path, models="mse, sera, idboost_1.0")
         )
-        table, _ = harness.run(cfg)
+        table, _, _ = harness.run(cfg)
         n_models = len(table.models)
         for r in range(cfg.n_runs):
             for k in range(len(table.metric_names)):
@@ -136,7 +136,7 @@ class TestRun:
         cfg = harness.config_from_file(
             write_experiment(tmp_path, models="mse, huber", extra="huber_delta = -1")
         )
-        table, rows = harness.run(cfg)
+        table, rows, _ = harness.run(cfg)
         statuses = {r["model"]: r["status"] for r in rows}
         assert statuses["mse"] == "ok"
         assert statuses["huber"].startswith("failed")
@@ -147,7 +147,7 @@ class TestRun:
         # the failed model's reason holds a comma, which the status writes as ';'
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=3, models="mse, huber, idboost_0.5", extra="huber_delta = -1"))
-        table, rows = harness.run(cfg)
+        table, rows, _ = harness.run(cfg)
         assert [r["status"] for r in rows[:3]] == [
             "ok", "failed: huber delta must be positive and finite, got -1.0", "ok"]
         raw = Path(cfg.out_dir, "raw_metrics.csv").read_bytes()
@@ -181,7 +181,7 @@ class TestRun:
             write_experiment(tmp_path, models="idboost_1.0", extra="fast = true")
         )
         assert cfg.fast
-        table, rows = harness.run(cfg)
+        table, rows, _ = harness.run(cfg)
         assert all(r["status"] == "ok" for r in rows)
         assert np.allclose(table.mean, 1.0)
 
@@ -225,7 +225,7 @@ class TestSharedEnsembles:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(idboost, "fit_ensemble", counted)
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         objectives = log.read_text().split()
         assert all(r["status"] == "ok" for r in rows)
         assert sorted(objectives) == ["idloss", "idloss", "mse", "mse", "sera", "sera"]
@@ -258,7 +258,7 @@ class TestSharedEnsembles:
         monkeypatch.setattr(dataset, "split", recording_split)
         monkeypatch.setattr(gbt.TreeEnsemble, "predict", counted_predict)
         monkeypatch.setattr(curves.CurveLayout, "__post_init__", recording_post_init)
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         assert all(r["status"] == "ok" for r in rows)
         # the mse, idloss and sera ensembles of each run, once each
         predicted = log.read_text().split()
@@ -273,8 +273,8 @@ class TestSharedEnsembles:
             models="idboost_0.3, mse, huber, idloss, sera, idboost_1.0, idboost_0",
             extra=f"fast = {fast}",
         ))
-        harness.run(cfg)
-        harness.export_id_curves(cfg)
+        _, _, ds = harness.run(cfg)
+        harness.export_id_curves(cfg, ds)
         oracle = dataclasses.replace(cfg, out_dir=str(tmp_path / "oracle"))
         parent_run(oracle)
         parent_export_id_curves(oracle)
@@ -304,7 +304,7 @@ class TestSharedEnsembles:
 
     def test_one_populated_training_group_keeps_failure_statuses(self, tmp_path):
         cfg = self.one_populated_training_group(tmp_path, "mse, idloss, sera, idboost_0.5")
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         assert {r["model"]: r["status"] for r in rows} == {
             "mse": "ok",
             "idloss": "failed: divergence loss needs at least 2 populated groups",
@@ -318,7 +318,7 @@ class TestSharedEnsembles:
     def test_one_populated_training_group_without_idloss_or_sera_models(self, tmp_path):
         # idboost_0.5 fails its group check, so the idloss and sera fits go unused
         cfg = self.one_populated_training_group(tmp_path, "mse, idboost_0.5")
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         assert {r["model"]: r["status"] for r in rows} == {
             "mse": "ok",
             "idboost_0.5": "failed: the divergence loss needs at least 2 populated groups",
@@ -337,7 +337,7 @@ class TestSharedEnsembles:
             raise UndefinedMetricError(f"{objective} broke")
 
         monkeypatch.setattr(idboost, "fit_ensemble", failing_fit)
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         objectives = log.read_text().split()
         assert {r["model"]: r["status"] for r in rows} == {
             "idloss": "failed: idloss broke",
@@ -459,7 +459,7 @@ class TestConfigChecks:
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=1, models="mse", extra="metrics = " + ", ".join(harness.METRIC_NAMES)
         ))
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         assert all(np.isfinite(rows[0][m]) for m in harness.METRIC_NAMES)
 
     def test_non_finite_boost_param_rejected_before_any_fit(self, tmp_path):
@@ -473,7 +473,7 @@ class TestConfigChecks:
         cfg = harness.config_from_file(write_experiment(
             tmp_path, runs=1, models="mse, huber", extra=f"huber_delta = {value}"
         ))
-        _, rows = harness.run(cfg)
+        _, rows, _ = harness.run(cfg)
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] == f"failed: huber delta must be positive and finite, got {value}"
 
