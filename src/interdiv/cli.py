@@ -41,14 +41,15 @@ def _write_manifest(target_path, command: str, params: dict) -> None:
         fh.write("\n")
 
 
-def _load_dataset(args) -> dataset_mod.GroupedDataset:
+def _load_dataset(args, features: bool = True) -> dataset_mod.GroupedDataset:
     schema = config_mod.load_schema(args.config)
-    return dataset_mod.load_csv(args.data, schema)
+    return dataset_mod.load_csv(args.data, schema, features)
 
 
 def _load_scored(args):
-    """The dataset, the predictions read from ``--preds`` and the relevance function."""
-    ds = _load_dataset(args)
+    """The dataset, without its features, which no score reads, the
+    predictions read from ``--preds`` and the relevance function."""
+    ds = _load_dataset(args, features=False)
     preds = dataset_mod.read_preds(args.preds)
     if len(preds) != ds.n:
         raise InputError(

@@ -188,8 +188,9 @@ def from_arrays(
     )
 
 
-# records parsed at a time when a dataset CSV is read, and rows formatted at a
-# time when a curve file is written: it bounds the Python objects alive at once
+# records parsed at a time when a dataset CSV is read, lines at a time when a
+# prediction file is read or written, and rows formatted at a time when a
+# curve file is written: it bounds the Python objects alive at once
 BLOCK_ROWS = 1024
 
 _MISSING_TOKENS = frozenset({"", "na", "n/a", "nan", "null", "none", "?"})
@@ -486,8 +487,10 @@ def _cuts(data: bytes, start: int, parts: int) -> list:
     return cuts
 
 
-def _parse(data: bytes, path, schema: DatasetSchema):
+def _parse(data: bytes, path, schema: DatasetSchema, features: bool):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
+    Without ``features`` no feature column is parsed, and there are no
+    feature blocks or names.
 
     ``data`` is checked to be UTF-8 first, so its first bad byte is
     reported before any malformed record or schema error, and no decode
@@ -528,7 +531,7 @@ def _parse(data: bytes, path, schema: DatasetSchema):
     target_at = col_index[schema.target_column]
     privileged = [(col_index[c], v) for c, v in zip(schema.protected_columns,
                                                     schema.privileged_values)]
-    features = [(col_index[c], c) for c in header if c not in excluded]
+    features = [(col_index[c], c) for c in header if c not in excluded] if features else []
     lines_before = records.line_num
     read_numpy = None
     if not any(c in data for c in (b'"', b"\r", b"\0")):
@@ -579,7 +582,7 @@ def _parse(data: bytes, path, schema: DatasetSchema):
     return targets, protected, blocks, names, n_dropped
 
 
-def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
+def load_csv(path, schema: DatasetSchema, features: bool = True) -> GroupedDataset:
     """Load an RFC-4180 CSV and index rows by intersectional group.
 
     Rows of the wrong width, and rows whose target or protected value is
@@ -595,10 +598,14 @@ def load_csv(path, schema: DatasetSchema) -> GroupedDataset:
     NUL byte is cut at block boundaries into up to :func:`parallel.cpus`
     ranges, which forked workers parse side by side; the arrays, and the
     line or data row an error names, are those of a parse in one process.
+
+    With ``features=False``, for a caller that reads only the targets and
+    groups, no feature column is parsed: ``features`` is an ``(n, 0)``
+    matrix, and a feature cell is checked only for the record's width.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    targets, protected, blocks, names, n_dropped = _parse(data, path, schema)
+    targets, protected, blocks, names, n_dropped = _parse(data, path, schema, features)
     del data  # before the feature matrix is assembled, to keep the peak lower
     X = np.hstack(blocks) if blocks else np.zeros((len(targets), 0))
     return from_arrays(
@@ -618,34 +625,40 @@ def read_preds(path) -> np.ndarray:
     Lines end in ``\\r\\n``, ``\\r`` or ``\\n``, and blank ones are skipped.
     Non-finite values are read as they are, for the caller to reject; a row
     that is not a number is an ``InputError``, and so is a byte that is not
-    UTF-8, named by its offset and line in the file.
+    UTF-8, named by its offset and line in the file. The bytes are checked
+    whole, then decoded and parsed ``BLOCK_ROWS`` lines at a time.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     _check_utf8(data, path)
-    lines = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    first = lines[0].strip()
-    rows = [line.strip() for line in lines[1:] if line.strip()]
-    try:
-        float(first.split(",")[0])
-    except ValueError:
-        pass  # header line
-    else:
-        rows.insert(0, first)
-    fields = [line.split(",")[0] for line in rows]
-    vals, bad = parse_floats(fields)
-    for i in bad:  # non-finite values parse; the commands reject them later
+    parts = []
+    with _text(data) as lines:  # a line keeps its LF, CRLF or CR end, which strip() drops
+        first = next(lines, "").strip()
         try:
-            float(fields[i])
-        except ValueError as exc:
-            raise InputError(f"bad prediction row {rows[i]!r} in {path}") from exc
-    return vals
+            float(first.split(",")[0])
+        except ValueError:
+            first = ""  # header line
+        rows = itertools.chain([first], lines)
+        while block := list(itertools.islice(rows, BLOCK_ROWS)):
+            block = [line for line in map(str.strip, block) if line]
+            fields = [line.split(",")[0] for line in block]
+            vals, bad = parse_floats(fields)
+            for i in bad:  # non-finite values parse; the commands reject them later
+                try:
+                    float(fields[i])
+                except ValueError as exc:
+                    raise InputError(f"bad prediction row {block[i]!r} in {path}") from exc
+            parts.append(vals)
+    return np.concatenate(parts)
 
 
 def write_preds(path, preds) -> None:
-    """Write a ``pred`` header and one ``%.17g`` value per line."""
+    """Write a ``pred`` header and one ``%.17g`` value per line,
+    ``BLOCK_ROWS`` lines at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
+        fh.write("pred\n")
+        for at in range(0, len(preds), BLOCK_ROWS):
+            fh.write("".join("%.17g\n" % v for v in preds[at:at + BLOCK_ROWS].tolist()))
 
 
 def write_rows(path, header, rows) -> None:

@@ -271,15 +271,16 @@ def export_id_curves(cfg: ExperimentConfig, ds=None) -> dict:
     """Average each model's normalized group curves across completed runs.
 
     ``ds`` is the experiment's dataset, as :func:`run` returns it; without
-    it, the dataset is loaded from ``cfg.data``. A model that
-    :func:`failed_runs` names is skipped. The others require
-    the per-run prediction files written by :func:`run`; a missing file is
-    an explicit error naming the runs so a stale output directory is caught
-    instead of silently averaging fewer runs. Returns each exported model's
-    CSV path by name; :func:`curves.write_curve_rows` writes the files.
+    it, the dataset is loaded from ``cfg.data``, all but its features, which
+    no curve reads. A model that :func:`failed_runs` names is skipped. The
+    others require the per-run prediction files written by :func:`run`; a
+    missing file is an explicit error naming the runs so a stale output
+    directory is caught instead of silently averaging fewer runs. Returns
+    each exported model's CSV path by name; :func:`curves.write_curve_rows`
+    writes the files.
     """
     if ds is None:
-        ds = dataset_mod.load_csv(cfg.data, cfg.schema)
+        ds = dataset_mod.load_csv(cfg.data, cfg.schema, features=False)
     failed = failed_runs(cfg)
     models = [name for name in cfg.models if name not in failed]
     missing = []

@@ -11,6 +11,7 @@ attribute's groups.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -92,9 +93,10 @@ def group_mae_delta_pct(
     Each row reports the privileged/unprivileged MAE for the measured
     attribute and the percentage gap (MAE_priv - MAE_unpriv) / MAE_unpriv,
     so positive values mean the unprivileged side has lower error. Rows for
-    an empty conditioned subgroup are flagged rather than raised, and each
-    conditioned row is flagged by whether its absolute gap grew or shrank
-    relative to the overall row.
+    an empty conditioned subgroup are flagged rather than raised, and so is
+    a percentage past the float range (``overflow``, with no value). Each
+    conditioned row with a value is flagged by whether its absolute gap grew
+    or shrank relative to the overall row, if that row has a value too.
     """
     preds = np.asarray(preds, dtype=float)
     _attribute_masks(ds, measure_attr)
@@ -113,9 +115,10 @@ def group_mae_delta_pct(
             mu = float(abs_err[u].mean())
             if mu == 0.0:
                 flag = "zero-baseline"
-            else:
-                flag = ""
-                delta = (mp - mu) / mu * 100.0
+            elif math.isfinite(pct := (mp - mu) / mu * 100.0):
+                flag, delta = "", pct
+            else:  # a baseline so small that the ratio leaves the float range
+                flag = "overflow"
         return {"label": label, "mae_privileged": mp, "mae_unprivileged": mu,
                 "delta_pct": delta, "flag": flag}
 

@@ -10,9 +10,10 @@ per-layout grid replaced, trees from the per-node sorting growth that the
 presorted one replaced, experiment outputs from the per-model fits and
 curve builds that the shared ensembles and layouts replaced, curve files
 from the row-at-a-time writer that the run-sharing one replaced, CSV
-tables from the per-table loops that ``dataset.write_rows`` replaced, and
-the best group and divergence gap per interval from the masked reductions
-that ``curves.envelope`` replaced.
+tables from the per-table loops that ``dataset.write_rows`` replaced, the
+best group and divergence gap per interval from the masked reductions that
+``curves.envelope`` replaced, and prediction files from the whole-file
+reader and writer that the block-wise ones replaced.
 """
 import csv
 import logging
@@ -965,3 +966,36 @@ def parent_export_curves(curves: SerCurveSet, path) -> None:
                 cols = (a[s:s + dataset.BLOCK_ROWS].tolist()
                         for a in (curves.breakpoints, ser_v, cnt_v, norm))
                 fh.write("".join(row % r for r in zip(*cols)))
+
+
+# The prediction-file reader and writer as they stood before
+# ``dataset.read_preds`` and ``dataset.write_preds`` went ``BLOCK_ROWS``
+# lines at a time: one string per line of the whole file. Kept verbatim
+# (renamed, with the dataset helpers they call qualified) as the reference
+# for the differential test. Nothing under src/ imports them.
+def parent_read_preds(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dataset._check_utf8(data, path)
+    lines = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    first = lines[0].strip()
+    rows = [line.strip() for line in lines[1:] if line.strip()]
+    try:
+        float(first.split(",")[0])
+    except ValueError:
+        pass  # header line
+    else:
+        rows.insert(0, first)
+    fields = [line.split(",")[0] for line in rows]
+    vals, bad = dataset.parse_floats(fields)
+    for i in bad:  # non-finite values parse; the commands reject them later
+        try:
+            float(fields[i])
+        except ValueError as exc:
+            raise InputError(f"bad prediction row {rows[i]!r} in {path}") from exc
+    return vals
+
+
+def parent_write_preds(path, preds) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))

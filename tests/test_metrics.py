@@ -180,6 +180,30 @@ class TestGroupMaeDeltaPct:
         assert table["rows"][2]["delta_pct"] is None
 
 
+    def test_percentage_past_the_float_range_is_flagged(self):
+        # an unprivileged MAE of 1e-300 against a privileged one of 5e9 or
+        # 1e10: the ratio is 1e310, which printed as Infinity
+        ds, preds = self._fixture({
+            (1, 1): (2, 1e10), (1, 0): (2, 1e-300), (0, 1): (2, 1e-300), (0, 0): (2, 1e-300),
+        })
+        rows = metrics.group_mae_delta_pct(ds, preds, 0, 1)["rows"]
+        assert [(r["delta_pct"], r["flag"]) for r in rows] == [
+            (None, "overflow"), (None, "overflow"), (0.0, "")]
+
+    def test_overflow_in_every_row_of_a_full_report(self):
+        # 16 rows: unprivileged (a0 = 0) targets 0 predicted 1e-300 off,
+        # privileged ones 1e10 off
+        a0, a1 = np.repeat([1, 0], 8), np.tile([1, 0], 8)
+        y = np.where(a0 == 1, np.arange(16.0), 0.0)
+        preds = y + np.where(a0 == 1, 1e10, 1e-300)
+        ds = dataset.from_arrays(np.zeros((16, 1)), y, np.column_stack([a0, a1]))
+        phi = relevance.from_points([(0.0, 0.0), (20.0, 1.0)])
+        report = metrics.full_report(ds, preds, phi)
+        table = next(t for t in report.mae_delta_tables if t["measure_attribute"] == "a0")
+        assert [(r["delta_pct"], r["flag"]) for r in table["rows"]] == [(None, "overflow")] * 3
+        assert "Infinity" not in report.to_json() and "NaN" not in report.to_json()
+
+
 class TestFullReport:
     def test_perfect_predictions(self, rng):
         ds, phi, _ = make_instance(rng, n=30)
