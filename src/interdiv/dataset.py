@@ -687,10 +687,103 @@ def write_csv(path, ds: GroupedDataset) -> None:
                                                ds.features.tolist())))
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed!r}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.default_rng(seed)
+
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose multiplier steps on every call."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` as ints."""
+    entropy = [seed & _M32]
+    while seed >> 32 * len(entropy):
+        entropy.append(seed >> 32 * len(entropy) & _M32)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [draw(pool[i % 4]) for i in range(8)]
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+class _SplitStream:
+    """The stream of ``np.random.default_rng(seed)`` that ``permutation`` reads.
+
+    numpy's PCG64 (a 128-bit LCG with the XSL-RR output), seeded through
+    SeedSequence, and drawn 32 bits at a time: a draw takes the low half of a
+    64-bit output and keeps the high half for the next one. Owning it keeps
+    every split's rows fixed across numpy releases, and a split imports no
+    ``numpy.random``, whose import (with the OpenSSL library its seeding
+    loads) raises a process's peak memory by about 5.5 MB.
+    """
+
+    def __init__(self, seed: int):
+        _check_seed(seed)
+        v0, v1, v2, v3 = _seed_state(seed)
+        self._inc = (v2 << 64 | v3) << 1 & _M128 | 1
+        self._state = ((self._inc + (v0 << 64 | v1)) * _PCG_MULT + self._inc) & _M128
+        self._spare = None
+
+    def permutation(self, n: int) -> np.ndarray:
+        """``Generator.permutation(n)``: the shuffle of ``range(n)`` from the top.
+
+        For rows up to 2**32 only, where numpy draws 32 bits per try.
+        """
+        perm = list(range(n))
+        state, inc, spare = self._state, self._inc, self._spare
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if spare is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    hi = state >> 64
+                    out = hi ^ state & _M64
+                    rot = hi >> 58
+                    out = (out >> rot | out << (64 - rot)) & _M64
+                    j = out & mask
+                    spare = out >> 32
+                else:
+                    j = spare & mask
+                    spare = None
+                if j <= i:
+                    break
+            perm[i], perm[j] = perm[j], perm[i]
+        self._state, self._spare = state, spare
+        return np.array(perm, dtype=np.int64)
 
 
 def split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_groups: bool = False):
@@ -701,7 +794,7 @@ def split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_groups: bo
     """
     if not 0.0 < train_ratio < 1.0:
         raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio!r}")
-    rng = _rng(seed)
+    rng = _SplitStream(seed)
     if stratify_groups:
         train_ids = []
         test_ids = []

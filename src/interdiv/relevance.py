@@ -75,13 +75,21 @@ def from_boxplot(targets) -> RelevanceFunction:
     if np.unique(t).size < 5:
         raise ValidationError("need at least 5 distinct target values for boxplot inference")
     q1, med, q3 = np.quantile(t, [0.25, 0.5, 0.75])
-    iqr = q3 - q1
-    lo = max(q1 - 1.5 * iqr, float(t.min()))
-    hi = min(q3 + 1.5 * iqr, float(t.max()))
+    # a whisker past the float range is inf, which the clamp takes
+    with np.errstate(over="ignore"):
+        iqr = q3 - q1
+        lo = max(q1 - 1.5 * iqr, float(t.min()))
+        hi = min(q3 + 1.5 * iqr, float(t.max()))
+        gaps = np.array([med - lo, hi - med])
     if not (lo < med < hi):
         raise ValidationError(
             "degenerate target distribution: boxplot control points collapse "
             f"(lo={lo!r}, median={med!r}, hi={hi!r})"
+        )
+    if not np.all(np.isfinite(gaps)):
+        raise ValidationError(
+            f"the targets span {float(t.min())!r} to {float(t.max())!r}: the gap from their "
+            "median to a boxplot whisker leaves the float range; rescale the target column"
         )
     return from_points([(lo, 1.0), (med, 0.0), (hi, 1.0)])
 

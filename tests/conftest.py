@@ -36,6 +36,7 @@ from interdiv.errors import (
     InterdivError,
     ParameterError,
     SchemaError,
+    SplitError,
     UndefinedMetricError,
 )
 from interdiv.gbt import DEFAULT_HESS_FLOOR, BoostParams, Tree
@@ -999,3 +1000,34 @@ def parent_read_preds(path) -> np.ndarray:
 def parent_write_preds(path, preds) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("pred\n" + "".join("%.17g\n" % v for v in preds.tolist()))
+
+
+# ``dataset.split`` as it stood when it drew its permutations from numpy's
+# own ``Generator`` rather than from ``dataset._SplitStream``. Kept verbatim
+# (renamed, with the seed check and the error qualified) as the reference for
+# the differential test. Nothing under src/ imports it.
+def parent_split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_groups: bool = False):
+    if not 0.0 < train_ratio < 1.0:
+        raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio!r}")
+    rng = dataset._rng(seed)
+    if stratify_groups:
+        train_ids = []
+        test_ids = []
+        for g in range(ds.n_groups):
+            ids = np.nonzero(ds.group_of == g)[0]
+            perm = ids[rng.permutation(len(ids))]
+            k = int(train_ratio * len(ids))
+            train_ids.append(perm[:k])
+            test_ids.append(perm[k:])
+        train_ids = np.sort(np.concatenate(train_ids))
+        test_ids = np.sort(np.concatenate(test_ids))
+    else:
+        perm = rng.permutation(ds.n)
+        k = int(train_ratio * ds.n)
+        train_ids = np.sort(perm[:k])
+        test_ids = np.sort(perm[k:])
+    if len(train_ids) == 0 or len(test_ids) == 0:
+        raise SplitError(
+            f"split of n={ds.n} at ratio={train_ratio} leaves an empty partition"
+        )
+    return ds.subset(train_ids), ds.subset(test_ids)

@@ -1,6 +1,9 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +17,7 @@ from interdiv.errors import ConfigError, InputError, SchemaError, ValidationErro
 from interdiv.losses import DEFAULT_HUBER_DELTA
 
 from conftest import parent_fit_model, parent_read_preds, parent_write_csv, parent_write_preds
+from test_parallel import buffered_env
 
 
 def run_cli(*argv):
@@ -1138,3 +1142,82 @@ def test_drop_column_missing_from_header_is_rejected(tmp_path, capsys):
     assert err.strip().splitlines()[-1] == f"error: column 'idd' not found in {data}"
     with pytest.raises(SchemaError, match="'idd'"):
         dataset.load_csv(data, config.load_schema(cfg))
+
+
+class TestBoxplotSpanPastTheFloatRange:
+    """Targets uniform in ±1.5e308: the boxplot whiskers overflow to inf, which
+    the clamp to the observed range takes without a numpy warning, and the gap
+    from the median to the lowest target (about 1.8e308) is refused in the
+    user's terms, not as a gap between control points."""
+
+    @pytest.fixture
+    def huge_dir(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y = 1.5e308 * (2.0 * rng.random(40) - 1.0)
+        (tmp_path / "d.csv").write_text("y,a,b,f0\n" + "".join(
+            f"{v!r},{'MF'[i % 2]},{'XY'[i // 2 % 2]},{i}\n" for i, v in enumerate(y.tolist())))
+        (tmp_path / "s.cfg").write_text("target = y\nprotected = a, b\nprivileged = M, X\n")
+        dataset.write_preds(tmp_path / "p.csv", y)
+        return tmp_path
+
+    TRAIN = ["train", "--rounds", "2", "--out", "m.json"]
+
+    @pytest.mark.parametrize("command", [
+        [*TRAIN, "--objective", "mse"], [*TRAIN, "--objective", "idloss"],
+        [*TRAIN, "--model", "idboost"], ["audit", "--preds", "p.csv"],
+    ], ids=["mse", "idloss", "idboost", "audit"])
+    def test_refused_naming_the_span(self, huge_dir, capsys, monkeypatch, command):
+        monkeypatch.chdir(huge_dir)
+        capsys.readouterr()
+        assert run_cli(*command, "--data", "d.csv", "--config", "s.cfg") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Warning" not in err
+        assert err == ("error: the targets span -1.4917844994895557e+308 to "
+                       "1.491629807367633e+308: the gap from their median to a boxplot "
+                       "whisker leaves the float range; rescale the target column\n")
+
+
+class TestNoNumpyRandom:
+    """Only ``synth`` and ``bench-approx``, which generate data, import
+    ``numpy.random``: ``dataset.split`` draws its own stream, so no command
+    that reads a user's files pays for numpy's generators and the OpenSSL
+    library that their seeding imports."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("inputs")
+        dataset.write_csv(root / "data.csv", dataset.synth_biased(400, seed=3))
+        (root / "schema.cfg").write_text("target = y\nprotected = a0, a1\nprivileged = 1, 1\n")
+        (root / "exp.cfg").write_text(
+            "data = data.csv\ntarget = y\nprotected = a0, a1\nprivileged = 1, 1\n"
+            "models = mse, idloss, idboost_0.5\nruns = 2\nrounds = 3\ndepth = 2\n"
+            "out = exp\nfast = true\n")
+        data = ["--data", str(root / "data.csv"), "--config", str(root / "schema.cfg")]
+        assert run_cli("train", *data, "--model", "idboost", "--rounds", "3",
+                       "--out", str(root / "m.json")) == 0
+        assert run_cli("predict", *data, "--model", str(root / "m.json"),
+                       "--out", str(root / "p.csv")) == 0
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--config", "exp.cfg", "--curves"],
+        ["curves", "--from-experiment", "exp.cfg"],
+        ["train", "--data", "data.csv", "--config", "schema.cfg", "--model", "idboost",
+         "--rounds", "2", "--out", "m2.json"],
+        ["predict", "--data", "data.csv", "--config", "schema.cfg", "--model", "m.json",
+         "--out", "p2.csv"],
+        ["audit", "--data", "data.csv", "--config", "schema.cfg", "--preds", "p.csv"],
+        ["curves", "--data", "data.csv", "--config", "schema.cfg", "--preds", "p.csv",
+         "--out", "c.csv"],
+    ], ids=["experiment", "curves-from-experiment", "train", "predict", "audit", "curves"])
+    def test_command_imports_no_numpy_random(self, inputs, argv):
+        script = textwrap.dedent(f"""
+            import sys
+            from interdiv import cli
+            assert cli.main({argv!r}) == 0
+            sys.exit(", ".join(m for m in sorted(sys.modules)
+                               if m == "_hashlib" or m.startswith("numpy.random")) or None)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              cwd=inputs, env=buffered_env(), timeout=120)
+        assert done.returncode == 0, done.stderr

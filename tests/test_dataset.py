@@ -2,6 +2,7 @@ import collections
 import csv
 import functools
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import parent_write_csv, rowwise_load_csv
+from conftest import parent_split, parent_write_csv, rowwise_load_csv
 from interdiv import curves, dataset, metrics, parallel, relevance
 from interdiv.dataset import DatasetSchema
 from interdiv.errors import (
@@ -1065,6 +1066,54 @@ class TestSplit:
         for g in range(ds.n_groups):
             expected = int(0.8 * ds.group_counts()[g])
             assert abs(int(train.group_counts()[g]) - expected) <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**70),
+           stratify=st.booleans())
+    def test_equals_the_split_drawn_from_numpy(self, n, ratio, seed, stratify):
+        ds = self._dataset(n, seed=n)
+        try:
+            expected = parent_split(ds, ratio, seed, stratify)
+        except SplitError as exc:
+            with pytest.raises(SplitError, match=re.escape(str(exc))):
+                dataset.split(ds, ratio, seed, stratify)
+            return
+        for want, got in zip(expected, dataset.split(ds, ratio, seed, stratify)):
+            for field in ("features", "targets", "protected", "group_of"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+class TestSplitStream:
+    """``dataset._SplitStream`` draws ``np.random.default_rng(seed).permutation``
+    bit for bit: the 128-bit state, the SeedSequence words and the spare
+    32-bit half carried from one call to the next."""
+
+    SEEDS = [*range(20), 101, 2**32 + 5, 2**64 + 3, 10**30]
+    SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100, 255, 256, 257, 1000, 8000, 0, 33]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_equal_seed_sequence(self, seed):
+        words = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert dataset._seed_state(seed) == [int(w) for w in words]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chained_permutations_equal_numpy(self, seed):
+        ours, numpy_rng = dataset._SplitStream(seed), np.random.default_rng(seed)
+        for n in self.SIZES:
+            got, want = ours.permutation(n), numpy_rng.permutation(n)
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+    @pytest.mark.parametrize("seed, head", [
+        (0, [459, 206, 222, 162, 711, 814, 350, 890]),
+        (7, [816, 923, 151, 900, 213, 100, 851, 503]),
+        (101, [794, 453, 881, 73, 905, 938, 994, 850]),
+    ])
+    def test_pinned_head(self, seed, head):
+        assert dataset._SplitStream(seed).permutation(1000)[:8].tolist() == head
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+            dataset._SplitStream(-3)
 
 
 class TestSynthScenario:
