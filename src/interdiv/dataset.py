@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import collections
 import csv
-import functools
 import io
 import itertools
 import logging
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel, relevance
+from . import relevance
 from .errors import (
     DegenerateAttributeError,
     EmptyDataError,
@@ -281,15 +280,6 @@ class _FeatureColumn:
                 self.non_finite = (col[k].strip(), int(row_no[k]))
         self.parts.append(values)
 
-    def extend(self, later: "_FeatureColumn", rows_before: int) -> None:
-        """Append ``later``, the column parsed from the data rows after
-        ``rows_before`` rows, as if :meth:`add` had parsed them here."""
-        if self.non_finite is None and later.non_finite is not None:
-            token, row = later.non_finite
-            self.non_finite = token, rows_before + row
-        self.categorical |= later.categorical
-        self.parts = [] if self.categorical else self.parts + later.parts
-
     def numeric(self, path) -> np.ndarray:
         """The values as one column; missing entries take the median."""
         if self.non_finite is not None:
@@ -315,12 +305,9 @@ class _FeatureColumn:
         return values.reshape(-1, 1)
 
 
-def _text(data: bytes, at: int = 0):
-    """``data`` decoded as UTF-8 lines from byte ``at``, a leading BOM of
-    the file dropped."""
-    raw = io.BytesIO(data)
-    raw.seek(at)
-    return io.TextIOWrapper(raw, encoding="utf-8" if at else "utf-8-sig", newline="")
+def _text(data: bytes):
+    """``data`` decoded as UTF-8 lines, a leading BOM dropped."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def _kept_tokens(data: bytes, i: int, width: int, keep: np.ndarray) -> list:
@@ -360,10 +347,9 @@ def _numpy_reader(width: int, numeric_at, protected_at):
 
 
 def _blocks(text, watch, lines_before: int, width: int, read_numpy):
-    """Each block of ``BLOCK_ROWS`` records in ``text``, the lines of a
-    range of the file that follows ``lines_before`` lines, as columns,
-    leaving out records not ``width`` long, and the mask of the records
-    kept.
+    """Each block of ``BLOCK_ROWS`` records in ``text``, the lines of the
+    file after its first ``lines_before``, as columns, leaving out records
+    not ``width`` long, and the mask of the records kept.
 
     ``read_numpy`` is given for a plain file, one with no quote, CR or NUL
     byte, where a line is a record: it reads each block of lines until the
@@ -420,20 +406,8 @@ class _Reduced:
                     col = list(itertools.compress(col, keep))
                 f.add(col, row_no)
 
-    def extend(self, later: "_Reduced") -> "_Reduced":
-        """Append the blocks of ``later``, reduced from the records after
-        these, as if they had been added here; ``self``, for
-        :func:`functools.reduce`."""
-        self.kept += later.kept
-        self.targets += later.targets
-        self.bits += later.bits
-        for (_, f), (_, g) in zip(self.features, later.features):
-            f.extend(g, self.n_records)
-        self.n_records += later.n_records
-        return self
 
-
-# bytes of a file scanned at a time for newlines or for UTF-8
+# bytes of a file decoded at a time when it is checked as UTF-8
 _SCAN_BYTES = 1 << 18
 
 
@@ -459,34 +433,6 @@ def _check_utf8(data: bytes, path) -> None:
         at = end
 
 
-def _cuts(data: bytes, start: int, parts: int) -> list:
-    """``(offset, line)`` pairs, from ``(start, 0)``, that cut ``data[start:]``
-    into at most ``parts`` ranges of whole blocks. Cut ``k`` is the first
-    boundary of a block of ``BLOCK_ROWS`` lines at or past ``k / parts`` of
-    the bytes that has a line after it. Newlines are found a slice at a
-    time, so no temporary is the size of the file."""
-    cuts, lines = [(start, 0)], 0  # lines: the newlines before this slice
-    if parts == 1:
-        return cuts
-    buf = np.frombuffer(data, np.uint8)
-    for at in range(start, len(data), _SCAN_BYTES):
-        is_end = buf[at:at + _SCAN_BYTES] == 10
-        if at + _SCAN_BYTES < start + (len(data) - start) * len(cuts) // parts:
-            lines += int(np.count_nonzero(is_end))  # every line ends short of the next cut
-            continue
-        ends = np.flatnonzero(is_end) + (at + 1)
-        # the ends of the lines numbered a multiple of BLOCK_ROWS, and those numbers
-        first = -(lines + 1) % BLOCK_ROWS
-        for end, line in zip(ends[first::BLOCK_ROWS].tolist(),
-                             itertools.count(lines + first + 1, BLOCK_ROWS)):
-            if end >= len(data) or len(cuts) == parts:
-                return cuts
-            if end >= start + (len(data) - start) * len(cuts) // parts:
-                cuts.append((end, line))
-        lines += len(ends)
-    return cuts
-
-
 def _parse(data: bytes, path, schema: DatasetSchema, features: bool):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
     Without ``features`` no feature column is parsed, and there are no
@@ -494,15 +440,11 @@ def _parse(data: bytes, path, schema: DatasetSchema, features: bool):
 
     ``data`` is checked to be UTF-8 first, so its first bad byte is
     reported before any malformed record or schema error, and no decode
-    can fail later. A plain file, one with no quote, CR or NUL byte, is cut
-    at block boundaries into up to :func:`parallel.cpus` ranges (one for
-    any other file), and :func:`parallel.fork_map` reads each with
-    :func:`_blocks`, as if it were the rest of the file. Each block is
-    reduced to float parts, protected bits and notes of bad tokens before
-    the next is read, and the ranges are merged in file order. A range's
-    first malformed record is an error naming its line of the file, and
-    that of the first range with one is raised. Every other check runs only
-    after the last record.
+    can fail later. :func:`_blocks` reads the records after the header, and
+    each block is reduced to float parts, protected bits and notes of bad
+    tokens before the next is read. The first malformed record is an error
+    naming its line of the file; every other check runs only after the last
+    record.
     """
     _check_utf8(data, path)
     with read_errors_as(InputError, path) as watch:
@@ -532,26 +474,14 @@ def _parse(data: bytes, path, schema: DatasetSchema, features: bool):
     privileged = [(col_index[c], v) for c, v in zip(schema.protected_columns,
                                                     schema.privileged_values)]
     features = [(col_index[c], c) for c in header if c not in excluded] if features else []
-    lines_before = records.line_num
     read_numpy = None
     if not any(c in data for c in (b'"', b"\r", b"\0")):
         read_numpy = _numpy_reader(width, sorted({target_at, *(i for i, _ in features)}),
                                    [i for i, _ in privileged])
-    cuts = _cuts(data, data.find(b"\n") + 1, parallel.cpus() if read_numpy else 1)
-
-    def read_range(k):
-        at, line = cuts[k]
-        n_lines = cuts[k + 1][1] - line if k + 1 < len(cuts) else None
-        lines = itertools.islice(_text(data, at) if k else text, n_lines)
-        part = _Reduced(target_at, privileged, features)
-        with read_errors_as(InputError, path) as watch:
-            for columns, whole in _blocks(lines, watch, lines_before + line, width, read_numpy):
-                part.add(columns, whole)
-        return part
-
-    # no range's reduction is kept under a name of its own: the feature
-    # parts of a later range would then outlive the merge
-    reduced = functools.reduce(_Reduced.extend, parallel.fork_map(read_range, range(len(cuts))))
+    reduced = _Reduced(target_at, privileged, features)
+    with read_errors_as(InputError, path) as watch:
+        for columns, whole in _blocks(text, watch, records.line_num, width, read_numpy):
+            reduced.add(columns, whole)
 
     targets = np.concatenate(reduced.targets) if reduced.targets else np.zeros(0)
     n = len(targets)
@@ -594,10 +524,8 @@ def load_csv(path, schema: DatasetSchema, features: bool = True) -> GroupedDatas
     first bad byte is an ``InputError`` naming its offset and line), and
     parsed in blocks of ``BLOCK_ROWS`` records, by numpy's C reader where
     it gives the values ``csv`` would (see :func:`_blocks`); a categorical
-    column is parsed again from those bytes. A file with no quote, CR or
-    NUL byte is cut at block boundaries into up to :func:`parallel.cpus`
-    ranges, which forked workers parse side by side; the arrays, and the
-    line or data row an error names, are those of a parse in one process.
+    column is parsed again from those bytes. The whole load runs in the
+    calling process.
 
     With ``features=False``, for a caller that reads only the targets and
     groups, no feature column is parsed: ``features`` is an ``(n, 0)``

@@ -419,6 +419,11 @@ class TreeEnsemble:
             raise InputError(f"malformed ensemble file: {exc}") from None
 
 
+def _out_of_range(name: str, what: str) -> InputError:
+    return InputError(f"training the {name} objective leaves the float range: {what}; "
+                      "rescale the target column")
+
+
 def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     """Boost ``params.n_rounds`` trees against the objective's grad/hess.
 
@@ -427,6 +432,11 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     objective value at the base prediction and after every round. Each
     round's ``grad_hess`` returns the value at the predictions it starts
     from, so ``objective.value`` runs once, after the last round.
+
+    A fit that leaves the float range raises ``InputError`` naming the
+    objective: an overflow or invalid operation anywhere in a round, or an
+    objective value or leaf value that is not finite. So no model holds a
+    non-finite number, and none loses a split to a NaN gain.
     """
     if ds.n < 2:
         raise InputError("need at least 2 samples to fit")
@@ -434,33 +444,43 @@ def fit(ds: GroupedDataset, objective, params: BoostParams) -> TreeEnsemble:
     base = float(np.mean(ds.targets))
     preds = np.full(ds.n, base)
     presorted = np.argsort(XT, axis=1, kind="stable")
+    name = getattr(objective, "name", objective.__class__.__name__)
     trace = []
     trees = []
-    for _ in range(params.n_rounds):
-        gh = objective.grad_hess(preds)
-        trace.append(gh.value)
-        g = np.asarray(gh.grad, dtype=float)
-        h = np.maximum(np.asarray(gh.hess, dtype=float), params.hess_floor)
-        if not np.any(h > 0):
-            raise DegenerateObjectiveError(
-                "all Hessians are zero after flooring; objective carries no curvature"
-            )
-        with np.errstate(over="ignore"):
-            h_total = h.sum()
-        if not np.isfinite(h_total):  # else the split search takes inf - inf
-            raise DegenerateObjectiveError(
-                f"the Hessians floored at hess_floor={params.hess_floor!r} "
-                "do not sum to a finite number"
-            )
-        tree, update = _grow_tree(XT, g, h, presorted, params)
-        preds = preds + params.learning_rate * update
-        trees.append(tree)
-    trace.append(objective.value(preds))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(params.n_rounds):
+                gh = objective.grad_hess(preds)
+                trace.append(gh.value)
+                g = np.asarray(gh.grad, dtype=float)
+                h = np.maximum(np.asarray(gh.hess, dtype=float), params.hess_floor)
+                if not np.any(h > 0):
+                    raise DegenerateObjectiveError(
+                        "all Hessians are zero after flooring; objective carries no curvature"
+                    )
+                with np.errstate(over="ignore"):
+                    h_total = h.sum()
+                if not np.isfinite(h_total):  # else the split search takes inf - inf
+                    raise DegenerateObjectiveError(
+                        f"the Hessians floored at hess_floor={params.hess_floor!r} "
+                        "do not sum to a finite number"
+                    )
+                tree, update = _grow_tree(XT, g, h, presorted, params)
+                if not np.isfinite(tree.value).all():
+                    raise _out_of_range(name, "a leaf value is not finite")
+                preds = preds + params.learning_rate * update
+                trees.append(tree)
+            trace.append(objective.value(preds))
+    except FloatingPointError as exc:
+        raise _out_of_range(name, str(exc)) from None
+    for k, value in enumerate(trace):
+        if not math.isfinite(value):
+            raise _out_of_range(name, f"its value after {k} rounds is {value!r}")
     return TreeEnsemble(
         base_score=base,
         trees=trees,
         params=params,
-        objective_name=getattr(objective, "name", objective.__class__.__name__),
+        objective_name=name,
         n_features=XT.shape[0],
         train_trace=trace,
         region_switches=getattr(objective, "region_switches", None),

@@ -8,9 +8,8 @@ With one process the same loop runs every job in process. Workers inherit
 the caller's memory, so ``fn`` and the jobs are never pickled, only the
 results; what a worker changes in its own memory (a counter, a cache, a
 traced span) stays there. The results are bit-identical to the serial
-loop's. The jobs are the fits of an ensemble, ranges of a CSV file's
-blocks (every load maps over its ranges, often just one) and blocks of
-rows to predict; none of them calls ``fork_map``.
+loop's. The jobs are the fits of an ensemble and blocks of rows to
+predict; none of them calls ``fork_map``.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1175,6 +1176,46 @@ class TestBoxplotSpanPastTheFloatRange:
         assert err == ("error: the targets span -1.4917844994895557e+308 to "
                        "1.491629807367633e+308: the gap from their median to a boxplot "
                        "whisker leaves the float range; rescale the target column\n")
+
+
+class TestTrainPastTheFloatRange:
+    """Targets N(0, 1)·1e200: the squared residuals of mse, sera and idloss
+    leave the float range, so ``train`` refuses in the user's terms and
+    writes no model, where it wrote trees of one leaf with an ``Infinity``
+    or ``NaN`` trace; huber's residuals stay in range, and it still fits."""
+
+    @pytest.fixture
+    def far_dir(self, tmp_path):
+        rng = np.random.default_rng(0)
+        y, x = rng.normal(size=40) * 1e200, rng.normal(size=40)
+        (tmp_path / "d.csv").write_text("y,a,b,f0\n" + "".join(
+            f"{v!r},{'MF'[i % 2]},{'XY'[i // 2 % 2]},{x[i]!r}\n"
+            for i, v in enumerate(y.tolist())))
+        (tmp_path / "s.cfg").write_text("target = y\nprotected = a, b\nprivileged = M, X\n")
+        return tmp_path
+
+    TRAIN = ["train", "--data", "d.csv", "--config", "s.cfg", "--rounds", "3", "--depth", "2",
+             "--out", "m.json", "--objective"]
+
+    @pytest.mark.parametrize("objective", ["mse", "sera", "idloss"])
+    def test_refused_naming_the_objective(self, far_dir, capsys, monkeypatch, objective):
+        monkeypatch.chdir(far_dir)
+        capsys.readouterr()
+        assert run_cli(*self.TRAIN, objective) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Warning" not in err
+        assert re.fullmatch(rf"error: training the {objective} objective leaves the float "
+                            r"range: overflow encountered in \w+; rescale the target column\n",
+                            err)
+        assert not (far_dir / "m.json").exists()
+
+    def test_huber_fits(self, far_dir, capsys, monkeypatch):
+        monkeypatch.chdir(far_dir)
+        assert run_cli(*self.TRAIN, "huber") == 0
+        assert "Warning" not in capsys.readouterr().err
+        model = gbt.TreeEnsemble.from_dict(json.loads((far_dir / "m.json").read_text()))
+        assert all(np.isfinite(model.train_trace))
+        assert all((tree.feature >= 0).any() for tree in model.trees)
 
 
 class TestNoNumpyRandom:

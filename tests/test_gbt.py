@@ -119,6 +119,32 @@ class TestFit:
                 gbt.fit(ds, losses.MseObjective(ds), params)
 
 
+    def test_a_gain_past_the_float_range_is_refused(self):
+        ds = two_cluster_dataset()
+        obj = FixedGradHess(np.array([1e200] * 3 + [-1e200] * 3), np.ones(6))
+        with pytest.raises(InputError, match=r"^training the fixed objective leaves the float "
+                                             r"range: overflow encountered in \w+; rescale"):
+            gbt.fit(ds, obj, gbt.BoostParams(n_rounds=1, max_depth=1))
+
+    def test_a_leaf_value_past_the_float_range_is_refused(self):
+        # every gain is finite (3e298 at the split), and each leaf is
+        # -G / H = -+3e-11 / 3e-320, past the float range
+        ds = two_cluster_dataset()
+        obj = FixedGradHess(np.array([1e-11] * 3 + [-1e-11] * 3), np.zeros(6))
+        params = gbt.BoostParams(n_rounds=1, max_depth=1, l2_lambda=0.0, hess_floor=1e-320)
+        with pytest.raises(InputError, match="fixed objective .*: a leaf value is not finite"):
+            gbt.fit(ds, obj, params)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_value_that_is_not_finite_is_refused(self, value):
+        ds = two_cluster_dataset()
+        obj = FixedGradHess(np.ones(6), np.ones(6))
+        obj.grad_hess = lambda preds: losses.GradHess(obj.g, obj.h, value)
+        with pytest.raises(InputError, match=f"fixed objective .*: its value after 0 rounds "
+                                             f"is {value!r}; rescale"):
+            gbt.fit(ds, obj, gbt.BoostParams(n_rounds=1))
+
+
 class FixedGradHess:
     """Hands ``fit`` the same grad/hess each round; keeps the final predictions."""
 
