@@ -16,9 +16,9 @@ breakpoint interval of each grid point and the count integrals the
 simplified sweep reads at grid points and sample relevances, which it
 sums one group's count row at a time. Its
 :meth:`~SimplifyGrid.marks` reads the curves at the grid points, whose
-suffix positions the layout's block sweep finds once, and marks the
-retained points of all groups at once in a boolean (groups, grid) array,
-and its simplified sweep
+suffix positions it finds once from the layout's counts there, and marks
+the retained points of all groups at once in a boolean (groups, grid)
+array, and its simplified sweep
 :meth:`~SimplifyGrid.sample_weights` runs over their union, with each
 segment's best group read from the curves' envelope. The divergence
 objective builds one grid per fit. Training never calls :func:`simplify`,
@@ -95,10 +95,10 @@ class SimplifyGrid:
 
     Holds the uniform grid, the Gaussian kernel and its edge normalizer, the
     breakpoint interval of every grid point and each group's suffix position
-    there (:meth:`CurveLayout.positions`), and, for the simplified sweep of
+    there (from :meth:`CurveLayout.count_at`), and, for the simplified sweep of
     the divergence objective, each sample's grid cell and the count integral
     F_g at every grid point and at each sample's own relevance. F_g is
-    computed here from the layout's count rows, one group at a time, and is
+    computed here from each group's counts, one group at a time, and is
     not kept: it is exact at breakpoints and linear between them.
     Per prediction, :meth:`marks` and :meth:`sample_weights` then cost one
     convolution per group and array operations over all groups at once.
@@ -124,7 +124,10 @@ class SimplifyGrid:
             )
         x = np.arange(-radius, radius + 1, dtype=float)
         self.grid = np.linspace(0.0, 1.0, n_grid)
-        self.kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
+        # under about 1e-154 grid cells the square overflows and the kernel
+        # is [0, 1, 0]: no blur, the limit of a vanishing sigma
+        with np.errstate(over="ignore"):
+            self.kernel = np.exp(-0.5 * (x / sigma_cells) ** 2)
         self.edge = np.convolve(np.ones(n_grid), self.kernel, mode="same")
         bp = layout.breakpoints
         self.interval = _grid_intervals(bp, self.grid)
@@ -135,7 +138,8 @@ class SimplifyGrid:
         self.count_at_grid = np.empty((len(layout.orders), n_grid))
         self.count_at_sample = np.empty(len(layout.relevance))
         for g, order in enumerate(layout.orders):
-            count = layout.group_count(g)
+            # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
+            count = len(order) - np.searchsorted(layout.relevance[order], bp[1:], side="left")
             f = np.pad(np.cumsum(np.where(count > 0, dt / np.maximum(count, 1), 0.0)), (1, 0))
             self.count_at_grid[g] = np.interp(self.grid, bp, f)
             self.count_at_sample[order] = f[layout.sample_interval[order]]
@@ -143,7 +147,7 @@ class SimplifyGrid:
             np.searchsorted(self.grid, layout.relevance, side="right") - 1, 0, n_grid - 2
         )
         # each group's suffix position at every grid point, where marks reads the curves
-        self.grid_pos = layout.positions(self.interval)
+        self.grid_pos = layout.ends[:, None] - layout.count_at(self.interval)
 
     def marks(self, curves: SerCurveSet):
         """Resampled curves and the (groups, grid) mask of their retained points.
@@ -188,7 +192,7 @@ class SimplifyGrid:
         cum = np.pad(np.cumsum(np.where(mask, df, 0.0), axis=1), ((0, 0), (1, 0)))
         # the union keeps grid point 0, so a sample's segment is the number
         # of union points at or below its cell, less one
-        g = curves.sample_group
+        g = curves.layout.ds.group_of
         s = np.cumsum(union)[self.sample_cell] - 1
         W = cum[g, s] + np.where(mask[g, s], self.count_at_sample - f_at_grid[g, s], 0.0)
         return W, pattern, len(grid) - 1

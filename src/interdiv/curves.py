@@ -23,18 +23,18 @@ divergence objective does so, and its ``grad_hess`` returns the loss value
 from the same curves, so a boosting round builds them once.
 
 Neither keeps a (groups, intervals) table. :meth:`CurveLayout.sweep` runs
-over the intervals in blocks of at most :data:`SWEEP_CELLS` group-interval
+over all intervals in blocks of at most :data:`SWEEP_CELLS` group-interval
 cells: a block's counts come from one ``bincount`` of the samples whose
 intervals it spans plus each group's count carried from the blocks before,
 and its curve values from a gather from the suffix sums. So a call needs
-O(rows + groups x block) memory. Every reduction over groups goes through
-one :func:`envelope` per block: per interval, the number of populated
-groups, the best one, and their lowest, highest and summed normalized
-value. ID integrates highest minus lowest, the divergence loss sums minus
-lowest, and its gradient holds the best group fixed; the curve set keeps
-the envelope's per-interval vectors, so they all share them. Dense
-``count`` and ``ser`` tables remain as properties for tests and the
-pooled-curve oracle :func:`sera_from_curves`.
+O(rows + groups x block) memory. :meth:`CurveLayout.count_at` looks up the
+counts on a few intervals from each group's sorted relevances instead.
+Every reduction over groups goes through one :class:`Envelope`, filled
+block by block: per interval, the number of populated groups, the best
+one, and their lowest, highest and summed normalized value. ID integrates
+highest minus lowest, the divergence loss sums minus lowest, and its
+gradient holds the best group fixed; the curve set keeps the envelope's
+per-interval vectors, so they all share them.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import dataset
 from .dataset import GroupedDataset
-from .errors import InputError, InternalError, UndefinedMetricError
+from .errors import InputError, UndefinedMetricError
 from .relevance import RelevanceFunction, evaluate
 
 
@@ -101,15 +101,6 @@ class Envelope(NamedTuple):
     low: np.ndarray        # the lowest, highest and summed value; 0 if none
     high: np.ndarray
     total: np.ndarray
-
-
-def envelope(ser, count) -> Envelope:
-    """The read-only :class:`Envelope` of the normalized curves ``ser / count``."""
-    env = _new_envelope(np.shape(ser)[1])
-    _fill_envelope(np.array(ser, dtype=float), count, env)
-    for a in env:
-        a.setflags(write=False)
-    return env
 
 
 def _new_envelope(n: int) -> Envelope:
@@ -211,35 +202,31 @@ class CurveLayout:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "orders", tuple(orders))
 
-    def sweep(self, ks=None):
-        """Per block of the ascending interval indices ``ks``, or of all
-        intervals, each group's suffix position past its samples at or below
-        each of them.
+    def sweep(self):
+        """Per block of the intervals, each group's suffix position past its
+        samples at or below each of them.
 
-        Yields ``(cols, rows, pos)``: ``cols`` slices ``ks``, ``rows`` slices
-        :attr:`by_interval` to the samples whose intervals the block is the
-        first to reach, and ``pos[g, i]`` is ``starts[g]`` plus the number of
-        group g's samples whose interval is at most ``ks[cols][i]``: the
-        group's count on that interval is ``ends[g] - pos[g, i]``, and its
-        curve value the suffix sum at ``pos[g, i]``. A block holds at most
-        :data:`SWEEP_CELLS` cells or two intervals, and the last block one
-        interval more; its positions come from one ``bincount`` of its
-        samples and the positions carried from the block before.
+        Yields ``(cols, rows, pos)``: ``cols`` slices the intervals, ``rows``
+        slices :attr:`by_interval` to the samples whose intervals the block
+        is the first to reach, and ``pos[g, i]`` is ``starts[g]`` plus the
+        number of group g's samples whose interval is at most
+        ``cols.start + i``: the group's count on that interval is
+        ``ends[g] - pos[g, i]``, and its curve value the suffix sum at
+        ``pos[g, i]``. A block holds at most :data:`SWEEP_CELLS` cells or two
+        intervals, and the last block one interval more; its positions come
+        from one ``bincount`` of its samples and the positions carried from
+        the block before.
         """
         n_groups = self.ds.n_groups
-        n_cols = len(self.breakpoints) - 1 if ks is None else len(ks)
+        n_cols = len(self.breakpoints) - 1
         width = max(2, SWEEP_CELLS // max(n_groups, 1))
         firsts = range(0, max(n_cols - 1, 1), width)
         carry = self.starts
         lo = 0
         for c0, c1 in zip(firsts, [*firsts[1:], n_cols]):
-            last = c1 - 1 if ks is None else ks[c1 - 1]
-            hi = int(np.searchsorted(self.sorted_interval, last, side="right"))
+            hi = int(np.searchsorted(self.sorted_interval, c1 - 1, side="right"))
             rows = slice(lo, hi)
-            if ks is None:
-                col = self.sorted_interval[rows] - c0
-            else:
-                col = np.searchsorted(ks[c0:c1], self.sorted_interval[rows], side="left")
+            col = self.sorted_interval[rows] - c0
             col += self.sorted_group[rows] * (c1 - c0)
             pos = np.bincount(col, minlength=n_groups * (c1 - c0)).reshape(n_groups, -1)
             del col
@@ -249,27 +236,12 @@ class CurveLayout:
             yield slice(c0, c1), rows, pos
             lo = hi
 
-    def positions(self, ks) -> np.ndarray:
-        """The positions of :meth:`sweep` on the ascending intervals ``ks``, or
-        on all, in one (groups, len(ks)) array."""
-        return np.hstack([pos for _, _, pos in self.sweep(ks)])
-
     def count_at(self, ks) -> np.ndarray:
-        """Each group's count on the ascending intervals ``ks``, or on all,
-        (groups, len(ks))."""
-        return self.ends[:, None] - self.positions(ks)
-
-    @property
-    def count(self) -> np.ndarray:
-        """The dense (groups, intervals) count table, for tests and oracles."""
-        return self.count_at(None)
-
-    def group_count(self, g: int) -> np.ndarray:
-        """Group g's count on every interval: one row of :attr:`count`."""
-        order = self.orders[g]
+        """Each group's count on the intervals ``ks``, (groups, len(ks))."""
         # value on (bp[k], bp[k+1]) is the inclusive value at bp[k+1]
-        return len(order) - np.searchsorted(self.relevance[order], self.breakpoints[1:],
-                                            side="left")
+        cuts = self.breakpoints[np.asarray(ks) + 1]
+        return np.stack([len(order) - np.searchsorted(self.relevance[order], cuts, side="left")
+                         for order in self.orders])
 
     def curves(self, preds) -> "SerCurveSet":
         """The curves of one prediction vector: a suffix sum per group, O(n)."""
@@ -310,21 +282,9 @@ class SerCurveSet:
         return self.layout.breakpoints
 
     @property
-    def count(self) -> np.ndarray:
-        return self.layout.count
-
-    @property
     def ser(self) -> np.ndarray:
-        """The dense (groups, intervals) curve table, for tests and oracles."""
-        return self.suffix[self.layout.positions(None)]
-
-    @property
-    def sample_group(self) -> np.ndarray:
-        return self.layout.ds.group_of
-
-    @property
-    def sample_relevance(self) -> np.ndarray:
-        return self.layout.relevance
+        """The dense (groups, intervals) curve table, for the pooled-curve oracle."""
+        return self.suffix[np.hstack([pos for _, _, pos in self.layout.sweep()])]
 
     @property
     def n_groups(self) -> int:
@@ -338,7 +298,7 @@ class SerCurveSet:
         """Curve values (ser, count) at cutoffs ``ts``, inclusive semantics."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         order = self.layout.orders[group]
-        pos = np.searchsorted(self.sample_relevance[order], ts, side="left")
+        pos = np.searchsorted(self.layout.relevance[order], ts, side="left")
         return self.suffix[self.layout.starts[group] + pos], (len(order) - pos).astype(np.int64)
 
     def sweep(self):
@@ -346,30 +306,24 @@ class SerCurveSet:
         and ``rows`` as in :meth:`CurveLayout.sweep`, each group's count on
         the block's intervals and the best group on each.
 
-        The block's :func:`envelope` is taken on the way, and the whole
-        envelope is kept once the sweep ends, so it is computed once per
-        curve set whichever of ID, IDLoss and W_j reads it first.
+        The block's envelope is taken on the way, and the first sweep to end
+        keeps the whole envelope, so it is computed once per curve set
+        whichever of ID, IDLoss and W_j reads it first.
         """
-        env = kept = self.__dict__.get("envelope")
-        if kept is None:
-            env = _new_envelope(len(self.breakpoints) - 1)
+        env = _new_envelope(len(self.breakpoints) - 1)
         ends = self.layout.ends[:, None]
         for cols, rows, pos in self.layout.sweep():
             # the positions become the counts, in place, once the values are read
-            if kept is None:
-                _fill_envelope(self.suffix[pos], np.subtract(ends, pos, out=pos),
-                               Envelope(*(a[cols] for a in env)))
-            else:
-                np.subtract(ends, pos, out=pos)
+            _fill_envelope(self.suffix[pos], np.subtract(ends, pos, out=pos),
+                           Envelope(*(a[cols] for a in env)))
             yield cols, rows, pos, env.best[cols]
-        if kept is None:
-            for a in env:
-                a.setflags(write=False)
-            self.__dict__["envelope"] = env
+        for a in env:
+            a.setflags(write=False)
+        self.__dict__.setdefault("envelope", env)
 
     @cached_property
     def envelope(self) -> Envelope:
-        """The curves' :func:`envelope`, swept block by block and kept: ID,
+        """The curves' :class:`Envelope`, swept block by block and kept: ID,
         IDLoss, the pattern and W_j all read it."""
         for _ in self.sweep():
             pass
@@ -391,23 +345,6 @@ def argmin_pattern(curves: SerCurveSet) -> np.ndarray:
     return curves.envelope.best
 
 
-def integrate_step(values, breakpoints) -> float:
-    """Exact integral of a step function over its breakpoint span.
-
-    ``values[k]`` holds on [breakpoints[k], breakpoints[k+1]).
-    """
-    v = np.asarray(values, dtype=float)
-    bp = np.asarray(breakpoints, dtype=float)
-    if np.any(np.diff(bp) < 0):
-        raise InternalError("breakpoints must be sorted ascending")
-    widths = np.diff(bp)
-    if v.shape[0] != widths.shape[0]:
-        raise InternalError(
-            f"step values ({v.shape[0]}) do not align with breakpoints ({bp.shape[0]})"
-        )
-    return float(np.sum(v * widths))
-
-
 def sera(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
     """Relevance-weighted squared error of one prediction vector; see CurveLayout.sera."""
     return CurveLayout(ds, phi).sera(preds)
@@ -415,8 +352,7 @@ def sera(ds: GroupedDataset, preds, phi: RelevanceFunction) -> float:
 
 def sera_from_curves(curves: SerCurveSet) -> float:
     """The same quantity via the pooled-curve integral; dual-method oracle."""
-    pooled = curves.ser.sum(axis=0)
-    return integrate_step(pooled, curves.breakpoints)
+    return float(np.sum(curves.ser.sum(axis=0) * curves.interval_widths))
 
 
 def write_curve_rows(path, header: str, t, fmt: str, groups) -> None:

@@ -47,10 +47,6 @@ class ParameterError(InterdivError):
     """Approximation or boosting parameters outside their valid range."""
 
 
-class InternalError(InterdivError):
-    """Invariant violated inside the library; indicates a bug."""
-
-
 @contextmanager
 def read_errors_as(error, path):
     """Raise ``error`` naming ``path`` for text read from it that is not UTF-8,

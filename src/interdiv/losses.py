@@ -20,7 +20,7 @@ currently sit on; argmin ties break toward the lowest group id. The loss is
 non-convex because the best-group identity can switch between pieces.
 
 The loss value, the best group and both sweeps of W (exact and simplified)
-read the curves' envelope (:func:`interdiv.curves.envelope`), so a boosting
+read the curves' envelope (:class:`interdiv.curves.Envelope`), so a boosting
 round reduces over the groups once. The envelope and the exact W sweep run
 over blocks of intervals, so an evaluation needs O(n + |A| * block)
 memory, not O(|A| * n), and gives the bits of one unblocked sweep.

@@ -12,8 +12,12 @@ curve builds that the shared ensembles and layouts replaced, curve files
 from the row-at-a-time writer that the run-sharing one replaced, CSV
 tables from the per-table loops that ``dataset.write_rows`` replaced, the
 best group and divergence gap per interval from the masked reductions that
-``curves.envelope`` replaced, and prediction files from the whole-file
+the curves' envelope replaced, and prediction files from the whole-file
 reader and writer that the block-wise ones replaced.
+
+``envelope`` and ``dense_count`` give the one-block envelope and the dense
+count table of a curve layout, which the library no longer builds: it
+sweeps blocks of intervals and looks up counts on a few of them.
 """
 import csv
 import logging
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 from interdiv import curves as curves_mod
 from interdiv import dataset, gbt, harness, idboost, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifiedCurve, SimplifiedCurveSet
-from interdiv.curves import SerCurveSet, normalize
+from interdiv.curves import Envelope, SerCurveSet, normalize
 from interdiv.dataset import DatasetSchema, GroupedDataset, from_arrays
 from interdiv.errors import (
     DegenerateAttributeError,
@@ -414,8 +418,23 @@ def _require_two_groups(curves: ParentSerCurveSet) -> None:
         )
 
 
+def envelope(ser, count) -> Envelope:
+    """The read-only :class:`~interdiv.curves.Envelope` of the normalized
+    curves ``ser / count``, in one block."""
+    env = curves_mod._new_envelope(np.shape(ser)[1])
+    curves_mod._fill_envelope(np.array(ser, dtype=float), count, env)
+    for a in env:
+        a.setflags(write=False)
+    return env
+
+
+def dense_count(layout) -> np.ndarray:
+    """The (groups, intervals) count table of ``layout``, from its block sweep."""
+    return np.hstack([layout.ends[:, None] - pos for _, _, pos in layout.sweep()])
+
+
 # ``curves.best_group`` and ``curves.divergence_gap`` as they stood before
-# ``curves.envelope`` replaced them, kept verbatim (renamed) as the reference
+# the curves' envelope replaced them, kept verbatim (renamed) as the reference
 # for the envelope and for the parent objective's best-group pattern.
 def parent_best_group(values, populated) -> np.ndarray:
     """Per column, the populated group (row) with the lowest value.

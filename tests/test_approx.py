@@ -10,6 +10,8 @@ from interdiv.errors import ParameterError, UndefinedMetricError
 
 from conftest import (
     ParentIdLossObjective,
+    dense_count,
+    envelope,
     layout_cases,
     make_instance,
     parent_build,
@@ -23,7 +25,7 @@ from conftest import (
 def resample_step(curves: curves_mod.SerCurveSet, grid: np.ndarray) -> np.ndarray:
     """Normalized curve values (all groups) on the interval each grid point falls in."""
     idx = _grid_intervals(curves.breakpoints, grid)
-    return curves_mod.normalize(curves.ser[:, idx], curves.count[:, idx])
+    return curves_mod.normalize(curves.ser[:, idx], dense_count(curves.layout)[:, idx])
 
 
 def id_from_simplified(
@@ -40,11 +42,12 @@ def id_from_simplified(
     mid = 0.5 * (grid[:-1] + grid[1:])
     seg_len = np.diff(grid)
     # a count of 1 where populated makes each value its own normalized curve
-    count = (curves.count[:, _grid_intervals(curves.breakpoints, mid)] > 0).astype(np.int64)
+    count = dense_count(curves.layout)[:, _grid_intervals(curves.breakpoints, mid)]
+    count = (count > 0).astype(np.int64)
 
     def gap(ts):
         values = np.stack([np.interp(ts, c.t, c.value) for c in simplified.curves])
-        env = curves_mod.envelope(values, count)
+        env = envelope(values, count)
         return np.where(env.populated >= 2, env.high - env.low, 0.0)
 
     return float(np.sum(0.5 * (gap(grid[:-1]) + gap(grid[1:])) * seg_len))
@@ -92,6 +95,17 @@ class TestParams:
         with pytest.raises(ParameterError, match="got 9.9e-05"):
             approx.ApproxParams(grid_step=9.9e-5)
         assert approx.ApproxParams(grid_step=1e-4).grid_step == 1e-4
+
+    @pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+    def test_tiny_sigma_blurs_nothing(self, rng, sigma):
+        # the kernel's square overflows below about 1e-154 grid cells; the
+        # kernel is then [0, 1, 0], and no RuntimeWarning is raised
+        ds, phi, preds = make_instance(rng, n=40)
+        params = approx.ApproxParams(sigma=sigma)
+        sgrid = approx.SimplifyGrid(curves.CurveLayout(ds, phi), params)
+        assert sgrid.kernel.tolist() == [0.0, 1.0, 0.0]
+        assert np.array_equal(sgrid.edge, np.ones(len(sgrid.grid)))
+        losses.IdLossObjective(ds, phi, approx_params=params).grad_hess(preds)
 
     def test_grid_coarser_than_support_rejected(self, rng):
         ds, phi, preds = flat_relevance_instance(rng)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from interdiv import curves, dataset, losses, metrics, relevance
 from interdiv.approx import ApproxParams, SimplifyGrid
-from interdiv.errors import InputError, InternalError, UndefinedMetricError
+from interdiv.errors import InputError, UndefinedMetricError
 from interdiv.gbt import DEFAULT_HESS_FLOOR
 
 from conftest import (
     ParentIdLossObjective,
     brute_ser,
+    dense_count,
+    envelope,
     layout_cases,
     make_instance,
     parent_best_group,
@@ -54,7 +56,7 @@ class TestHelpers:
         values = np.array([values, other[0], values, values]).T
         populated = np.array([populated, other[1], populated, populated]).T
         # a count of 1 makes each populated value its own normalized curve
-        env = curves.envelope(values, populated.astype(np.int64))
+        env = envelope(values, populated.astype(np.int64))
         assert env.best.dtype == np.int64
         assert env.best.tolist() == [best, 1, best, best]
         assert env.populated.tolist() == populated.sum(axis=0).tolist()
@@ -69,13 +71,14 @@ class TestHelpers:
         ds, phi, preds = case
         cs = curves.CurveLayout(ds, phi).curves(preds[0])
         idx = np.array(picks) % cs.ser.shape[1]
-        sub = curves.envelope(cs.ser[:, idx], cs.count[:, idx])
+        count = dense_count(cs.layout)
+        sub = envelope(cs.ser[:, idx], count[:, idx])
         # not ``total``: ``ser[:, idx]`` is column-major, and numpy adds the
         # rows of a column-major array pairwise from 8 rows on, so its last
         # bit can differ from the sum in the row-major ``ser``
         for field in ("populated", "best", "low", "high"):
             assert np.array_equal(getattr(sub, field), getattr(cs.envelope, field)[idx])
-        norm, cand = curves.normalize(cs.ser, cs.count)[:, idx], cs.count[:, idx] > 0
+        norm, cand = curves.normalize(cs.ser, count)[:, idx], count[:, idx] > 0
         assert np.array_equal(sub.best, parent_best_group(norm, cand))
         gap = np.where(sub.populated >= 2, sub.high - sub.low, 0.0)
         assert np.array_equal(gap, parent_divergence_gap(norm, cand))
@@ -140,7 +143,7 @@ class TestBuild:
         ds, phi, preds = make_instance(rng, n=60)
         cs = curves.build(ds, preds, phi)
         assert np.all(np.diff(cs.ser, axis=1) <= 1e-12)
-        assert np.all(np.diff(cs.count, axis=1) <= 0)
+        assert np.all(np.diff(dense_count(cs.layout), axis=1) <= 0)
 
     def test_decomposition_group_sum_equals_pooled(self, rng):
         ds, phi, preds = make_instance(rng, n=45)
@@ -151,7 +154,8 @@ class TestBuild:
         cs_pooled = curves.build(pooled, preds, phi)
         assert np.array_equal(cs.breakpoints, cs_pooled.breakpoints)
         assert np.allclose(cs.ser.sum(axis=0), cs_pooled.ser[0], rtol=1e-12, atol=1e-12)
-        assert np.array_equal(cs.count.sum(axis=0), cs_pooled.count[0])
+        assert np.array_equal(dense_count(cs.layout).sum(axis=0),
+                              dense_count(cs_pooled.layout)[0])
 
 
 class TestAgainstPerCallBuild:
@@ -172,7 +176,7 @@ class TestAgainstPerCallBuild:
             ref = parent_build(ds, preds, phi)
             assert np.array_equal(cs.breakpoints, ref.breakpoints)
             assert np.array_equal(cs.ser, ref.ser)
-            assert np.array_equal(cs.count, ref.count)
+            assert np.array_equal(dense_count(cs.layout), ref.count)
             for g in range(ds.n_groups):
                 for got, want in zip(cs.values_at(ref.breakpoints, g),
                                      ref.values_at(ref.breakpoints, g)):
@@ -209,7 +213,7 @@ def _sweep_results(ds, phi, preds_seq, out_dir):
     got = []
     for i, preds in enumerate(preds_seq):
         cs = layout.curves(preds)
-        got += [cs.ser, cs.count, *cs.envelope, curves.argmin_pattern(cs),
+        got += [cs.ser, dense_count(layout), *cs.envelope, curves.argmin_pattern(cs),
                 *sgrid.sample_weights(cs)]
         curves.export_curves(cs, out_dir / f"{i}.csv")
         got.append((out_dir / f"{i}.csv").read_bytes())
@@ -245,7 +249,7 @@ class TestBlockedSweep:
             for preds in preds_seq:
                 cs, ref = layout.curves(preds), parent_build(ds, preds, phi)
                 assert np.array_equal(cs.ser, ref.ser)
-                assert np.array_equal(cs.count, ref.count)
+                assert np.array_equal(dense_count(layout), ref.count)
         n_intervals = len(layout.breakpoints) - 1
         assert sum(widths) == n_intervals
         assert max(widths) <= max(2, width) + 1
@@ -259,15 +263,16 @@ class TestBlockedSweep:
 
     def test_tables_of_several_blocks_equal_one(self, rng):
         ds, phi, preds = make_instance(rng, n=200)
-        cs = curves.build(ds, preds, phi)
-        ser, count = cs.ser, cs.count
+        cs, ref = curves.build(ds, preds, phi), parent_build(ds, preds, phi)
         with mock.patch.object(curves, "SWEEP_CELLS", 7 * ds.n_groups):
-            assert np.array_equal(cs.ser, ser)
-            assert np.array_equal(cs.count, count)
+            assert np.array_equal(cs.ser, ref.ser)
+            assert np.array_equal(dense_count(cs.layout), ref.count)
+            every = np.arange(len(cs.breakpoints) - 1)
+            assert np.array_equal(cs.layout.count_at(every), ref.count)
             ks = np.array([0, 0, 3, 4, 4, 9, 30, len(cs.breakpoints) - 2])
-            pos = cs.layout.positions(ks)
-            assert np.array_equal(cs.suffix[pos], ser[:, ks])
-            assert np.array_equal(cs.layout.count_at(ks), count[:, ks])
+            count = cs.layout.count_at(ks)
+            assert np.array_equal(count, ref.count[:, ks])
+            assert np.array_equal(cs.suffix[cs.layout.ends[:, None] - count], ref.ser[:, ks])
 
 
 def _many_groups(n, attributes, seed=0):
@@ -300,65 +305,6 @@ class TestSweepMemory:
             finally:
                 tracemalloc.stop()
             assert peak < SWEEP_PEAK
-
-
-class TestIntegrateStep:
-    def test_constant(self):
-        assert curves.integrate_step([3.5, 3.5], [0.0, 0.4, 1.0]) == pytest.approx(3.5)
-
-    def test_two_piece(self):
-        assert curves.integrate_step([2.0, 0.0], [0.0, 0.5, 1.0]) == pytest.approx(1.0)
-
-    def test_value_at_last_breakpoint_rejected(self):
-        with pytest.raises(InternalError, match=r"step values \(3\) do not align"):
-            curves.integrate_step([2.0, 0.0, 99.0], [0.0, 0.5, 1.0])
-
-    def test_unsorted_breakpoints_rejected(self):
-        with pytest.raises(InternalError):
-            curves.integrate_step([1.0, 1.0], [0.0, 0.7, 0.3])
-
-    def test_misaligned_lengths_rejected(self):
-        with pytest.raises(InternalError):
-            curves.integrate_step([1.0], [0.0, 0.5, 1.0])
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        vals=st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=12),
-        data=st.data(),
-    )
-    def test_within_midpoint_rule_error_bound(self, vals, data):
-        # a midpoint grid can misattribute at most half a cell per jump
-        cuts = sorted(
-            data.draw(
-                st.lists(
-                    st.floats(min_value=1e-3, max_value=1 - 1e-3),
-                    min_size=len(vals) - 1,
-                    max_size=len(vals) - 1,
-                    unique=True,
-                )
-            )
-        )
-        bp = np.array([0.0, *cuts, 1.0])
-        v = np.array(vals)
-        exact = curves.integrate_step(v, bp)
-        step = 1e-4
-        mids = np.arange(step / 2, 1.0, step)
-        idx = np.clip(np.searchsorted(bp, mids, side="right") - 1, 0, len(v) - 1)
-        approx = float(v[idx].sum() * step)
-        bound = float(np.abs(np.diff(v)).sum()) * step / 2
-        assert abs(approx - exact) <= bound + 1e-9
-
-    def test_matches_dense_grid_on_random_step(self, rng):
-        for _ in range(20):
-            k = int(rng.integers(3, 15))
-            bp = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, k)), [1.0]])
-            v = rng.uniform(1, 5, k + 1)
-            exact = curves.integrate_step(v, bp)
-            step = 1e-4
-            mids = np.arange(step / 2, 1.0, step)
-            idx = np.clip(np.searchsorted(bp, mids, side="right") - 1, 0, len(v) - 1)
-            approx = float(v[idx].sum() * step)
-            assert approx == pytest.approx(exact, rel=2e-4, abs=2e-4)
 
 
 class TestSera:
@@ -495,5 +441,5 @@ def test_layout_traced_peak_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert layout.count.shape[0] == 4
+    assert dense_count(layout).shape[0] == 4
     assert peak < LAYOUT_PEAK_PER_ROW * n

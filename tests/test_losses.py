@@ -7,7 +7,7 @@ from interdiv import curves, dataset, losses, relevance
 from interdiv.curves import argmin_pattern
 from interdiv.errors import InputError, UndefinedMetricError, ValidationError
 
-from conftest import appendix_instance, grid_idloss, make_instance
+from conftest import appendix_instance, dense_count, grid_idloss, make_instance
 
 
 def pattern_of(ds, preds, phi):
@@ -107,14 +107,15 @@ class TestIdLossGradHess:
         cs = curves.build(ds, preds, phi)
         w = losses.idloss_sample_weights(cs)
         assert np.all(w >= 0.0)
-        rel = cs.sample_relevance
+        rel = cs.layout.relevance
+        count = dense_count(cs.layout)
         for j in range(ds.n):
-            g = cs.sample_group[j]
+            g = ds.group_of[j]
             reach = cs.breakpoints[1:] <= rel[j] + 1e-15
-            populated = cs.count[g] > 0
+            populated = count[g] > 0
             live = reach & populated
             if live.any():
-                bound = rel[j] / cs.count[g][live].min()
+                bound = rel[j] / count[g][live].min()
                 assert w[j] <= bound + 1e-12
             else:
                 assert w[j] == 0.0
