@@ -176,10 +176,11 @@ def cmd_experiment(args) -> int:
 
 
 def _export_id_curves(cfg, ds=None) -> None:
-    for name, runs in harness.failed_runs(cfg).items():
+    failed = harness.failed_runs(cfg)
+    for name, runs in failed.items():
         print(f"note: no curves for {name}, which failed in {', '.join(runs)}",
               file=sys.stderr)
-    for name, path in harness.export_id_curves(cfg, ds).items():
+    for name, path in harness.export_id_curves(cfg, ds, failed).items():
         print(f"curves[{name}] -> {path}")
 
 

@@ -11,8 +11,10 @@ unknown, repeated or missing key, or a value its converter rejects, is a
 """
 from __future__ import annotations
 
+import io
+
 from .dataset import DatasetSchema
-from .errors import ConfigError, read_errors_as
+from .errors import ConfigError, read_utf8
 
 BOOLEANS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -68,30 +70,30 @@ def read(path, keys: dict, required: tuple) -> dict:
     """
     found = {}
     line_of = {}
-    with open(path, encoding="utf-8-sig") as fh, read_errors_as(ConfigError, path):
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
-            key, text = (part.strip() for part in line.split("=", 1))
-            if key not in keys:
-                raise ConfigError(
-                    f"{where}: unknown key {key!r}; expected one of {', '.join(keys)}"
-                )
-            if key in line_of:
-                raise ConfigError(f"{where}: key {key!r} repeats line {line_of[key]}")
-            line_of[key] = lineno
-            convert, *targets = keys[key]
-            try:
-                value = convert(text)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
-            for target in targets:
-                section, _, name = target.rpartition(".")
-                found.setdefault(section, {})[name] = value
+    lines = io.StringIO(read_utf8(path, ConfigError).decode("utf-8-sig"), newline=None)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise ConfigError(
+                f"{where}: unknown key {key!r}; expected one of {', '.join(keys)}"
+            )
+        if key in line_of:
+            raise ConfigError(f"{where}: key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
+        convert, *targets = keys[key]
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+        for target in targets:
+            section, _, name = target.rpartition(".")
+            found.setdefault(section, {})[name] = value
     for key in required:
         if key not in line_of:
             raise ConfigError(f"{path}: missing the {key!r} key")

@@ -31,6 +31,7 @@ from .errors import (
     SplitError,
     ValidationError,
     read_errors_as,
+    read_utf8,
 )
 
 log = logging.getLogger(__name__)
@@ -407,46 +408,18 @@ class _Reduced:
                 f.add(col, row_no)
 
 
-# bytes of a file decoded at a time when it is checked as UTF-8
-_SCAN_BYTES = 1 << 18
-
-
-def _check_utf8(data: bytes, path) -> None:
-    """Raise ``InputError`` for the first byte of ``data`` that is not
-    UTF-8, naming its offset and line in the file; a line ends in LF, CRLF
-    or a bare CR, as the readers take it. The bytes are decoded a slice at a
-    time, each ending on a newline, a byte no UTF-8 character holds but its
-    own."""
-    if data.isascii():
-        return
-    at = 0
-    while at < len(data):
-        end = data.find(b"\n", at + _SCAN_BYTES) + 1 or len(data)
-        try:
-            data[at:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            bad = at + exc.start
-            ends = data.count(b"\n", 0, bad) + data.count(b"\r", 0, bad)
-            line = ends - data.count(b"\r\n", 0, bad) + 1
-            raise InputError(f"{path} is not UTF-8 text: byte {data[bad]:#04x} at offset "
-                             f"{bad} (line {line}): {exc.reason}") from None
-        at = end
-
-
 def _parse(data: bytes, path, schema: DatasetSchema, features: bool):
     """Targets, protected bits, feature blocks and names, and ``n_dropped``.
     Without ``features`` no feature column is parsed, and there are no
     feature blocks or names.
 
-    ``data`` is checked to be UTF-8 first, so its first bad byte is
-    reported before any malformed record or schema error, and no decode
-    can fail later. :func:`_blocks` reads the records after the header, and
-    each block is reduced to float parts, protected bits and notes of bad
-    tokens before the next is read. The first malformed record is an error
-    naming its line of the file; every other check runs only after the last
-    record.
+    ``data`` comes from :func:`read_utf8`, so its first bad byte was
+    reported before any malformed record or schema error, and no decode can
+    fail here. :func:`_blocks` reads the records after the header, and each
+    block is reduced to float parts, protected bits and notes of bad tokens
+    before the next is read. The first malformed record is an error naming
+    its line of the file; every other check runs only after the last record.
     """
-    _check_utf8(data, path)
     with read_errors_as(InputError, path) as watch:
         text = _text(data)
         records = watch(csv.reader(text))
@@ -531,8 +504,7 @@ def load_csv(path, schema: DatasetSchema, features: bool = True) -> GroupedDatas
     groups, no feature column is parsed: ``features`` is an ``(n, 0)``
     matrix, and a feature cell is checked only for the record's width.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = read_utf8(path)
     targets, protected, blocks, names, n_dropped = _parse(data, path, schema, features)
     del data  # before the feature matrix is assembled, to keep the peak lower
     X = np.hstack(blocks) if blocks else np.zeros((len(targets), 0))
@@ -556,11 +528,8 @@ def read_preds(path) -> np.ndarray:
     UTF-8, named by its offset and line in the file. The bytes are checked
     whole, then decoded and parsed ``BLOCK_ROWS`` lines at a time.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    _check_utf8(data, path)
     parts = []
-    with _text(data) as lines:  # a line keeps its LF, CRLF or CR end, which strip() drops
+    with _text(read_utf8(path)) as lines:  # a line keeps its LF, CRLF or CR end; strip() drops it
         first = next(lines, "").strip()
         try:
             float(first.split(",")[0])

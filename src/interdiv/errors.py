@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the checked read of input files."""
 import csv
 from contextlib import contextmanager
 
@@ -47,11 +47,40 @@ class ParameterError(InterdivError):
     """Approximation or boosting parameters outside their valid range."""
 
 
+# bytes of a file decoded at a time when it is checked as UTF-8
+_SCAN_BYTES = 1 << 18
+
+
+def read_utf8(path, error=InputError) -> bytes:
+    """The bytes of ``path``, read once and checked to be UTF-8 text: the
+    first bad byte raises ``error`` naming its offset and line, where a line
+    ends in LF, CRLF or a bare CR, as the readers take it. The bytes are
+    decoded a slice at a time, each ending on a newline, a byte no UTF-8
+    character holds but its own."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii():
+        return data
+    at = 0
+    while at < len(data):
+        end = data.find(b"\n", at + _SCAN_BYTES) + 1 or len(data)
+        try:
+            data[at:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = at + exc.start
+            ends = data.count(b"\n", 0, bad) + data.count(b"\r", 0, bad)
+            line = ends - data.count(b"\r\n", 0, bad) + 1
+            raise error(f"{path} is not UTF-8 text: byte {data[bad]:#04x} at offset "
+                        f"{bad} (line {line}): {exc.reason}") from None
+        at = end
+    return data
+
+
 @contextmanager
 def read_errors_as(error, path):
-    """Raise ``error`` naming ``path`` for text read from it that is not UTF-8,
-    or for a record that a ``csv.reader`` passed through the context value
-    rejects, naming its line: the reader's plus the ``lines_before`` passed."""
+    """Raise ``error`` naming ``path`` and the line for a record that a
+    ``csv.reader`` passed through the context value rejects: the reader's
+    line plus the ``lines_before`` passed. :func:`read_utf8` checks the text."""
     line_now = []  # per watched reader, the file line it stopped on
 
     def watch(reader, lines_before=0):
@@ -60,7 +89,5 @@ def read_errors_as(error, path):
 
     try:
         yield watch
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise error(f"{path}, line {line_now[-1]()}: {exc}") from None

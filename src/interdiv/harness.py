@@ -38,7 +38,7 @@ from . import curves as curves_mod
 from . import dataset as dataset_mod
 from . import gbt, idboost, metrics, parallel, relevance
 from .approx import ApproxParams
-from .errors import InputError, InterdivError, ValidationError
+from .errors import InputError, InterdivError, ValidationError, read_utf8
 from .losses import DEFAULT_HUBER_DELTA, OBJECTIVE_NAMES
 
 DEFAULT_METRICS = ("mse", "sera", "delta_bgl", "sp", "id")
@@ -254,34 +254,36 @@ def failed_runs(cfg: ExperimentConfig) -> dict:
     mapped to those runs (``run_<r>``)."""
     path = os.path.join(cfg.out_dir, "raw_metrics.csv")
     try:
-        with open(path, encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1:]
+        rows = read_utf8(path).decode("utf-8-sig").splitlines()
     except FileNotFoundError:
         raise InputError(f"missing {path}; run the experiment first") from None
     failed = {}
-    for row in rows:
+    for lineno, row in enumerate(rows[1:], start=2):
         # status commas are written as ';', so the fourth cell is the status
-        run, _, name, status = row.split(",")[:4]
+        try:
+            run, _, name, status = row.split(",")[:4]
+        except ValueError:
+            raise InputError(f"{path}, line {lineno}: fewer than 4 cells: {row!r}") from None
         if status != "ok":
             failed.setdefault(name, []).append(f"run_{run}")
     return failed
 
 
-def export_id_curves(cfg: ExperimentConfig, ds=None) -> dict:
+def export_id_curves(cfg: ExperimentConfig, ds=None, failed=None) -> dict:
     """Average each model's normalized group curves across completed runs.
 
     ``ds`` is the experiment's dataset, as :func:`run` returns it; without
     it, the dataset is loaded from ``cfg.data``, all but its features, which
-    no curve reads. A model that :func:`failed_runs` names is skipped. The
-    others require the per-run prediction files written by :func:`run`; a
-    missing file is an explicit error naming the runs so a stale output
-    directory is caught instead of silently averaging fewer runs. Returns
-    each exported model's CSV path by name; :func:`curves.write_curve_rows`
-    writes the files.
+    no curve reads. A model that ``failed`` (by default :func:`failed_runs`)
+    names is skipped. The others require the per-run prediction files
+    written by :func:`run`; a missing file is an explicit error naming the
+    runs so a stale output directory is caught instead of silently averaging
+    fewer runs. Returns each exported model's CSV path by name;
+    :func:`curves.write_curve_rows` writes the files.
     """
     if ds is None:
         ds = dataset_mod.load_csv(cfg.data, cfg.schema, features=False)
-    failed = failed_runs(cfg)
+    failed = failed_runs(cfg) if failed is None else failed
     models = [name for name in cfg.models if name not in failed]
     missing = []
     for r in range(cfg.n_runs):

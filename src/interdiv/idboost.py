@@ -23,7 +23,7 @@ import numpy as np
 from . import gbt, parallel
 from .dataset import GroupedDataset
 from .curves import require_two_groups
-from .errors import InputError, ValidationError, read_errors_as
+from .errors import InputError, ValidationError, read_utf8
 from .losses import DEFAULT_HUBER_DELTA, make_objective
 from .relevance import RelevanceFunction
 
@@ -104,11 +104,10 @@ def load(path):
 
     A file that is not UTF-8 JSON, not a JSON object, of an unknown format,
     nested too deeply to parse or holding a malformed model raises
-    ``InputError`` naming ``path``.
+    ``InputError`` naming ``path``; a leading BOM is skipped.
     """
-    try:
-        with open(path, encoding="utf-8") as fh, read_errors_as(InputError, path):
-            doc = json.load(fh)
+    try:  # the bytes are freed before the parse
+        doc = json.loads(read_utf8(path).decode("utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise InputError(f"model file {path} is not JSON: {exc}") from None
     except (RecursionError, ValueError) as exc:  # ValueError: an int of too many digits

@@ -15,11 +15,12 @@ gets relevance 0 and the whisker endpoints relevance 1.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ValidationError, read_errors_as
+from .errors import InputError, ValidationError, read_errors_as, read_utf8
 
 
 @dataclass(frozen=True)
@@ -138,10 +139,9 @@ def is_number(cell) -> bool:
 def load_points(path) -> RelevanceFunction:
     """Read control points from a CSV: a two-name header, then ``y,relevance`` rows."""
     pts = []
-    with open(path, newline="", encoding="utf-8-sig") as fh, read_errors_as(InputError, path):
-        lines = fh.readlines()
+    text = read_utf8(path).decode("utf-8-sig")
     with read_errors_as(ValidationError, path) as watch:
-        reader = watch(csv.reader(lines))
+        reader = watch(csv.reader(io.StringIO(text, newline="")))
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"empty relevance file: {path}")

@@ -22,6 +22,7 @@ sweeps blocks of intervals and looks up counts on a few of them.
 import csv
 import logging
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from interdiv.errors import (
     SchemaError,
     SplitError,
     UndefinedMetricError,
+    read_utf8,
 )
 from interdiv.gbt import DEFAULT_HESS_FLOOR, BoostParams, Tree
 from interdiv.relevance import RelevanceFunction, evaluate
@@ -994,9 +996,7 @@ def parent_export_curves(curves: SerCurveSet, path) -> None:
 # (renamed, with the dataset helpers they call qualified) as the reference
 # for the differential test. Nothing under src/ imports them.
 def parent_read_preds(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    dataset._check_utf8(data, path)
+    data = read_utf8(path)
     lines = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     first = lines[0].strip()
     rows = [line.strip() for line in lines[1:] if line.strip()]
@@ -1050,3 +1050,46 @@ def parent_split(ds: GroupedDataset, train_ratio: float, seed: int, stratify_gro
             f"split of n={ds.n} at ratio={train_ratio} leaves an empty partition"
         )
     return ds.subset(train_ids), ds.subset(test_ids)
+
+
+# For each lead byte of a multi-byte UTF-8 character, the ranges its
+# continuation bytes must fall in: the well-formed sequences of the Unicode
+# standard's table 3-7 (no overlong form, surrogate or code point past
+# U+10FFFF).
+_TAIL = (0x80, 0xBF)
+UTF8_CONTINUATIONS = {
+    **{b: [_TAIL] for b in range(0xC2, 0xE0)},
+    0xE0: [(0xA0, 0xBF), _TAIL],
+    **{b: [_TAIL] * 2 for b in [*range(0xE1, 0xED), 0xEE, 0xEF]},
+    0xED: [(0x80, 0x9F), _TAIL],
+    0xF0: [(0x90, 0xBF), _TAIL, _TAIL],
+    **{b: [_TAIL] * 3 for b in range(0xF1, 0xF4)},
+    0xF4: [(0x80, 0x8F), _TAIL, _TAIL],
+}
+
+
+def utf8_error_message(path, data: bytes):
+    """The message of the first ill-formed UTF-8 sequence of ``data``, the
+    bytes of ``path``, or None: its first byte, that byte's offset, its line
+    (ended by LF, CRLF or a bare CR) and the reason Python's codec gives.
+    Found by walking table 3-7 byte by byte, not with the codec."""
+    at = 0
+    while at < len(data):
+        if data[at] < 0x80:
+            at += 1
+            continue
+        tails = UTF8_CONTINUATIONS.get(data[at])
+        reason = None if tails else "invalid start byte"
+        for k, (lo, hi) in enumerate(tails or [], start=1):
+            if at + k == len(data):
+                reason = "unexpected end of data"
+            elif not lo <= data[at + k] <= hi:
+                reason = "invalid continuation byte"
+            if reason:
+                break
+        if reason:
+            line = len(re.split(rb"\r\n|\r|\n", data[:at]))
+            return (f"{path} is not UTF-8 text: byte {data[at]:#04x} at offset {at} "
+                    f"(line {line}): {reason}")
+        at += 1 + len(tails)
+    return None

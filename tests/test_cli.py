@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -17,7 +19,8 @@ from interdiv import cli, config, dataset, gbt, metrics, parallel, relevance
 from interdiv.errors import ConfigError, InputError, SchemaError, ValidationError
 from interdiv.losses import DEFAULT_HUBER_DELTA
 
-from conftest import parent_fit_model, parent_read_preds, parent_write_csv, parent_write_preds
+from conftest import (parent_fit_model, parent_read_preds, parent_write_csv, parent_write_preds,
+                      utf8_error_message)
 from test_parallel import buffered_env
 
 
@@ -925,6 +928,65 @@ class TestRelevanceFileFlag:
         assert err == "error: gaps between control-point target values must be finite\n"
 
 
+# a note in each of the character widths 2, 3 and 4 bytes: "é", "✓" and "𝄞"
+WIDE_NOTES = ("café", "ok ✓", "clef 𝄞")
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """A valid file of each kind the six readers take, by name, with the
+    command line that reads it: the dataset, schema, predictions and
+    relevance file through ``audit``, the model through ``predict``, and the
+    experiment config and its ``raw_metrics.csv`` through ``curves
+    --from-experiment``. Every file but the model and ``raw_metrics.csv``
+    holds multi-byte characters, and the dataset and relevance file are over
+    8 KB."""
+    root = tmp_path_factory.mktemp("readers")
+    assert run_cli("synth", "--kind", "biased", "--n", "200", "--attributes", "1",
+                   "--seed", "2", "--out", str(root)) == 0
+    data, schema = root / "data.csv", root / "schema.cfg"
+    lines = data.read_text().splitlines()
+    data.write_text("".join(f"{line},{WIDE_NOTES[i % 3] if i else 'note'}\n"
+                            for i, line in enumerate(lines)))
+    schema_text = f"# {' / '.join(WIDE_NOTES)}\n{schema.read_text()}drop = note\n"
+    schema.write_text(schema_text)
+    (root / "exp.cfg").write_text(schema_text + "data = data.csv\nmodels = mse\nruns = 1\n"
+                                  "rounds = 2\ndepth = 2\nout = exp\n")
+    (root / "rel.csv").write_text("y,relevance 𝄞\n" + "".join(
+        f"{i / 10 - 50:.1f},{i % 3 / 2}\n" for i in range(1000)))
+    read_data = ["--data", str(data), "--config", str(schema)]
+    assert run_cli("train", *read_data, "--rounds", "2", "--out", str(root / "model.json")) == 0
+    assert run_cli("predict", *read_data, "--model", str(root / "model.json"),
+                   "--out", str(root / "preds.csv")) == 0
+    preds = (root / "preds.csv").read_text()
+    (root / "preds.csv").write_text(preds.replace("pred", "prédiction ✓", 1))
+    assert run_cli("experiment", "--config", str(root / "exp.cfg")) == 0
+    audit = ["audit", *read_data, "--preds", str(root / "preds.csv"),
+             "--relevance-file", str(root / "rel.csv")]
+    predict = ["predict", *read_data, "--model", str(root / "model.json"),
+               "--out", str(root / "again.csv")]
+    curves = ["curves", "--from-experiment", str(root / "exp.cfg")]
+    inputs = {"data.csv": audit, "schema.cfg": audit, "preds.csv": audit, "rel.csv": audit,
+              "model.json": predict, "exp.cfg": curves, "exp/raw_metrics.csv": curves}
+    for name, argv in inputs.items():
+        assert run_mutated(root / name, (root / name).read_bytes(), argv)[0] == 0, name
+    return {name: (root / name, argv) for name, argv in inputs.items()}
+
+
+def run_mutated(path, data, argv):
+    """Exit code and stderr of the command ``argv`` with ``path`` holding
+    ``data``; the file's own bytes are put back after."""
+    valid = path.read_bytes()
+    path.write_bytes(data)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli(*argv)
+    finally:
+        path.write_bytes(valid)
+    return code, err.getvalue()
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 is named in the error, with its reader's error type."""
 
@@ -987,6 +1049,73 @@ class TestUndecodableInput:
             read(path)
         assert str(exc.value) == (f"{path} is not UTF-8 text: byte 0xff at offset {at} "
                                   "(line 4): invalid start byte")
+
+    # a config line of latin-1 text; a bad byte in the second 8 KB of a
+    # relevance file; one inside a model file; one at the end of raw_metrics.csv
+    @pytest.mark.parametrize("name, bad", [
+        ("exp.cfg", lambda d: d + "# café\n".encode("latin-1")),
+        ("rel.csv", lambda d: d[:9000] + b"\xff" + d[9001:]),
+        ("model.json", lambda d: d[:len(d) // 2] + b"\xff" + d[len(d) // 2 + 1:]),
+        ("exp/raw_metrics.csv", lambda d: d + b"\xff"),
+    ], ids=["experiment-config", "relevance-past-8k", "model", "raw-metrics"])
+    def test_reader_names_the_byte(self, reader_inputs, name, bad):
+        path, argv = reader_inputs[name]
+        data = bad(path.read_bytes())
+        at = next(i for i, b in enumerate(data) if b in b"\xe9\xff")
+        line = data.count(b"\n", 0, at) + 1
+        reason = "invalid continuation byte" if data[at] == 0xE9 else "invalid start byte"
+        assert name != "rel.csv" or at > 8192
+        assert run_mutated(path, data, argv) == (1, (
+            f"error: {path} is not UTF-8 text: byte {data[at]:#04x} at offset {at} "
+            f"(line {line}): {reason}\n"))
+
+    def test_bom_model_predicts_the_plain_bytes(self, reader_inputs, tmp_path):
+        model, argv = reader_inputs["model.json"]
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+        read_data = argv[1:5]  # --data and --config
+        for m in (model, bom):
+            assert run_cli("predict", *read_data, "--model", str(m),
+                           "--out", str(tmp_path / f"{m.stem}.csv")) == 0
+        assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "model.csv").read_bytes()
+
+    # each reader, with one byte set to 0xff or a multi-byte character cut short
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_byte_is_named(self, reader_inputs, data):
+        name = data.draw(st.sampled_from(sorted(reader_inputs)), label="file")
+        path, argv = reader_inputs[name]
+        valid = bytearray(path.read_bytes())
+        wide = [i for i, b in enumerate(valid) if b >= 0xC0]  # lead bytes
+        if wide and data.draw(st.booleans(), label="cut"):
+            at = data.draw(st.sampled_from(wide), label="character")
+            width = 2 + (valid[at] >= 0xE0) + (valid[at] >= 0xF0)
+            del valid[at + data.draw(st.integers(1, width - 1), label="continuation")]
+        else:
+            valid[data.draw(st.integers(0, len(valid) - 1), label="offset")] = 0xFF
+        code, err = run_mutated(path, bytes(valid), argv)
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"error: {utf8_error_message(path, bytes(valid))}"
+
+
+class TestRawMetricsFile:
+    """``curves --from-experiment`` reads ``raw_metrics.csv`` once, and a row
+    of it with fewer than four cells is an ``InputError`` naming its line."""
+
+    def test_short_row_names_its_line(self, reader_inputs):
+        path, argv = reader_inputs["exp/raw_metrics.csv"]
+        data = path.read_bytes() + b"0,1\n"
+        line = data.count(b"\n")
+        assert run_mutated(path, data, argv) == (
+            1, f"error: {path}, line {line}: fewer than 4 cells: '0,1'\n")
+
+    def test_read_once(self, reader_inputs):
+        _, argv = reader_inputs["exp/raw_metrics.csv"]
+        with mock.patch("builtins.open", wraps=open) as opened:
+            assert run_cli(*argv) == 0
+        assert sum(os.path.basename(str(c.args[0])) == "raw_metrics.csv"
+                   for c in opened.call_args_list if c.args) == 1
 
 
 class TestFeaturesNearTheFloatRange:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import parent_split, parent_write_csv, rowwise_load_csv
-from interdiv import curves, dataset, metrics, parallel, relevance
+from interdiv import curves, dataset, errors, metrics, parallel, relevance
 from interdiv.dataset import DatasetSchema
 from interdiv.errors import (
     DegenerateAttributeError,
@@ -647,7 +647,7 @@ class TestUndecodable:
         body = data.index(self.HEADER) + len(self.HEADER)
         # the first byte of the row's é
         at = data.index("é".encode(), body + row * (len(data) - body) // 20_000)
-        assert at > (dataset._SCAN_BYTES if row > 700 else 8192)
+        assert at > (errors._SCAN_BYTES if row > 700 else 8192)
         self.assert_bad_byte(path, data[:at] + b"\xff" + data[at + 1:], at)
         self.assert_bad_byte(path, data[:-1] + b"\xff", len(data) - 1)
 
@@ -658,7 +658,7 @@ class TestUndecodable:
         data = self.csv_bytes(12, False, True)
         path = tmp_path / "d.csv"
         path.write_bytes(data)
-        with mock.patch.object(dataset, "_SCAN_BYTES", scan):
+        with mock.patch.object(errors, "_SCAN_BYTES", scan):
             assert isinstance(dataset.load_csv(path, SCHEMA), dataset.GroupedDataset)
             # the codec names the first byte of the sequence the 0xff breaks
             at = data.rindex("é".encode())
